@@ -21,6 +21,7 @@ import (
 	"pnps/internal/governor"
 	"pnps/internal/ode"
 	"pnps/internal/pv"
+	"pnps/internal/scenario"
 	"pnps/internal/sim"
 	"pnps/internal/soc"
 	"pnps/internal/workload"
@@ -266,6 +267,20 @@ func BenchmarkPVMaximumPowerPoint(b *testing.B) {
 	arr := pv.SouthamptonArray()
 	for i := 0; i < b.N; i++ {
 		if _, err := arr.MaximumPowerPoint(600 + float64(i%5)*100); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkScenarioAssemble is the assembly layer on its own: one
+// Spec.Assemble of the stress-clouds scenario per op (profile realised
+// from the seed, fresh platform and controller, InitialVC defaulted to
+// the memoised standard-irradiance MPP).
+func BenchmarkScenarioAssemble(b *testing.B) {
+	spec := scenario.MustLookup("stress-clouds")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := spec.Assemble(int64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}

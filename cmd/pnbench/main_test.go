@@ -71,7 +71,7 @@ func TestBenchtimeMismatch(t *testing.T) {
 func TestDefaultBenchCoversBatchKernels(t *testing.T) {
 	// The README-quoted set must include the lockstep micro-benchmarks so
 	// the CI allocs gate watches Round and SolveLanes steady state.
-	for _, want := range []string{"BenchmarkBatchRound", "BenchmarkSolveLanes", "BenchmarkCampaignTraceFree"} {
+	for _, want := range []string{"BenchmarkBatchRound", "BenchmarkSolveLanes", "BenchmarkCampaignTraceFree", "BenchmarkScenarioAssemble"} {
 		if !strings.Contains(defaultBench, want) {
 			t.Errorf("defaultBench is missing %s", want)
 		}

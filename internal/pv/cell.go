@@ -77,23 +77,27 @@ func SmallArray() *Array {
 	}
 }
 
-// Validate checks the physical plausibility of the parameters.
+// Validate checks the physical plausibility of the parameters. Every
+// float must be finite: the !(x > 0) comparisons also refuse NaN, which
+// x <= 0 would let through.
 func (a *Array) Validate() error {
 	switch {
-	case a.IscSTC <= 0:
-		return fmt.Errorf("pv: IscSTC must be positive, got %g", a.IscSTC)
-	case a.I0 <= 0:
-		return fmt.Errorf("pv: I0 must be positive, got %g", a.I0)
-	case a.Rs < 0:
-		return fmt.Errorf("pv: Rs must be non-negative, got %g", a.Rs)
-	case a.Rp <= 0:
-		return fmt.Errorf("pv: Rp must be positive, got %g", a.Rp)
+	case !(a.IscSTC > 0) || math.IsInf(a.IscSTC, 0):
+		return fmt.Errorf("pv: IscSTC must be positive and finite, got %g", a.IscSTC)
+	case !(a.I0 > 0) || math.IsInf(a.I0, 0):
+		return fmt.Errorf("pv: I0 must be positive and finite, got %g", a.I0)
+	case !(a.Rs >= 0) || math.IsInf(a.Rs, 0):
+		return fmt.Errorf("pv: Rs must be non-negative and finite, got %g", a.Rs)
+	case !(a.Rp > 0) || math.IsInf(a.Rp, 0):
+		return fmt.Errorf("pv: Rp must be positive and finite, got %g", a.Rp)
 	case a.Ns < 1:
 		return fmt.Errorf("pv: Ns must be >=1, got %d", a.Ns)
-	case a.N <= 0:
-		return fmt.Errorf("pv: ideality factor must be positive, got %g", a.N)
-	case a.TempK <= 0:
-		return fmt.Errorf("pv: TempK must be positive, got %g", a.TempK)
+	case !(a.N > 0) || math.IsInf(a.N, 0):
+		return fmt.Errorf("pv: ideality factor must be positive and finite, got %g", a.N)
+	case !(a.TempK > 0) || math.IsInf(a.TempK, 0):
+		return fmt.Errorf("pv: TempK must be positive and finite, got %g", a.TempK)
+	case math.IsNaN(a.AreaCM2) || math.IsInf(a.AreaCM2, 0):
+		return fmt.Errorf("pv: AreaCM2 must be finite, got %g", a.AreaCM2)
 	}
 	return nil
 }

@@ -174,6 +174,18 @@ func TestValidationErrors(t *testing.T) {
 		mk(func(a *Array) { a.Ns = 0 }),
 		mk(func(a *Array) { a.N = 0 }),
 		mk(func(a *Array) { a.TempK = 0 }),
+		// Non-finite values slip past <= 0 comparisons.
+		mk(func(a *Array) { a.IscSTC = math.NaN() }),
+		mk(func(a *Array) { a.IscSTC = math.Inf(1) }),
+		mk(func(a *Array) { a.I0 = math.NaN() }),
+		mk(func(a *Array) { a.Rs = math.NaN() }),
+		mk(func(a *Array) { a.Rs = math.Inf(1) }),
+		mk(func(a *Array) { a.Rp = math.NaN() }),
+		mk(func(a *Array) { a.Rp = math.Inf(1) }),
+		mk(func(a *Array) { a.N = math.NaN() }),
+		mk(func(a *Array) { a.TempK = math.NaN() }),
+		mk(func(a *Array) { a.TempK = math.Inf(1) }),
+		mk(func(a *Array) { a.AreaCM2 = math.NaN() }),
 	}
 	for i, a := range bad {
 		if err := a.Validate(); err == nil {

@@ -90,41 +90,6 @@ func (s *Solver) ShareVoc(m *VocMemo) bool {
 	return true
 }
 
-// MPPCache memoises the exact Array.MaximumPowerPoint solve keyed by
-// (array parameter values, irradiance). Batch setup paths use it to
-// collapse the per-run default-voltage solves — the single most expensive
-// per-run setup cost — into one solve per distinct array across a batch.
-// The exact solve is a pure function of the key, so cached replies are
-// bit-identical to fresh ones. Not safe for concurrent use.
-type MPPCache struct {
-	m map[mppCacheKey]MPP
-}
-
-type mppCacheKey struct {
-	arr Array
-	g   float64
-}
-
-// MaximumPowerPoint returns the exact MPP for the array at irradiance g,
-// computing it at most once per distinct (array values, g).
-func (c *MPPCache) MaximumPowerPoint(a *Array, g float64) (MPP, error) {
-	key := mppCacheKey{arr: *a, g: g}
-	if m, ok := c.m[key]; ok {
-		return m, nil
-	}
-	m, err := a.MaximumPowerPoint(g)
-	if err != nil {
-		return MPP{}, err
-	}
-	if c.m == nil {
-		c.m = make(map[mppCacheKey]MPP, 4)
-	} else if len(c.m) >= memoCap {
-		clear(c.m)
-	}
-	c.m[key] = m
-	return m, nil
-}
-
 // NewSolver returns an accelerated solver for the array. The array
 // parameters must not be mutated while the solver is in use (memoised
 // results would go stale).

@@ -1,7 +1,9 @@
 package pv
 
 import (
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 )
 
@@ -189,26 +191,109 @@ func TestVocMemoSharingBitIdentical(t *testing.T) {
 	}
 }
 
-// TestMPPCacheBitIdentical checks the exact-MPP cache returns the same
-// bits as the uncached exact solve, across distinct arrays sharing one
-// cache.
-func TestMPPCacheBitIdentical(t *testing.T) {
-	var cache MPPCache
-	for _, arr := range []*Array{SouthamptonArray(), SmallArray()} {
-		for _, g := range []float64{StandardIrradiance, 250, 850} {
-			want, err := arr.MaximumPowerPoint(g)
+// standardMPPEntry reports whether the process-wide memo holds arr.
+func standardMPPEntry(arr *Array) bool {
+	standardMPPs.Lock()
+	defer standardMPPs.Unlock()
+	_, ok := standardMPPs.m[*arr]
+	return ok
+}
+
+// TestStandardMPPBitIdentical checks the process-wide memo returns the
+// same bits as the exact solve, on a miss and on a hit, for distinct
+// arrays and for two distinct pointers to equal array values.
+func TestStandardMPPBitIdentical(t *testing.T) {
+	for _, arr := range []*Array{SouthamptonArray(), SmallArray(), SouthamptonArray()} {
+		want, err := arr.MaximumPowerPoint(StandardIrradiance)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pass := 0; pass < 2; pass++ {
+			got, err := arr.StandardMPP()
 			if err != nil {
 				t.Fatal(err)
 			}
-			for pass := 0; pass < 2; pass++ { // miss, then hit
-				got, err := cache.MaximumPowerPoint(arr, g)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got != want {
-					t.Errorf("pass %d: cached MPP %+v != exact %+v", pass, got, want)
-				}
+			if got != want {
+				t.Errorf("pass %d: memoised MPP %+v != exact %+v", pass, got, want)
 			}
 		}
+		if !standardMPPEntry(arr) {
+			t.Errorf("array %+v not memoised", *arr)
+		}
+	}
+}
+
+// TestStandardMPPConcurrent races callers over two arrays; run under
+// -race it checks the memo's locking, and every reply must be exact.
+func TestStandardMPPConcurrent(t *testing.T) {
+	arrs := []*Array{SouthamptonArray(), SmallArray()}
+	want := make([]MPP, len(arrs))
+	for i, arr := range arrs {
+		var err error
+		if want[i], err = arr.MaximumPowerPoint(StandardIrradiance); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 16)
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			arr := *arrs[g%len(arrs)] // a fresh pointer per caller
+			got, err := arr.StandardMPP()
+			if err == nil && got != want[g%len(arrs)] {
+				err = fmt.Errorf("caller %d: MPP %+v != exact %+v", g, got, want[g%len(arrs)])
+			}
+			if err != nil {
+				errs <- err
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// TestStandardMPPRefusesAndDoesNotCache checks that invalid arrays (NaN
+// and Inf parameters included) are refused before any solve, and that an
+// array that validates but whose solve fails returns the error every
+// time without leaving an entry behind.
+func TestStandardMPPRefusesAndDoesNotCache(t *testing.T) {
+	for name, mut := range map[string]func(*Array){
+		"nan-isc":  func(a *Array) { a.IscSTC = math.NaN() },
+		"nan-area": func(a *Array) { a.AreaCM2 = math.NaN() },
+		"inf-rp":   func(a *Array) { a.Rp = math.Inf(1) },
+		"zero-n":   func(a *Array) { a.N = 0 },
+	} {
+		arr := SouthamptonArray()
+		mut(arr)
+		if _, err := arr.StandardMPP(); err == nil {
+			t.Errorf("%s: invalid array accepted", name)
+		}
+		if standardMPPEntry(arr) {
+			t.Errorf("%s: invalid array memoised", name)
+		}
+	}
+
+	// A light current so large that hi-1 == hi defeats the bracket walk:
+	// valid parameters, failing solve.
+	failing := SouthamptonArray()
+	failing.IscSTC = 1e300
+	if err := failing.Validate(); err != nil {
+		t.Fatalf("failing array should validate: %v", err)
+	}
+	if _, err := failing.MaximumPowerPoint(StandardIrradiance); err == nil {
+		t.Fatal("expected the exact solve to fail for IscSTC=1e300")
+	}
+	for pass := 0; pass < 2; pass++ {
+		if _, err := failing.StandardMPP(); err == nil {
+			t.Fatalf("pass %d: failing solve returned no error", pass)
+		}
+	}
+	if standardMPPEntry(failing) {
+		t.Error("failed solve was memoised")
 	}
 }

@@ -1,6 +1,9 @@
 package pv
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // MPP describes a maximum power point of the array at some irradiance.
 type MPP struct {
@@ -55,6 +58,48 @@ func (a *Array) MaximumPowerPoint(g float64) (MPP, error) {
 		return MPP{}, err
 	}
 	return MPP{V: v, I: i, P: v * i}, nil
+}
+
+// standardMPPs is the process-wide memo behind StandardMPP, keyed by
+// array parameter values.
+var standardMPPs struct {
+	sync.Mutex
+	m map[Array]MPP
+}
+
+// StandardMPP returns the exact MPP at StandardIrradiance, the default
+// InitialVC and TargetVolts of every PV run. The solve is a pure function
+// of the array's parameter values, so it runs once per distinct array per
+// process and the memoised reply is bit-identical to
+// a.MaximumPowerPoint(StandardIrradiance). The memo holds only array
+// parameters and their MPPs and is safe for concurrent use. Invalid
+// arrays are refused before the solve, so no NaN key enters the memo,
+// and errors are never cached.
+func (a *Array) StandardMPP() (MPP, error) {
+	if err := a.Validate(); err != nil {
+		return MPP{}, err
+	}
+	key := *a
+	standardMPPs.Lock()
+	m, ok := standardMPPs.m[key]
+	standardMPPs.Unlock()
+	if ok {
+		return m, nil
+	}
+	// Solve outside the lock: a racing duplicate stores the same bits.
+	m, err := a.MaximumPowerPoint(StandardIrradiance)
+	if err != nil {
+		return MPP{}, err
+	}
+	standardMPPs.Lock()
+	if standardMPPs.m == nil {
+		standardMPPs.m = make(map[Array]MPP, 4)
+	} else if len(standardMPPs.m) >= memoCap {
+		clear(standardMPPs.m)
+	}
+	standardMPPs.m[key] = m
+	standardMPPs.Unlock()
+	return m, nil
 }
 
 // AvailablePower returns the maximum extractable power at irradiance g —

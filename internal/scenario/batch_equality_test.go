@@ -10,6 +10,19 @@ import (
 	"pnps/internal/testutil"
 )
 
+// assembleAll assembles one config per (spec, seed) pair.
+func assembleAll(t *testing.T, specs []Spec, seeds []int64) []sim.Config {
+	t.Helper()
+	cfgs := make([]sim.Config, len(specs))
+	for i := range specs {
+		var err error
+		if cfgs[i], err = specs[i].Assemble(seeds[i]); err != nil {
+			t.Fatalf("assemble %s seed %d: %v", specs[i].Name, seeds[i], err)
+		}
+	}
+	return cfgs
+}
+
 // TestBatchEngineBitIdenticalToScalar is the tentpole property test: the
 // batched lockstep engine must produce bit-identical results to the
 // scalar engine — every scalar outcome, controller stat, envelope and
@@ -81,10 +94,7 @@ func TestBatchEngineBitIdenticalToScalar(t *testing.T) {
 				}
 
 				for _, w := range widths {
-					cfgs, err := AssembleGroup(specs, seeds)
-					if err != nil {
-						t.Fatalf("W=%d AssembleGroup: %v", w, err)
-					}
+					cfgs := assembleAll(t, specs, seeds)
 					results, errs := sim.BatchEngine{W: w}.RunGroup(cfgs)
 					for i := range results {
 						if errs[i] != nil {
@@ -132,11 +142,7 @@ func TestBatchEngineMixedSpecsOneBatch(t *testing.T) {
 		want[i] = res
 	}
 
-	cfgs, err := AssembleGroup(specs, seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, errs := sim.RunBatch(cfgs)
+	results, errs := sim.RunBatch(assembleAll(t, specs, seeds))
 	for i := range results {
 		if errs[i] != nil {
 			t.Fatalf("lane %d (%s): %v", i, mix[i].name, errs[i])

@@ -16,6 +16,7 @@ package scenario
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"pnps/internal/core"
 	"pnps/internal/governor"
@@ -141,13 +142,17 @@ func (s Spec) validate() error {
 	if (s.Profile == nil) == (s.Source == nil) {
 		return errors.New("scenario: set exactly one of Profile and Source")
 	}
-	if s.Duration <= 0 {
-		return fmt.Errorf("scenario %q: duration must be positive, got %g", s.Name, s.Duration)
+	// The comparisons are written so that NaN fails them.
+	if !(s.Duration > 0) || math.IsInf(s.Duration, 0) {
+		return fmt.Errorf("scenario %q: duration must be positive and finite, got %g", s.Name, s.Duration)
 	}
-	if s.Source != nil && s.InitialVC <= 0 {
+	if !(s.InitialVC >= 0) || math.IsInf(s.InitialVC, 0) {
+		return fmt.Errorf("scenario %q: InitialVC must be non-negative and finite, got %g", s.Name, s.InitialVC)
+	}
+	if s.Source != nil && s.InitialVC == 0 {
 		return fmt.Errorf("scenario %q: bench runs must set InitialVC", s.Name)
 	}
-	if s.Utilisation < 0 || s.Utilisation > 1 {
+	if !(s.Utilisation >= 0 && s.Utilisation <= 1) {
 		return fmt.Errorf("scenario %q: utilisation %g outside [0,1]", s.Name, s.Utilisation)
 	}
 	if s.Control.Kind == LinuxGovernor && s.Control.Governor == "" {
@@ -180,33 +185,6 @@ func (s Spec) boot() soc.OPP {
 // and controller, the profile realised from seed. Each call returns an
 // independent configuration, so assembled runs can execute concurrently.
 func (s Spec) Assemble(seed int64) (sim.Config, error) {
-	return s.assemble(seed, nil)
-}
-
-// AssembleGroup assembles one config per (spec, seed) pair with
-// batch-shared setup: the exact MPP solve behind the InitialVC default —
-// the dominant cost of assembling a PV run — is computed once per
-// distinct array across the group instead of once per run. The cache is
-// bit-transparent, so every config is identical to what Assemble would
-// have produced; each gets its own platform and controller, ready for
-// sim.RunBatch or an Engine group.
-func AssembleGroup(specs []Spec, seeds []int64) ([]sim.Config, error) {
-	if len(specs) != len(seeds) {
-		return nil, fmt.Errorf("scenario: AssembleGroup got %d specs and %d seeds", len(specs), len(seeds))
-	}
-	var mpps pv.MPPCache
-	cfgs := make([]sim.Config, len(specs))
-	for i := range specs {
-		cfg, err := specs[i].assemble(seeds[i], &mpps)
-		if err != nil {
-			return nil, err
-		}
-		cfgs[i] = cfg
-	}
-	return cfgs, nil
-}
-
-func (s Spec) assemble(seed int64, mpps *pv.MPPCache) (sim.Config, error) {
 	if err := s.validate(); err != nil {
 		return sim.Config{}, err
 	}
@@ -217,13 +195,7 @@ func (s Spec) assemble(seed int64, mpps *pv.MPPCache) (sim.Config, error) {
 	}
 	initialVC := s.InitialVC
 	if initialVC == 0 {
-		var mpp pv.MPP
-		var err error
-		if mpps != nil {
-			mpp, err = mpps.MaximumPowerPoint(arr, pv.StandardIrradiance)
-		} else {
-			mpp, err = arr.MaximumPowerPoint(pv.StandardIrradiance)
-		}
+		mpp, err := arr.StandardMPP()
 		if err != nil {
 			return sim.Config{}, err
 		}

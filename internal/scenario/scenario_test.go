@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -145,11 +146,52 @@ func TestSpecValidation(t *testing.T) {
 			Profile: FixedProfile(pv.Constant(1)), Duration: 1,
 			Control: Control{Kind: LinuxGovernor},
 		}, "governor"},
+		// Non-finite values slip past <= 0 and range comparisons.
+		{"NaN duration", Spec{Profile: FixedProfile(pv.Constant(1)), Duration: math.NaN()}, "duration"},
+		{"Inf duration", Spec{Profile: FixedProfile(pv.Constant(1)), Duration: math.Inf(1)}, "duration"},
+		{"NaN utilisation", Spec{
+			Profile: FixedProfile(pv.Constant(1)), Duration: 1, Utilisation: math.NaN(),
+		}, "utilisation"},
+		{"NaN initial", Spec{
+			Profile: FixedProfile(pv.Constant(1)), Duration: 1, InitialVC: math.NaN(),
+		}, "InitialVC"},
+		{"Inf initial", Spec{
+			Profile: FixedProfile(pv.Constant(1)), Duration: 1, InitialVC: math.Inf(1),
+		}, "InitialVC"},
+		{"negative initial", Spec{
+			Profile: FixedProfile(pv.Constant(1)), Duration: 1, InitialVC: -1,
+		}, "InitialVC"},
+		{"NaN array", Spec{
+			Profile: FixedProfile(pv.Constant(1)), Duration: 1,
+			Array: &pv.Array{IscSTC: math.NaN(), I0: 1e-9, Rp: 100, Ns: 1, N: 1, TempK: 300},
+		}, "IscSTC"},
 	}
 	for _, c := range cases {
 		if _, err := c.spec.Assemble(0); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %v, want containing %q", c.name, err, c.want)
 		}
+	}
+}
+
+// TestLightLoadRunTerminates is the regression test for runs at light
+// load: the supply rests above the monitor's VMax, the clamped Vhigh
+// threshold asserts again after every interrupt delay, and the replay
+// loop used to service it forever without reaching the run's end.
+func TestLightLoadRunTerminates(t *testing.T) {
+	spec := MustLookup("stress-clouds")
+	spec.Duration = 2
+	spec.Utilisation = 0.2
+	res, err := spec.Run(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Interrupts == 0 {
+		t.Fatal("light-load run serviced no interrupts; the clamped threshold was not exercised")
+	}
+	// A service begun before the end may finish one interrupt delay
+	// (~105 µs) past it, but no further.
+	if res.LifetimeSeconds > spec.Duration+1e-3 {
+		t.Errorf("run lived %g s, past its %g s span", res.LifetimeSeconds, spec.Duration)
 	}
 }
 

@@ -45,8 +45,8 @@ func (ScalarEngine) RunGroup(cfgs []Config) ([]*Result, []error) {
 
 // DefaultBatchWidth is the lane count a zero-valued BatchEngine uses.
 // Eight lanes keep the shared stage slab well inside L1 for every
-// storage model while amortising per-batch setup (shared exact-MPP
-// solve, shared Voc memo) over enough runs to matter.
+// storage model while amortising per-batch setup (the shared Voc memo)
+// over enough runs to matter.
 const DefaultBatchWidth = 8
 
 // BatchEngine executes runs in lockstep groups of W lanes via RunBatch.
@@ -103,10 +103,8 @@ func EngineFor(name string, width int) (Engine, bool) {
 // through a shared structure-of-arrays ode.BatchIntegrator. Per-lane
 // control flow is byte-for-byte the scalar step/settle sequence, so
 // every lane's Result is bit-identical to Run(cfgs[i]) regardless of how
-// the other lanes behave. Batching pays through sharing: the exact
-// MPP solve behind the TargetVolts default is computed once per distinct
-// array (not once per run), and lanes over value-equal arrays share a
-// Voc memo. Lanes whose steps diverge — event hits, rejects, service
+// the other lanes behave. Lanes over value-equal arrays share a Voc
+// memo. Lanes whose steps diverge — event hits, rejects, service
 // delays — simply settle on their own schedule through the scalar settle
 // path and rejoin the lockstep rounds with their next segment.
 //
@@ -119,13 +117,11 @@ func RunBatch(cfgs []Config) ([]*Result, []error) {
 		return results, errs
 	}
 
-	// Per-lane construction with batch-shared setup caches.
 	engines := make([]*engine, n)
-	var mpps pv.MPPCache
 	dim := 0
 	for i := range cfgs {
 		cfg := cfgs[i]
-		if err := validateCached(&cfg, &mpps); err != nil {
+		if err := validate(&cfg); err != nil {
 			errs[i] = err
 			continue
 		}

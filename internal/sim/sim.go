@@ -424,14 +424,9 @@ func (e *engine) finish() *Result {
 	return &e.res
 }
 
-func validate(cfg *Config) error { return validateCached(cfg, nil) }
-
-// validateCached is validate with an optional shared exact-MPP cache: the
-// TargetVolts default requires an exact MPP solve — the most expensive
-// part of per-run setup — and a batch of runs over value-equal arrays
-// needs it only once. The cache returns bit-identical values to the
-// uncached solve, so scalar and batched validation agree exactly.
-func validateCached(cfg *Config, mpps *pv.MPPCache) error {
+// validate checks the config and fills its defaults. Positive-value
+// checks are written !(x > 0), which also refuses NaN.
+func validate(cfg *Config) error {
 	if cfg.Source == nil {
 		if cfg.Array == nil || cfg.Profile == nil {
 			return errors.New("sim: set Config.Source, or Config.Array and Config.Profile")
@@ -445,8 +440,8 @@ func validateCached(cfg *Config, mpps *pv.MPPCache) error {
 		return errors.New("sim: Config.Platform is required")
 	}
 	if cfg.Storage == nil {
-		if cfg.Capacitance <= 0 {
-			return fmt.Errorf("sim: capacitance must be positive, got %g", cfg.Capacitance)
+		if !(cfg.Capacitance > 0) || math.IsInf(cfg.Capacitance, 0) {
+			return fmt.Errorf("sim: capacitance must be positive and finite, got %g", cfg.Capacitance)
 		}
 		cfg.Storage = IdealCap{Farads: cfg.Capacitance}
 	} else {
@@ -460,11 +455,11 @@ func validateCached(cfg *Config, mpps *pv.MPPCache) error {
 			return fmt.Errorf("sim: storage dimension %d outside 1..%d", d, MaxStorageStates)
 		}
 	}
-	if cfg.Duration <= 0 {
-		return fmt.Errorf("sim: duration must be positive, got %g", cfg.Duration)
+	if !(cfg.Duration > 0) || math.IsInf(cfg.Duration, 0) {
+		return fmt.Errorf("sim: duration must be positive and finite, got %g", cfg.Duration)
 	}
-	if cfg.InitialVC <= 0 {
-		return fmt.Errorf("sim: initial Vc must be positive, got %g", cfg.InitialVC)
+	if !(cfg.InitialVC > 0) || math.IsInf(cfg.InitialVC, 0) {
+		return fmt.Errorf("sim: initial Vc must be positive and finite, got %g", cfg.InitialVC)
 	}
 	if cfg.Controller != nil && cfg.Governor != nil {
 		return errors.New("sim: set at most one of Controller and Governor")
@@ -490,13 +485,7 @@ func validateCached(cfg *Config, mpps *pv.MPPCache) error {
 	}
 	if cfg.TargetVolts == 0 {
 		if cfg.Array != nil {
-			var m pv.MPP
-			var err error
-			if mpps != nil {
-				m, err = mpps.MaximumPowerPoint(cfg.Array, pv.StandardIrradiance)
-			} else {
-				m, err = cfg.Array.MaximumPowerPoint(pv.StandardIrradiance)
-			}
+			m, err := cfg.Array.StandardMPP()
 			if err != nil {
 				return err
 			}
@@ -855,9 +844,12 @@ func (e *engine) runTail() error {
 
 	// Replay crossings latched while the platform was busy: once the
 	// actuation completes, the comparator outputs are level-checked
-	// and any asserted threshold is serviced immediately. Each service
-	// slides the thresholds by Vq, so this loop terminates.
-	for e.ctrl != nil && e.alive {
+	// and any asserted threshold is serviced immediately. A service
+	// does not always clear the crossing: a threshold the controller
+	// slides past the monitor's range stays clamped at VMin/VMax, so a
+	// supply resting beyond it asserts again after every interrupt
+	// delay. The e.tEnd bound is what ends the loop.
+	for e.ctrl != nil && e.alive && e.now < e.tEnd {
 		if e.vc < soc.MinOperatingVolts-1e-6 {
 			e.brownout()
 			break

@@ -35,6 +35,15 @@ func TestConfigValidation(t *testing.T) {
 		{"zero capacitance", func(c *Config) { c.Capacitance = 0 }},
 		{"zero duration", func(c *Config) { c.Duration = 0 }},
 		{"zero initial VC", func(c *Config) { c.InitialVC = 0 }},
+		// Non-finite values slip past <= 0 comparisons.
+		{"NaN duration", func(c *Config) { c.Duration = math.NaN() }},
+		{"Inf duration", func(c *Config) { c.Duration = math.Inf(1) }},
+		{"NaN initial VC", func(c *Config) { c.InitialVC = math.NaN() }},
+		{"Inf initial VC", func(c *Config) { c.InitialVC = math.Inf(1) }},
+		{"NaN capacitance", func(c *Config) { c.Capacitance = math.NaN() }},
+		{"Inf capacitance", func(c *Config) { c.Capacitance = math.Inf(1) }},
+		{"NaN ideal storage", func(c *Config) { c.Capacitance, c.Storage = 0, IdealCap{Farads: math.NaN()} }},
+		{"NaN array", func(c *Config) { a := *arr; a.Rp = math.NaN(); c.Array = &a }},
 		{"both controllers", func(c *Config) {
 			c.Controller = defaultController(t, 5.3)
 			c.Governor = governor.Powersave{}

@@ -55,8 +55,8 @@ type IdealCap struct {
 
 // Validate implements Storage.
 func (c IdealCap) Validate() error {
-	if c.Farads <= 0 {
-		return fmt.Errorf("sim: capacitance must be positive, got %g", c.Farads)
+	if !(c.Farads > 0) || math.IsInf(c.Farads, 0) {
+		return fmt.Errorf("sim: capacitance must be positive and finite, got %g", c.Farads)
 	}
 	return nil
 }

@@ -170,8 +170,8 @@ func (st Study) runTasksScalar(ctx context.Context, cancel context.CancelFunc, r
 // runTasksBatched executes the ledger in lockstep lane packs of the
 // engine's width. Consecutive ledger tasks pack together — the ledger is
 // cell-major (task index = cell*Reps + rep), so a cell's repetitions
-// share a pack and therefore a batch's shared assembly and solver
-// caches; packs fan out over the worker pool exactly as scalar tasks do.
+// share a pack and therefore a batch's shared Voc memo; packs fan out
+// over the worker pool exactly as scalar tasks do.
 // Results scatter back in task order, and each lane is bit-identical to
 // its scalar run, so the outcome does not depend on the engine, the
 // width or the worker count.
@@ -189,24 +189,13 @@ func (st Study) runTasksBatched(ctx context.Context, cancel context.CancelFunc, 
 		fail := func(lane int, err error) ([]runOutput, error) {
 			return nil, st.failTask(cancel, rs[lane].Task, err)
 		}
-		specs := make([]scenario.Spec, len(rs))
-		seeds := make([]int64, len(rs))
-		for i := range rs {
-			specs[i], seeds[i] = rs[i].Spec, rs[i].Task.Seed
-		}
-		cfgs, err := scenario.AssembleGroup(specs, seeds)
-		if err != nil {
-			// Group assembly reports one error for the whole pack;
-			// re-assemble scalar-side to attribute it to its task.
-			for i := range rs {
-				if _, aerr := rs[i].Spec.Assemble(rs[i].Task.Seed); aerr != nil {
-					return fail(i, aerr)
-				}
-			}
-			return fail(0, err)
-		}
+		cfgs := make([]sim.Config, len(rs))
 		packOuts := make([]runOutput, len(rs))
-		for i := range cfgs {
+		for i := range rs {
+			var err error
+			if cfgs[i], err = rs[i].Spec.Assemble(rs[i].Task.Seed); err != nil {
+				return fail(i, err)
+			}
 			if packOuts[i].hist, err = st.instrument(&cfgs[i], bands); err != nil {
 				return fail(i, err)
 			}

@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -113,7 +114,7 @@ func ParseStorageAxis(s string) (study.Axis, error) {
 				return 0, fmt.Errorf("storage spec %q: missing capacitance", spec)
 			}
 			v, err := strconv.ParseFloat(parts[i], 64)
-			if err != nil || v <= 0 {
+			if err != nil || !(v > 0) || math.IsInf(v, 0) {
 				return 0, fmt.Errorf("storage spec %q: bad capacitance %q", spec, parts[i])
 			}
 			return v, nil
@@ -176,7 +177,7 @@ func ParseUtilAxis(s string) (study.Axis, error) {
 	var levels []study.Level
 	for _, part := range strings.Split(s, ",") {
 		u, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil || u < 0 || u > 1 {
+		if err != nil || !(u >= 0 && u <= 1) {
 			return study.Axis{}, fmt.Errorf("bad utilisation %q (want [0,1])", part)
 		}
 		levels = append(levels, study.Utilisation(u))

@@ -20,7 +20,8 @@ func TestParseStorageAxis(t *testing.T) {
 	if ax.Levels[2].Label != "hybrid:0.01:1" {
 		t.Errorf("level label %q", ax.Levels[2].Label)
 	}
-	for _, bad := range []string{"ideal", "ideal:zero", "ideal:-1", "flywheel:1", "hybrid:0.01"} {
+	for _, bad := range []string{"ideal", "ideal:zero", "ideal:-1", "flywheel:1", "hybrid:0.01",
+		"ideal:NaN", "ideal:Inf", "supercap:nan", "hybrid:0.01:NaN"} {
 		if _, err := ParseStorageAxis(bad); err == nil {
 			t.Errorf("ParseStorageAxis(%q) accepted", bad)
 		}
@@ -45,10 +46,45 @@ func TestParseUtilAxis(t *testing.T) {
 	if err != nil || len(ax.Levels) != 2 {
 		t.Fatalf("ParseUtilAxis = %+v, %v", ax, err)
 	}
-	for _, bad := range []string{"2", "-0.1", "x"} {
+	for _, bad := range []string{"2", "-0.1", "x", "NaN", "Inf"} {
 		if _, err := ParseUtilAxis(bad); err == nil {
 			t.Errorf("ParseUtilAxis(%q) accepted", bad)
 		}
+	}
+}
+
+// TestWireRecipeRefusesNonFinite: a recipe arriving over the wire with a
+// NaN load or capacitance decodes (the fields are strings) but must not
+// build a study.
+func TestWireRecipeRefusesNonFinite(t *testing.T) {
+	for _, raw := range []string{
+		`{"scenario":"stress-clouds","reps":1,"seed":1,"util":"NaN"}`,
+		`{"scenario":"stress-clouds","reps":1,"seed":1,"storage":"ideal:NaN"}`,
+	} {
+		c, err := DecodeConfig([]byte(raw))
+		if err != nil {
+			t.Fatalf("%s: %v", raw, err)
+		}
+		if _, err := c.Build(); err == nil {
+			t.Errorf("%s: built a study", raw)
+		}
+	}
+}
+
+// TestLightLoadStudyTerminates runs a study at loads 0.1 and 0.2, where
+// the supply rests above the monitor's range; such runs used to never
+// finish.
+func TestLightLoadStudyTerminates(t *testing.T) {
+	st, err := Config{Scenario: "stress-clouds", Duration: 2, Util: "0.1,0.2", Reps: 2, Seed: 3}.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := st.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Summary.Runs != 4 {
+		t.Fatalf("%d runs, want 4", out.Summary.Runs)
 	}
 }
 
