@@ -4,23 +4,23 @@
 // harnesses:
 //
 //	pnbench [-out BENCH_campaign.json] [-bench regex] [-benchtime 5x] [-count 1] [-pkg ./...]
-//	pnbench -engine batched ...
 //	pnbench -compare old.json ...
 //
 // It shells out to `go test -run ^$ -bench <regex> -benchmem` and
 // parses the standard benchmark output into one record per benchmark:
 // iterations, ns/op, B/op, allocs/op and any custom metrics
-// (e.g. meanPct5 for campaign stability). Engine-mode sub-benchmarks
-// ("…/engine=batched-w8") additionally record the execution engine and
-// its lockstep batch width. The default benchmark set is the
-// perf-critical path: the storage-dispatch alloc guard, the end-to-end
-// controller minute, the trace-free campaign in both engine modes and
-// the integrator segment.
+// (e.g. meanPct5 for campaign stability). The default benchmark set is
+// the perf-critical path: the storage-dispatch alloc guard, the
+// end-to-end controller minute, the trace-free campaign, the
+// integrator segment, scenario assembly and the serve cache.
 //
 // -compare gates the fresh run against a previous report: any
 // allocs/op increase, or an ns/op slowdown beyond 15%, on a benchmark
 // present in both reports prints a diagnostic and exits non-zero — the
-// CI perf gate, replacing ad-hoc output greps.
+// CI perf gate, replacing ad-hoc output greps. When both reports ran
+// the same -bench regex, a baseline benchmark missing from the fresh
+// run fails the gate too, so a deleted or renamed benchmark cannot drop
+// out of it silently.
 package main
 
 import (
@@ -36,12 +36,12 @@ import (
 )
 
 // defaultBench selects the benchmarks whose numbers the README quotes.
-const defaultBench = "BenchmarkStorageDispatch|BenchmarkSimControllerMinute|BenchmarkCampaignTraceFree|BenchmarkIntegratorSegment|BenchmarkBatchRound|BenchmarkSolveLanes|BenchmarkServeCache|BenchmarkScenarioAssemble"
+const defaultBench = "BenchmarkStorageDispatch|BenchmarkSimControllerMinute|BenchmarkCampaignTraceFree|BenchmarkIntegratorSegment|BenchmarkServeCache|BenchmarkScenarioAssemble"
 
 // defaultBenchtime is the default -benchtime. A fixed iteration count
 // (-Nx) keeps runs reproducible; 50 iterations keeps the short
-// benchmarks (a lockstep round, a segment) far enough above timer and
-// re-arm jitter that the -compare tolerance is meaningful.
+// benchmarks (an integrator segment, a scenario assembly) far enough
+// above timer jitter that the -compare tolerance is meaningful.
 const defaultBenchtime = "50x"
 
 // Result is one parsed benchmark line.
@@ -58,12 +58,6 @@ type Result struct {
 	// BytesPerOp and AllocsPerOp are present with -benchmem.
 	BytesPerOp  *float64 `json:"bytes_per_op,omitempty"`
 	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
-	// Engine and BatchWidth identify the execution engine of engine-mode
-	// sub-benchmarks, parsed from an "engine=<name>[-wN]" path element
-	// ("scalar"; "batched" with its lockstep lane count). Empty and zero
-	// for engine-agnostic benchmarks.
-	Engine     string `json:"engine,omitempty"`
-	BatchWidth int    `json:"batch_width,omitempty"`
 	// Metrics holds custom b.ReportMetric values by unit name.
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
@@ -92,7 +86,6 @@ func main() {
 		benchtime = flag.String("benchtime", defaultBenchtime, "go test -benchtime value (fixed -Nx iteration counts keep runs reproducible)")
 		count     = flag.Int("count", 1, "go test -count value")
 		pkg       = flag.String("pkg", "./...", "package pattern to benchmark")
-		engineSel = flag.String("engine", "", "run engine-mode sub-benchmarks for this engine only: scalar or batched (default both; engine-agnostic benchmarks always run)")
 		compare   = flag.String("compare", "", "previous report JSON to gate against (>15% ns/op or any allocs/op regression exits non-zero)")
 		verbose   = flag.Bool("v", false, "echo the raw go test output to stderr")
 	)
@@ -119,16 +112,7 @@ func main() {
 		}
 	}
 
-	// -engine narrows the third sub-benchmark level to one engine mode;
-	// go test matches slash-separated patterns level by level and
-	// ignores pattern levels deeper than a benchmark's name, so
-	// benchmarks without an engine level are unaffected.
-	benchArg := *bench
-	if *engineSel != "" {
-		benchArg = fmt.Sprintf("(%s)/.*/engine=%s", *bench, *engineSel)
-	}
-
-	args := []string{"test", "-run", "^$", "-bench", benchArg, "-benchmem",
+	args := []string{"test", "-run", "^$", "-bench", *bench, "-benchmem",
 		"-benchtime", *benchtime, "-count", strconv.Itoa(*count), *pkg}
 	cmd := exec.Command("go", args...)
 	cmd.Stderr = os.Stderr
@@ -148,7 +132,7 @@ func main() {
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
 		Timestamp:  time.Now().UTC().Format(time.RFC3339),
-		Bench:      benchArg,
+		Bench:      *bench,
 		Benchtime:  *benchtime,
 		Results:    parseBenchOutput(string(raw)),
 	}
@@ -228,13 +212,18 @@ func readReport(path string) (Report, error) {
 // prev: any allocs/op increase, or an ns/op slowdown beyond nsTolerance.
 // Results are matched by package and full benchmark name; benchmarks
 // absent from the baseline are new, not regressions, and are skipped.
+// When both reports ran the same -bench regex, a baseline benchmark
+// absent from cur is a failure: it was deleted or renamed, and the gate
+// would otherwise stop watching it without a word.
 func compareReports(prev, cur Report) []string {
 	base := make(map[string]Result, len(prev.Results))
 	for _, r := range prev.Results {
 		base[r.Package+" "+r.Name] = r
 	}
 	var regs []string
+	seen := make(map[string]bool, len(cur.Results))
 	for _, r := range cur.Results {
+		seen[r.Package+" "+r.Name] = true
 		b, ok := base[r.Package+" "+r.Name]
 		if !ok {
 			continue
@@ -248,31 +237,15 @@ func compareReports(prev, cur Report) []string {
 				r.Name, b.NsPerOp, r.NsPerOp, (r.NsPerOp/b.NsPerOp-1)*100, nsTolerance*100))
 		}
 	}
-	return regs
-}
-
-// parseEngine extracts the execution engine and lockstep batch width
-// from an "engine=<name>[-wN]" path element of a benchmark name, e.g.
-// "BenchmarkCampaignTraceFree/workers=1/engine=batched-w8-4" (the
-// trailing "-4" being go test's GOMAXPROCS suffix) yields ("batched",
-// 8). Names without an engine element yield ("", 0).
-func parseEngine(name string) (engine string, width int) {
-	for _, el := range strings.Split(name, "/") {
-		if !strings.HasPrefix(el, "engine=") {
-			continue
-		}
-		parts := strings.Split(strings.TrimPrefix(el, "engine="), "-")
-		engine = parts[0]
-		for _, p := range parts[1:] {
-			if len(p) > 1 && p[0] == 'w' {
-				if n, err := strconv.Atoi(p[1:]); err == nil {
-					width = n
-				}
+	if prev.Bench == cur.Bench {
+		for _, b := range prev.Results {
+			if !seen[b.Package+" "+b.Name] {
+				regs = append(regs, fmt.Sprintf("%s (%s): in the baseline but not in this run; regenerate the baseline if it was removed",
+					b.Name, b.Package))
 			}
 		}
-		return engine, width
 	}
-	return "", 0
+	return regs
 }
 
 // parseBenchOutput extracts benchmark result lines from go test output.
@@ -312,7 +285,6 @@ func parseBenchLine(line, pkg string) (Result, bool) {
 		return Result{}, false
 	}
 	r := Result{Name: fields[0], Package: pkg, Iterations: iters}
-	r.Engine, r.BatchWidth = parseEngine(fields[0])
 	seen := false
 	// The remainder is (value, unit) pairs.
 	for i := 2; i+1 < len(fields); i += 2 {

@@ -1,29 +1,14 @@
 package main
 
 import (
+	"io/fs"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
 func f64(v float64) *float64 { return &v }
-
-func TestParseEngine(t *testing.T) {
-	cases := []struct {
-		name, engine string
-		width        int
-	}{
-		{"BenchmarkCampaignTraceFree/workers=1/engine=scalar", "scalar", 0},
-		{"BenchmarkCampaignTraceFree/workers=1/engine=batched-w8", "batched", 8},
-		{"BenchmarkCampaignTraceFree/workers=4/engine=batched-w8-4", "batched", 8},
-		{"BenchmarkStorageDispatch/ideal-8", "", 0},
-	}
-	for _, c := range cases {
-		eng, w := parseEngine(c.name)
-		if eng != c.engine || w != c.width {
-			t.Errorf("parseEngine(%q) = (%q, %d), want (%q, %d)", c.name, eng, w, c.engine, c.width)
-		}
-	}
-}
 
 func TestCompareReports(t *testing.T) {
 	prev := Report{Results: []Result{
@@ -68,12 +53,79 @@ func TestBenchtimeMismatch(t *testing.T) {
 	}
 }
 
-func TestDefaultBenchCoversBatchKernels(t *testing.T) {
-	// The README-quoted set must include the lockstep micro-benchmarks so
-	// the CI allocs gate watches Round and SolveLanes steady state.
-	for _, want := range []string{"BenchmarkBatchRound", "BenchmarkSolveLanes", "BenchmarkCampaignTraceFree", "BenchmarkScenarioAssemble"} {
-		if !strings.Contains(defaultBench, want) {
-			t.Errorf("defaultBench is missing %s", want)
+// TestCompareReportsMissingBaseline: a baseline benchmark absent from a
+// run of the same -bench regex fails the gate; a run of a different
+// regex legitimately covers a different set and is not judged on it.
+func TestCompareReportsMissingBaseline(t *testing.T) {
+	prev := Report{Bench: "BenchmarkA|BenchmarkB", Results: []Result{
+		{Name: "BenchmarkA", Package: "p", NsPerOp: 1000},
+		{Name: "BenchmarkB", Package: "p", NsPerOp: 1000},
+	}}
+	a := Result{Name: "BenchmarkA", Package: "p", NsPerOp: 1000}
+	b := Result{Name: "BenchmarkB", Package: "p", NsPerOp: 1000}
+	cases := []struct {
+		name    string
+		cur     Report
+		missing bool
+	}{
+		{"missing", Report{Bench: prev.Bench, Results: []Result{a}}, true},
+		{"present", Report{Bench: prev.Bench, Results: []Result{a, b}}, false},
+		{"different regex", Report{Bench: "BenchmarkA", Results: []Result{a}}, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			regs := compareReports(prev, c.cur)
+			if !c.missing {
+				if len(regs) != 0 {
+					t.Fatalf("unexpected failures: %v", regs)
+				}
+				return
+			}
+			if len(regs) != 1 || !strings.Contains(regs[0], "BenchmarkB") ||
+				!strings.Contains(regs[0], "regenerate the baseline if it was removed") {
+				t.Fatalf("missing-benchmark diagnostic: %v", regs)
+			}
+		})
+	}
+}
+
+// TestDefaultBenchNamesExistingBenchmarks: every benchmark the default
+// set names must be declared somewhere in the module, so a deleted or
+// renamed benchmark cannot linger in the regex matching nothing.
+func TestDefaultBenchNamesExistingBenchmarks(t *testing.T) {
+	root, err := filepath.Abs(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var src strings.Builder
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			// Nested modules are outside `go test ./...` of this one.
+			if path != root {
+				if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+					return filepath.SkipDir
+				}
+			}
+			return nil
+		}
+		if strings.HasSuffix(path, "_test.go") {
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			src.Write(raw)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range strings.Split(defaultBench, "|") {
+		if !strings.Contains(src.String(), "func "+name+"(b *testing.B)") {
+			t.Errorf("defaultBench names %s, which no test file in the module declares", name)
 		}
 	}
 }
@@ -98,15 +150,12 @@ func TestParseBenchLine(t *testing.T) {
 
 func TestParseBenchLineCustomMetrics(t *testing.T) {
 	r, ok := parseBenchLine(
-		"BenchmarkCampaignTraceFree/workers=4/engine=batched-w8 \t 3\t 11937706 ns/op\t 22.02 meanPct5\t 452954 B/op\t 1453 allocs/op", "p")
+		"BenchmarkCampaignTraceFree/workers=4 \t 3\t 11937706 ns/op\t 22.02 meanPct5\t 452954 B/op\t 1453 allocs/op", "p")
 	if !ok {
 		t.Fatal("line rejected")
 	}
 	if r.Metrics["meanPct5"] != 22.02 {
 		t.Errorf("custom metric: %+v", r.Metrics)
-	}
-	if r.Engine != "batched" || r.BatchWidth != 8 {
-		t.Errorf("engine attribution: %+v", r)
 	}
 }
 

@@ -54,8 +54,6 @@ func parseOptions(args []string) (*options, error) {
 		jobWorkers = fs.Int("job-workers", 2, "concurrently executing jobs")
 		queue      = fs.Int("queue", 16, "admitted-but-not-running job bound; a full queue answers 429")
 		simWorkers = fs.Int("sim-workers", 0, "per-job run concurrency (0 = GOMAXPROCS)")
-		engine     = fs.String("engine", "", "execution engine: scalar or batched (cache keys are engine-independent)")
-		batchWidth = fs.Int("batch-width", 0, "lockstep lane count for the batched engine (0 = default)")
 		cacheMB    = fs.Int("cache-mb", 64, "content-addressed result cache budget, MiB")
 		maxJobs    = fs.Int("max-jobs", 256, "retained job records (oldest finished pruned first)")
 		retryAfter = fs.Duration("retry-after", time.Second, "backoff hint on 429 responses")
@@ -75,7 +73,6 @@ func parseOptions(args []string) (*options, error) {
 		cfg: serve.Config{
 			Tokens:     coord.SplitTokens(*tokens),
 			JobWorkers: *jobWorkers, QueueDepth: *queue, SimWorkers: *simWorkers,
-			Engine: *engine, BatchWidth: *batchWidth,
 			CacheBytes: int64(*cacheMB) << 20,
 			MaxJobs:    *maxJobs, RetryAfter: *retryAfter,
 		},

@@ -33,7 +33,7 @@ func TestParseOptionsDefaults(t *testing.T) {
 func TestParseOptionsFlags(t *testing.T) {
 	opt, err := parseOptions([]string{
 		"-addr", ":7070", "-token", "alice, bob", "-job-workers", "4",
-		"-queue", "2", "-engine", "batched", "-batch-width", "8",
+		"-queue", "2", "-sim-workers", "3",
 		"-cache-mb", "8", "-retry-after", "5s", "-v",
 	})
 	if err != nil {
@@ -49,8 +49,8 @@ func TestParseOptionsFlags(t *testing.T) {
 	if cfg.JobWorkers != 4 || cfg.QueueDepth != 2 {
 		t.Errorf("admission: %d workers, queue %d", cfg.JobWorkers, cfg.QueueDepth)
 	}
-	if cfg.Engine != "batched" || cfg.BatchWidth != 8 {
-		t.Errorf("engine: %q width %d", cfg.Engine, cfg.BatchWidth)
+	if cfg.SimWorkers != 3 {
+		t.Errorf("sim workers = %d", cfg.SimWorkers)
 	}
 	if cfg.CacheBytes != 8<<20 || cfg.RetryAfter != 5*time.Second {
 		t.Errorf("cache %d bytes, retry-after %v", cfg.CacheBytes, cfg.RetryAfter)

@@ -13,9 +13,8 @@
 //	pnstudy -worker http://coordinator:8080
 //	pnstudy -list
 //
-// The matrix flags (everything except -workers, -engine, -batch-width
-// and -progress) define the study identity: shard, resume and merge
-// invocations must repeat
+// The matrix flags (everything except -workers and -progress) define
+// the study identity: shard, resume and merge invocations must repeat
 // them exactly — checkpoints carry a fingerprint and refuse to mix
 // with a different matrix. Worker counts, shard counts and
 // interruption points never change the result: the merged outcome is
@@ -73,8 +72,6 @@ func main() {
 		seed     = flag.Int64("seed", 2017, "study base seed")
 		paired   = flag.Bool("paired", false, "common random numbers: one realisation per repetition across all cells")
 		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent runs")
-		engine   = flag.String("engine", "scalar", "execution engine: scalar, or batched (lockstep SoA lanes; bit-identical results)")
-		batchW   = flag.Int("batch-width", 0, "batched engine lane count (0 selects the default width)")
 		progress = flag.Bool("progress", false, "report run progress on stderr")
 		bins     = flag.Int("bins", 250, "dwell-time voltage histogram bins (0 disables)")
 		histLo   = flag.Float64("histlo", 0, "dwell histogram lower bound, volts")
@@ -102,7 +99,7 @@ func main() {
 
 	ctx := context.Background()
 	if *workerAt != "" {
-		if err := runWorker(ctx, *workerAt, *name, *token, *workers, *engine, *batchW); err != nil {
+		if err := runWorker(ctx, *workerAt, *name, *token, *workers); err != nil {
 			fatal(err)
 		}
 		return
@@ -118,7 +115,6 @@ func main() {
 		fatal(err)
 	}
 	st.Workers = *workers
-	st.Engine, st.BatchWidth = *engine, *batchW
 	if *progress {
 		st.OnProgress = func(done, total int) {
 			fmt.Fprintf(os.Stderr, "\rpnstudy: %d/%d runs", done, total)
@@ -163,9 +159,8 @@ func main() {
 
 // runWorker joins a coordinator: the study identity travels as a
 // studycli.Config recipe, is rebuilt locally and fingerprint-verified
-// before any chunk executes. The engine is local execution detail — it
-// never changes results, so each worker picks its own.
-func runWorker(ctx context.Context, url, name, token string, workers int, engine string, batchWidth int) error {
+// before any chunk executes.
+func runWorker(ctx context.Context, url, name, token string, workers int) error {
 	w := &coord.Worker{
 		URL: url, Name: name, Token: token, Workers: workers,
 		BuildStudy: func(recipe json.RawMessage) (study.Study, error) {
@@ -176,12 +171,7 @@ func runWorker(ctx context.Context, url, name, token string, workers int, engine
 			if err != nil {
 				return study.Study{}, err
 			}
-			st, err := c.Build()
-			if err != nil {
-				return study.Study{}, err
-			}
-			st.Engine, st.BatchWidth = engine, batchWidth
-			return st, nil
+			return c.Build()
 		},
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "pnstudy: "+format+"\n", args...)

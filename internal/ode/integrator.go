@@ -14,12 +14,9 @@ import (
 // dimension and event count of the first call and grown on demand. An
 // Integrator is not safe for concurrent use; give each goroutine its own.
 //
-// The stepping core is factored into a resumable per-step state machine
-// (segState plus the begin/attemptPrepare/stage*/settleStep methods):
-// Integrate drives it to completion for one segment, and BatchIntegrator
-// drives W of them in lockstep over structure-of-arrays stage slabs. Both
-// paths execute the identical per-lane instruction sequence, so batched
-// integration is bit-identical to scalar integration by construction.
+// The stepping core is factored into per-step methods over a segState
+// (begin/attemptPrepare/stage*/settleStep), which Integrate drives to
+// completion for one segment.
 type Integrator struct {
 	k1, k2, k3, k4     []float64
 	y1, y2, ytmp, errv []float64
@@ -56,8 +53,7 @@ func (in *Integrator) ensure(n, nev int) {
 		// Full slice expressions cap every view at its own n floats, so a
 		// later larger-dimension call cannot reslice one view into its
 		// neighbour's storage — growth is detected here and reallocates.
-		buf := make([]float64, 11*n)
-		in.bindBuffers(buf, n, 1, 0)
+		in.bindBuffers(make([]float64, 11*n), n)
 	} else {
 		in.k1, in.k2, in.k3, in.k4 = in.k1[:n], in.k2[:n], in.k3[:n], in.k4[:n]
 		in.y1, in.y2 = in.y1[:n], in.y2[:n]
@@ -72,16 +68,12 @@ func (in *Integrator) ensure(n, nev int) {
 	}
 }
 
-// bindBuffers carves this integrator's 11 stage views out of buf, which
-// holds the same 11 buffers for `lanes` lanes in structure-of-arrays
-// order: all lanes' k1 first, then all lanes' k2, and so on. Each view is
-// capped at its own n floats so growth is detected by ensure. The scalar
-// path binds a private buffer with lanes=1, lane=0; BatchIntegrator binds
-// every lane into one shared slab so each stage's storage is contiguous
-// across the batch.
-func (in *Integrator) bindBuffers(buf []float64, n, lanes, lane int) {
+// bindBuffers carves this integrator's 11 stage views of n floats each
+// out of buf. Each view is capped at its own n floats so growth is
+// detected by ensure.
+func (in *Integrator) bindBuffers(buf []float64, n int) {
 	view := func(stage int) []float64 {
-		off := (stage*lanes + lane) * n
+		off := stage * n
 		return buf[off : off+n : off+n]
 	}
 	in.k1, in.k2, in.k3, in.k4 = view(0), view(1), view(2), view(3)
@@ -92,18 +84,16 @@ func (in *Integrator) bindBuffers(buf []float64, n, lanes, lane int) {
 }
 
 // segState is the in-flight state of one segment integration — everything
-// the step loop carries between attempts. It is the unit the batched
-// engine advances in lockstep: one segState per lane, each driven by the
-// same methods the scalar Integrate loop uses.
+// the step loop carries between attempts.
 type segState struct {
-	f      RHS
-	o      Options
-	y      []float64
-	t, t1  float64
-	h      float64
-	res    Result
-	err    error
-	done   bool
+	f     RHS
+	o     Options
+	y     []float64
+	t, t1 float64
+	h     float64
+	res   Result
+	err   error
+	done  bool
 	// Per-attempt state set by attemptPrepare and consumed by settleStep.
 	hs        float64
 	truncated bool
@@ -198,10 +188,10 @@ func (in *Integrator) stageErr(s *segState) {
 	s.en = errNorm(errv, y, y1, s.o.ATol, s.o.RTol)
 }
 
-// settleStep finishes one attempt: reject-and-shrink (the lane retries on
-// its next round), accept with event localisation, the OnStep callback,
-// the FSAL carry and step-size growth. Semantics are the historical
-// accept/reject tail of Integrate, verbatim.
+// settleStep finishes one attempt: reject-and-shrink (the next attempt
+// retries with the smaller step), accept with event localisation, the
+// OnStep callback, the FSAL carry and step-size growth. Semantics are
+// the historical accept/reject tail of Integrate, verbatim.
 func (in *Integrator) settleStep(s *segState) {
 	o := &s.o
 	if s.en > 1 {

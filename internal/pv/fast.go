@@ -58,38 +58,6 @@ func expm1(x float64) float64 {
 // simulated spans.
 const memoCap = 4096
 
-// VocMemo is a per-irradiance open-circuit-voltage memo shareable by
-// every Solver in a batch whose arrays are value-equal. Voc is a pure
-// function of the array parameters and the irradiance — solveVoc always
-// cold-starts from the analytic estimate, unlike the MPP memo whose
-// golden search rides the owning solver's warm Newton state — so a shared
-// entry is bit-identical no matter which lane computed it first, and
-// sharing cannot perturb per-lane results. Sharing is guarded by Array
-// value equality in Solver.ShareVoc. A VocMemo is not safe for concurrent
-// use; share it only among solvers driven by one goroutine (one batch).
-type VocMemo struct {
-	arr Array
-	voc map[float64]float64
-}
-
-// NewVocMemo returns an empty shared memo bound to the array's current
-// parameter values.
-func NewVocMemo(a *Array) *VocMemo {
-	return &VocMemo{arr: *a, voc: make(map[float64]float64, 8)}
-}
-
-// ShareVoc attaches the solver's open-circuit-voltage memoisation to the
-// shared memo and reports whether it did: attachment requires the
-// solver's array to be value-equal to the memo's, since each entry is a
-// function of those parameter values.
-func (s *Solver) ShareVoc(m *VocMemo) bool {
-	if m == nil || *s.a != m.arr {
-		return false
-	}
-	s.voc = m.voc
-	return true
-}
-
 // NewSolver returns an accelerated solver for the array. The array
 // parameters must not be mutated while the solver is in use (memoised
 // results would go stale).
@@ -175,8 +143,6 @@ func (s *Solver) OpenCircuitVoltage(g float64) (float64, error) {
 		return 0, err
 	}
 	if len(s.voc) >= memoCap {
-		// Clear in place rather than reallocating so a memo attached via
-		// ShareVoc stays shared across its batch after eviction.
 		clear(s.voc)
 	}
 	s.voc[g] = v

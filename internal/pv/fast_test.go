@@ -149,48 +149,6 @@ func TestSolverDeterministicGivenCallSequence(t *testing.T) {
 	}
 }
 
-// TestVocMemoSharingBitIdentical checks that solvers attached to a shared
-// VocMemo return bit-identical Voc values to a private solver regardless
-// of which lane warms the memo first, and that attachment is refused
-// across value-unequal arrays.
-func TestVocMemoSharingBitIdentical(t *testing.T) {
-	arrA, arrB := SouthamptonArray(), SouthamptonArray()
-	memo := NewVocMemo(arrA)
-
-	sPriv := NewSolver(SouthamptonArray())
-	sA, sB := NewSolver(arrA), NewSolver(arrB)
-	if !sA.ShareVoc(memo) || !sB.ShareVoc(memo) {
-		t.Fatal("ShareVoc refused value-equal arrays")
-	}
-
-	for _, g := range gridG {
-		want, err := sPriv.OpenCircuitVoltage(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// sA computes (memo miss), sB hits the entry sA wrote.
-		gotA, err := sA.OpenCircuitVoltage(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotB, err := sB.OpenCircuitVoltage(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotA != want || gotB != want {
-			t.Errorf("Voc(%g): shared %g/%g vs private %g", g, gotA, gotB, want)
-		}
-	}
-
-	small := SmallArray()
-	if NewSolver(small).ShareVoc(memo) {
-		t.Error("ShareVoc accepted a value-unequal array")
-	}
-	if NewSolver(small).ShareVoc(nil) {
-		t.Error("ShareVoc accepted nil memo")
-	}
-}
-
 // standardMPPEntry reports whether the process-wide memo holds arr.
 func standardMPPEntry(arr *Array) bool {
 	standardMPPs.Lock()

@@ -11,7 +11,7 @@
 // makes results content-addressable — the cache key is the canonical
 // digest of the study identity (fingerprint: base-spec digest, axes,
 // seed, seed mode, reps, histogram geometry), and nothing execution-
-// dependent (workers, engine, batch width) ever reaches the key. A
+// dependent (such as the worker count) ever reaches the key. A
 // cache hit therefore returns bytes that are bit-identical to what a
 // cold run would have produced, with zero simulation work; and because
 // cells are content-addressed individually (study.CellIdentity), a new

@@ -35,11 +35,6 @@ type Config struct {
 	// SimWorkers bounds per-job run concurrency (0 keeps the study
 	// default, GOMAXPROCS).
 	SimWorkers int
-	// Engine and BatchWidth select the execution engine. Execution
-	// detail only: both are excluded from cache keys because engines
-	// are bit-identical by contract.
-	Engine     string
-	BatchWidth int
 	// CacheBytes bounds the content-addressed result cache (<=0 selects
 	// 64 MiB).
 	CacheBytes int64
@@ -57,8 +52,7 @@ type Config struct {
 	// workers busy deterministically.
 	startHook func(j *Job)
 	// cache, when non-nil, replaces the server's own store — the seam
-	// cache tests use to point a second server (with a deliberately
-	// broken engine) at a populated store.
+	// cache tests use to point a second server at a populated store.
 	cache *Cache
 }
 
@@ -211,6 +205,10 @@ type Server struct {
 	draining bool
 
 	workerWG sync.WaitGroup
+	// ctx bounds every simulation the server runs; Shutdown cancels it
+	// once its own deadline passes, abandoning unstarted runs.
+	ctx    context.Context
+	cancel context.CancelFunc
 }
 
 // NewServer starts a service with cfg's admission bounds and cache
@@ -237,6 +235,7 @@ func NewServer(cfg Config) *Server {
 		jobs:  map[string]*Job{},
 		queue: make(chan *Job, cfg.QueueDepth),
 	}
+	s.ctx, s.cancel = context.WithCancel(context.Background())
 	s.workerWG.Add(cfg.JobWorkers)
 	for i := 0; i < cfg.JobWorkers; i++ {
 		go func() {
@@ -271,7 +270,10 @@ func (s *Server) Drain() {
 	close(s.queue)
 }
 
-// Shutdown drains and waits for in-flight jobs, up to ctx.
+// Shutdown drains and waits for in-flight jobs, up to ctx. Past ctx's
+// deadline it cancels the running jobs: runs already simulating finish,
+// unstarted ones are abandoned, and each such job ends failed with only
+// its completed cells cached.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.Drain()
 	done := make(chan struct{})
@@ -283,6 +285,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	case <-done:
 		return nil
 	case <-ctx.Done():
+		s.cancel()
 		return fmt.Errorf("serve: shutdown incomplete: %w", ctx.Err())
 	}
 }
@@ -328,8 +331,6 @@ func (s *Server) buildStudy(recipe studycli.Config, tenant string) (study.Study,
 	}
 	st.Seed = TenantSeed(st.Seed, tenant)
 	st.Workers = s.cfg.SimWorkers
-	st.Engine = s.cfg.Engine
-	st.BatchWidth = s.cfg.BatchWidth
 	return st, nil
 }
 
@@ -483,10 +484,10 @@ func (s *Server) restoreCell(st study.Study, c int, digest string) ([]study.Task
 	return recs, true
 }
 
-// simulateCell runs one cell's repetitions through the engine, counting
-// every completed run on the job. The count hangs off OnProgress — the
-// engine-boundary completion callback — so it measures work the engine
-// actually did, which is what the zero-work-on-repeat guarantee is
+// simulateCell runs one cell's repetitions under the server's context,
+// counting every completed run on the job. The count hangs off
+// OnProgress — the run-completion callback — so it measures work
+// actually done, which is what the zero-work-on-repeat guarantee is
 // stated against.
 func (s *Server) simulateCell(j *Job, r study.TaskRange) (*study.Checkpoint, error) {
 	run := j.st
@@ -499,7 +500,12 @@ func (s *Server) simulateCell(j *Job, r study.TaskRange) (*study.Checkpoint, err
 		mu.Unlock()
 		j.addSimulated(delta)
 	}
-	return run.RunChunk(context.Background(), r)
+	cp, err := run.RunChunk(s.ctx, r)
+	if err != nil && s.ctx.Err() != nil {
+		// One error in place of the chunk's per-run "not started" list.
+		return nil, fmt.Errorf("abandoned by shutdown: %w", s.ctx.Err())
+	}
+	return cp, err
 }
 
 // Handler returns the service's HTTP API, wrapped in bearer

@@ -139,8 +139,8 @@ func directArtifacts(t testing.TB, recipe studycli.Config) map[string][]byte {
 // study submission is answered from the content-addressed store with
 // bytes bit-identical to the cold run (which are themselves identical
 // to a direct local run), with zero simulation work — proved both by
-// the engine-boundary run counter and by breaking the engine between
-// the two submissions, so any simulation attempt would fail the job.
+// the run counter and by a spy server whose job workers fail the test
+// if any job reaches them.
 func TestServeCacheHitByteIdentical(t *testing.T) {
 	e := newEnv(t, Config{})
 	recipe := testRecipe(41)
@@ -166,13 +166,14 @@ func TestServeCacheHitByteIdentical(t *testing.T) {
 		}
 	}
 
-	// The spy: a second server sharing the populated store, wired to an
-	// engine that cannot exist. Any job that reaches RunChunk fails with
-	// an unknown-engine error, so a done job proves the engine was never
-	// consulted.
-	broken := newEnv(t, Config{Engine: "no-such-engine", cache: e.s.cache})
+	// The spy: a second server sharing the populated store whose start
+	// hook fails the test if any job leaves the queue, so a done job
+	// proves nothing was simulated.
+	spyCfg := Config{cache: e.s.cache}
+	spyCfg.startHook = func(j *Job) { t.Errorf("cache hit queued job %s", j.id) }
+	spy := newEnv(t, spyCfg)
 
-	hit := broken.submit(t, "", recipe, http.StatusOK)
+	hit := spy.submit(t, "", recipe, http.StatusOK)
 	if !hit.CacheHit || hit.State != JobDone {
 		t.Fatalf("repeat submission: state %s, cacheHit %v (%s)", hit.State, hit.CacheHit, hit.Error)
 	}
@@ -183,7 +184,7 @@ func TestServeCacheHitByteIdentical(t *testing.T) {
 		t.Fatalf("digest changed across identical submissions: %s vs %s", hit.Digest, cold.Digest)
 	}
 	for _, f := range artifactFormats {
-		if got := broken.outcome(t, "", hit.ID, f); !bytes.Equal(got, coldBytes[f]) {
+		if got := spy.outcome(t, "", hit.ID, f); !bytes.Equal(got, coldBytes[f]) {
 			t.Fatalf("%s: cache-hit bytes differ from the cold run", f)
 		}
 	}
@@ -288,6 +289,69 @@ func TestServeBackpressure(t *testing.T) {
 	e.s.Drain()
 	if resp, body := e.do(t, http.MethodPost, "/v1/jobs", "", testRecipe(4)); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("draining submission: HTTP %d (%s), want 503", resp.StatusCode, body)
+	}
+}
+
+// TestServeShutdownCancelsRunningJobs pins that Shutdown bounds running
+// work: past its deadline it cancels the server's jobs, so a many-rep
+// job abandons its unstarted runs, ends failed, caches no partial cell,
+// and every job worker exits promptly.
+func TestServeShutdownCancelsRunningJobs(t *testing.T) {
+	started := make(chan string, 1)
+	cfg := Config{JobWorkers: 1, SimWorkers: 1}
+	cfg.startHook = func(j *Job) { started <- j.id }
+	e := newEnv(t, cfg)
+
+	long := studycli.Config{
+		Scenario: "stress-clouds", Duration: 60,
+		Storage: "ideal:0.047", Util: "1", Reps: 5000, Seed: 3,
+	}
+	id := e.submit(t, "", long, http.StatusAccepted).ID
+	status := func() JobStatus {
+		e.s.mu.Lock()
+		j := e.s.jobs[id]
+		e.s.mu.Unlock()
+		return j.status()
+	}
+	select {
+	case <-started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("job never started")
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if status().SimulatedRuns > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("job never simulated a run")
+		}
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if err := e.s.Shutdown(ctx); err == nil {
+		t.Fatal("Shutdown met a 50 ms deadline with a 5000-run job in flight")
+	}
+	exited := make(chan struct{})
+	go func() {
+		e.s.workerWG.Wait()
+		close(exited)
+	}()
+	select {
+	case <-exited:
+	case <-time.After(5 * time.Second):
+		t.Fatal("job workers still running 5 s after Shutdown's deadline")
+	}
+
+	js := status()
+	if js.State != JobFailed || !strings.Contains(js.Error, "shutdown") {
+		t.Fatalf("cancelled job: state %s (%s), want failed by shutdown", js.State, js.Error)
+	}
+	if js.SimulatedRuns >= js.TotalTasks {
+		t.Fatalf("cancelled job simulated all %d runs", js.TotalTasks)
+	}
+	if st := e.s.CacheStats(); st.Entries != 0 {
+		t.Fatalf("cancelled job left %d cache entries, want none", st.Entries)
 	}
 }
 

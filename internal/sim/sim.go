@@ -266,10 +266,8 @@ type engine struct {
 	lastAvailT   float64
 
 	// Segment state machine (see step/settle): the discrete-event loop is
-	// factored so the engine alternates between "arm an integration
-	// request" and "settle its result", letting the scalar driver (run)
-	// and the lockstep batch driver (RunBatch) share the identical
-	// per-run code path.
+	// factored so run alternates between "arm an integration request"
+	// and "settle its result".
 	state          runState
 	tEnd           float64
 	nextTick       float64 // governor tick time (governor mode only)
@@ -539,9 +537,7 @@ func (e *engine) netCurrent(t, v float64) float64 {
 }
 
 // loadCurrent returns the board + monitor draw with the node at voltage
-// v (zero when browned out) — the load half of netCurrent, shared by
-// the scalar RHS and the batched cross-lane evaluator so both compute
-// the identical value.
+// v (zero when browned out) — the load half of netCurrent.
 func (e *engine) loadCurrent(v float64) float64 {
 	iload := 0.0
 	if e.alive {
@@ -556,8 +552,7 @@ func (e *engine) loadCurrent(v float64) float64 {
 // applyDerivative finishes one RHS evaluation: the storage model maps
 // the net node current to state derivatives, clamped so no state
 // voltage can discharge below zero (the array blocks reverse current
-// physically; this guards numerical undershoot). Shared verbatim by the
-// scalar RHS and the batched cross-lane evaluator.
+// physically; this guards numerical undershoot).
 func (e *engine) applyDerivative(y, dydt []float64, inet float64) {
 	e.storage.Derivative(y, inet, dydt)
 	for i := range dydt {
@@ -623,12 +618,9 @@ func (e *engine) sampleAvailable(t float64) {
 	}
 }
 
-// run is the scalar driver of the segment state machine: alternate
-// between step (arm the next integration request) and settle (absorb its
-// result) until the run completes. The batched driver (RunBatch) walks
-// the identical step/settle sequence per lane, interleaving the
-// integrations of W lanes through an ode.BatchIntegrator — which is why
-// batched results are bit-identical to this loop by construction.
+// run loops the segment state machine: alternate between step (arm the
+// next integration request) and settle (absorb its result) until the run
+// completes.
 func (e *engine) run() error {
 	for {
 		if !e.pendArmed {

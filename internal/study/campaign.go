@@ -41,15 +41,8 @@ type Campaign struct {
 	Group GroupFunc
 	// Workers bounds concurrency; <= 0 selects GOMAXPROCS.
 	Workers int
-	// Engine selects the execution engine ("" or "scalar" sequential,
-	// "batched" lockstep structure-of-arrays); outcomes are bit-identical
-	// either way. See Study.Engine.
-	Engine string
-	// BatchWidth is the lockstep lane count for the batched engine; <1
-	// selects sim.DefaultBatchWidth.
-	BatchWidth int
 	// OnProgress, when non-nil, is called after each completed run with
-	// (completed, total); the batched engine reports per lane pack.
+	// (completed, total).
 	OnProgress func(completed, total int)
 	// KeepSeries retains per-run time series. Off by default: a
 	// campaign of long scenarios would otherwise hold every trace of
@@ -152,7 +145,7 @@ func (c Campaign) Run(ctx context.Context) (*Outcome, error) {
 	st := Study{
 		Name: c.Base.Name, Base: c.Base, Reps: c.Runs, Seed: c.Seed,
 		Vary: c.Vary, Group: c.Group,
-		Workers: c.Workers, Engine: c.Engine, BatchWidth: c.BatchWidth,
+		Workers:    c.Workers,
 		OnProgress: c.OnProgress,
 		KeepSeries: c.KeepSeries, StabilityBands: c.StabilityBands,
 		VCHistBins: c.VCHistBins, VCHistLo: c.VCHistLo, VCHistHi: c.VCHistHi,

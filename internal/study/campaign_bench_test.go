@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"pnps/internal/scenario"
-	"pnps/internal/sim"
 )
 
 // BenchmarkCampaignTraceFree is the campaign-scale hot-path benchmark:
@@ -15,36 +14,25 @@ import (
 // histogram). Memory per iteration is the campaign's whole footprint —
 // O(runs) scalar outcomes, no series — so allocs/op and B/op here are
 // the numbers the README "Performance" section quotes for trace-free
-// campaigns. The engine=… sub-benchmarks run the same campaign on the
-// scalar and the batched lockstep engine (bit-identical outcomes; the
-// meanPct5 metric pins that on every record).
+// campaigns. The meanPct5 metric pins the outcome on every record.
 func BenchmarkCampaignTraceFree(b *testing.B) {
 	base := scenario.MustLookup("stress-clouds")
 	base.Duration = 10
-	engines := []struct {
-		label, engine string
-	}{
-		{"engine=scalar", "scalar"},
-		{fmt.Sprintf("engine=batched-w%d", sim.DefaultBatchWidth), "batched"},
-	}
 	for _, workers := range []int{1, 4} {
-		for _, eng := range engines {
-			b.Run(fmt.Sprintf("workers=%d/%s", workers, eng.label), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					out, err := Campaign{
-						Base: base, Runs: 32, Seed: 17, Workers: workers,
-						Engine:     eng.engine,
-						VCHistBins: 64, VCHistLo: 4.0, VCHistHi: 6.0,
-					}.Run(context.Background())
-					if err != nil {
-						b.Fatal(err)
-					}
-					if i == b.N-1 {
-						b.ReportMetric(out.Summary.Stability.Mean*100, "meanPct5")
-					}
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				out, err := Campaign{
+					Base: base, Runs: 32, Seed: 17, Workers: workers,
+					VCHistBins: 64, VCHistLo: 4.0, VCHistHi: 6.0,
+				}.Run(context.Background())
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+				if i == b.N-1 {
+					b.ReportMetric(out.Summary.Stability.Mean*100, "meanPct5")
+				}
+			}
+		})
 	}
 }

@@ -55,57 +55,6 @@ func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestCampaignBatchedEngineBitIdentical: a campaign executed on the
-// lockstep structure-of-arrays engine must reproduce the scalar
-// campaign bit for bit — summary, groups, merged histogram and every
-// per-run result — across pack boundaries (9 runs at width 4), at the
-// default width, at a width wider than the run count (16), and at any
-// worker count. The Vary hook mixes storage families, so packs hold
-// heterogeneous lanes.
-func TestCampaignBatchedEngineBitIdentical(t *testing.T) {
-	base := scenario.MustLookup("stress-clouds")
-	base.Duration = 15
-	mk := func(engine string, width, workers int) *Outcome {
-		out, err := Campaign{
-			Base: base, Runs: 9, Seed: 23, Vary: supercapVsIdeal,
-			Group: func(k int, _ int64, _ scenario.Spec) string {
-				if k%2 == 0 {
-					return "ideal"
-				}
-				return "supercap"
-			},
-			Workers: workers, Engine: engine, BatchWidth: width,
-			VCHistBins: 32, VCHistLo: 4.0, VCHistHi: 6.0,
-		}.Run(context.Background())
-		if err != nil {
-			t.Fatalf("engine=%q width=%d workers=%d: %v", engine, width, workers, err)
-		}
-		return out
-	}
-	ref := mk("scalar", 0, 1)
-	for _, c := range []struct{ width, workers int }{{4, 1}, {0, 2}, {16, 1}} {
-		got := mk("batched", c.width, c.workers)
-		label := fmt.Sprintf("batched w=%d workers=%d", c.width, c.workers)
-		testutil.RequireEqual(t, label+" summary", got.Summary, ref.Summary)
-		for i := range ref.Groups {
-			testutil.RequireEqual(t, fmt.Sprintf("%s group %q", label, ref.Groups[i].Name),
-				got.Groups[i], ref.Groups[i])
-		}
-		for i, w := range ref.VCHistogram.Bins {
-			testutil.RequireEqual(t, fmt.Sprintf("%s histogram bin %d", label, i),
-				got.VCHistogram.Bins[i], w)
-		}
-		for i := range ref.Results {
-			testutil.RequireEqualResults(t, fmt.Sprintf("%s run %d", label, i),
-				got.Results[i].Result, ref.Results[i].Result)
-		}
-	}
-	if _, err := (Campaign{Base: base, Runs: 1, Engine: "warp"}).Run(context.Background()); err == nil ||
-		!strings.Contains(err.Error(), "unknown engine") {
-		t.Fatalf("unknown engine accepted: %v", err)
-	}
-}
-
 // TestCampaignTraceFreeDeterministicAndBounded: the default (trace-
 // free) campaign retains no series on any run, still reports real
 // within-band stability and supply envelopes, and its full aggregate —

@@ -21,8 +21,8 @@ import (
 // records, so a content-addressed store keyed by CellIdentity.Digest
 // can answer them without simulating (see internal/serve).
 //
-// The identity deliberately excludes execution detail (Workers, Engine,
-// BatchWidth — bit-identical by the engine contract) and KeepSeries:
+// The identity deliberately excludes execution detail (Workers —
+// outcomes are bit-identical at any worker count) and KeepSeries:
 // like checkpoints, cached cell records carry metrics and histograms
 // only, which is everything aggregation consumes.
 

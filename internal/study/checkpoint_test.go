@@ -8,7 +8,7 @@ import (
 
 // completeCheckpoint runs the contract study to completion and returns
 // its checkpoint — the valid baseline the corruption tests mutate.
-func completeCheckpoint(t *testing.T) (Study, *Checkpoint) {
+func completeCheckpoint(t testing.TB) (Study, *Checkpoint) {
 	t.Helper()
 	st := testStudy(0)
 	cp, err := st.RunShard(context.Background(), 0, 1)
@@ -31,6 +31,40 @@ func roundTrip(cp *Checkpoint) (*Checkpoint, error) {
 	return ReadCheckpoint(strings.NewReader(buf.String()))
 }
 
+// checkpointCorruptions are the hostile-checkpoint vectors: each
+// mutates a valid checkpoint into one every consumer must refuse with a
+// diagnostic mentioning wantErr.
+var checkpointCorruptions = []struct {
+	name    string
+	mutate  func(cp *Checkpoint)
+	wantErr string
+}{
+	{"duplicate index", func(cp *Checkpoint) {
+		cp.Records[1].Index = cp.Records[0].Index
+	}, "duplicate"},
+	{"negative index", func(cp *Checkpoint) {
+		cp.Records[0].Index = -1
+	}, "outside ledger"},
+	{"index past ledger", func(cp *Checkpoint) {
+		cp.Records[len(cp.Records)-1].Index = cp.Total
+	}, "outside ledger"},
+	{"hist total inconsistent", func(cp *Checkpoint) {
+		cp.Records[0].HistTotal = cp.Records[0].HistTotal*2 + 1
+	}, "inconsistent with bin sum"},
+	{"negative bin weight", func(cp *Checkpoint) {
+		cp.Records[0].HistBins[0] = -1
+	}, "invalid weight"},
+	{"counters without bins", func(cp *Checkpoint) {
+		cp.Records[0].HistBins = nil
+	}, "counters without bins"},
+	{"wrong bin count", func(cp *Checkpoint) {
+		cp.Records[0].HistBins = append(cp.Records[0].HistBins, 0)
+	}, "study pins"},
+	{"too many records", func(cp *Checkpoint) {
+		cp.Total = len(cp.Records) - 1
+	}, ""}, // any diagnostic error: index-out-of-range or record count
+}
+
 // TestCheckpointRejectsCorruptRecords: the hostile-checkpoint vectors —
 // duplicate index, negative index, index ≥ Total, histogram counters
 // inconsistent with bins — are rejected with diagnostic errors at every
@@ -38,37 +72,7 @@ func roundTrip(cp *Checkpoint) (*Checkpoint, error) {
 // silently aggregated.
 func TestCheckpointRejectsCorruptRecords(t *testing.T) {
 	st, base := completeCheckpoint(t)
-	corruptions := []struct {
-		name    string
-		mutate  func(cp *Checkpoint)
-		wantErr string
-	}{
-		{"duplicate index", func(cp *Checkpoint) {
-			cp.Records[1].Index = cp.Records[0].Index
-		}, "duplicate"},
-		{"negative index", func(cp *Checkpoint) {
-			cp.Records[0].Index = -1
-		}, "outside ledger"},
-		{"index past ledger", func(cp *Checkpoint) {
-			cp.Records[len(cp.Records)-1].Index = cp.Total
-		}, "outside ledger"},
-		{"hist total inconsistent", func(cp *Checkpoint) {
-			cp.Records[0].HistTotal = cp.Records[0].HistTotal*2 + 1
-		}, "inconsistent with bin sum"},
-		{"negative bin weight", func(cp *Checkpoint) {
-			cp.Records[0].HistBins[0] = -1
-		}, "invalid weight"},
-		{"counters without bins", func(cp *Checkpoint) {
-			cp.Records[0].HistBins = nil
-		}, "counters without bins"},
-		{"wrong bin count", func(cp *Checkpoint) {
-			cp.Records[0].HistBins = append(cp.Records[0].HistBins, 0)
-		}, "study pins"},
-		{"too many records", func(cp *Checkpoint) {
-			cp.Total = len(cp.Records) - 1
-		}, ""}, // any diagnostic error: index-out-of-range or record count
-	}
-	for _, tc := range corruptions {
+	for _, tc := range checkpointCorruptions {
 		cp := base.clone()
 		tc.mutate(cp)
 

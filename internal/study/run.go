@@ -3,7 +3,6 @@ package study
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"pnps/internal/batch"
 	"pnps/internal/scenario"
@@ -106,17 +105,12 @@ func (st Study) instrument(cfg *sim.Config, bands []float64) (*stats.Histogram, 
 	return tis.Hist, nil
 }
 
-// runTasks executes the given ledger tasks over the configured engine.
-// Specs, seeds and group labels are derived up front in task order,
-// deterministically; results come back in task order, and the batched
-// engine is bit-identical to the scalar one by construction, so
-// everything downstream is bit-identical for any Workers value and
-// either engine.
+// runTasks executes the given ledger tasks, one sim.Run per task fanned
+// over the worker pool. Specs, seeds and group labels are derived up
+// front in task order, deterministically, and results come back in task
+// order, so everything downstream is bit-identical for any Workers
+// value.
 func (st Study) runTasks(ctx context.Context, p *plan, tasks []Task) ([]TaskResult, error) {
-	eng, ok := sim.EngineFor(st.Engine, st.BatchWidth)
-	if !ok {
-		return nil, fmt.Errorf("study: unknown engine %q", st.Engine)
-	}
 	bands := st.stabilityBands()
 	results := make([]TaskResult, len(tasks))
 	for i, t := range tasks {
@@ -125,28 +119,7 @@ func (st Study) runTasks(ctx context.Context, p *plan, tasks []Task) ([]TaskResu
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	var outs []runOutput
-	var err error
-	if eng.Width() > 1 {
-		outs, err = st.runTasksBatched(ctx, cancel, eng, results, bands)
-	} else {
-		outs, err = st.runTasksScalar(ctx, cancel, results, bands)
-	}
-	if err != nil {
-		return nil, err
-	}
-	for i := range results {
-		results[i].Result = outs[i].res
-		results[i].Metrics = metricsFrom(outs[i].res)
-		results[i].Hist = outs[i].hist
-	}
-	return results, nil
-}
-
-// runTasksScalar fans individual tasks over the worker pool, one
-// sim.Run per task — the reference execution path.
-func (st Study) runTasksScalar(ctx context.Context, cancel context.CancelFunc, results []TaskResult, bands []float64) ([]runOutput, error) {
-	return batch.Map(ctx, results, func(_ context.Context, r TaskResult) (runOutput, error) {
+	outs, err := batch.Map(ctx, results, func(_ context.Context, r TaskResult) (runOutput, error) {
 		fail := func(err error) (runOutput, error) {
 			return runOutput{}, st.failTask(cancel, r.Task, err)
 		}
@@ -165,66 +138,15 @@ func (st Study) runTasksScalar(ctx context.Context, cancel context.CancelFunc, r
 		out.res = res
 		return out, nil
 	}, batch.Options{Workers: st.Workers, OnProgress: st.OnProgress})
-}
-
-// runTasksBatched executes the ledger in lockstep lane packs of the
-// engine's width. Consecutive ledger tasks pack together — the ledger is
-// cell-major (task index = cell*Reps + rep), so a cell's repetitions
-// share a pack and therefore a batch's shared Voc memo; packs fan out
-// over the worker pool exactly as scalar tasks do.
-// Results scatter back in task order, and each lane is bit-identical to
-// its scalar run, so the outcome does not depend on the engine, the
-// width or the worker count.
-func (st Study) runTasksBatched(ctx context.Context, cancel context.CancelFunc, eng sim.Engine, results []TaskResult, bands []float64) ([]runOutput, error) {
-	w := eng.Width()
-	type pack struct{ lo, hi int }
-	packs := make([]pack, 0, (len(results)+w-1)/w)
-	for lo := 0; lo < len(results); lo += w {
-		packs = append(packs, pack{lo, min(lo+w, len(results))})
-	}
-	var mu sync.Mutex
-	completed := 0
-	outs, err := batch.Map(ctx, packs, func(_ context.Context, g pack) ([]runOutput, error) {
-		rs := results[g.lo:g.hi]
-		fail := func(lane int, err error) ([]runOutput, error) {
-			return nil, st.failTask(cancel, rs[lane].Task, err)
-		}
-		cfgs := make([]sim.Config, len(rs))
-		packOuts := make([]runOutput, len(rs))
-		for i := range rs {
-			var err error
-			if cfgs[i], err = rs[i].Spec.Assemble(rs[i].Task.Seed); err != nil {
-				return fail(i, err)
-			}
-			if packOuts[i].hist, err = st.instrument(&cfgs[i], bands); err != nil {
-				return fail(i, err)
-			}
-		}
-		ress, errs := eng.RunGroup(cfgs)
-		for i, err := range errs {
-			if err != nil {
-				return fail(i, err)
-			}
-		}
-		for i := range ress {
-			packOuts[i].res = ress[i]
-		}
-		if st.OnProgress != nil {
-			mu.Lock()
-			completed += len(rs)
-			st.OnProgress(completed, len(results))
-			mu.Unlock()
-		}
-		return packOuts, nil
-	}, batch.Options{Workers: st.Workers})
 	if err != nil {
 		return nil, err
 	}
-	flat := make([]runOutput, 0, len(results))
-	for _, po := range outs {
-		flat = append(flat, po...)
+	for i := range results {
+		results[i].Result = outs[i].res
+		results[i].Metrics = metricsFrom(outs[i].res)
+		results[i].Hist = outs[i].hist
 	}
-	return flat, nil
+	return results, nil
 }
 
 // Run executes the whole study matrix and aggregates it. Runs are

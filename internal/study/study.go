@@ -141,19 +141,8 @@ type Study struct {
 
 	// Workers bounds concurrency; <= 0 selects GOMAXPROCS.
 	Workers int
-	// Engine selects the execution engine: "" or "scalar" runs tasks one
-	// at a time; "batched" advances lane packs of BatchWidth runs in
-	// lockstep over the structure-of-arrays engine (see sim.BatchEngine).
-	// Outcomes are bit-identical either way — the engine is execution
-	// detail, like Workers, and is not part of the study fingerprint.
-	Engine string
-	// BatchWidth is the lockstep lane count for the batched engine; <1
-	// selects sim.DefaultBatchWidth. Ignored by the scalar engine.
-	BatchWidth int
 	// OnProgress, when non-nil, is called after each completed run with
-	// (completed, total) for the executed task set. The batched engine
-	// reports once per completed lane pack (the count still covers every
-	// run in the pack and still ends at total).
+	// (completed, total) for the executed task set.
 	OnProgress func(completed, total int)
 	// FailFast cancels the remaining tasks after the first failure
 	// (parameter-sweep semantics); by default every task is attempted.

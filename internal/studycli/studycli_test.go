@@ -53,14 +53,18 @@ func TestParseUtilAxis(t *testing.T) {
 	}
 }
 
+// nonFiniteRecipes decode cleanly but must not build a study.
+var nonFiniteRecipes = []string{
+	`{"scenario":"stress-clouds","reps":1,"seed":1,"util":"NaN"}`,
+	`{"scenario":"stress-clouds","reps":1,"seed":1,"storage":"ideal:NaN"}`,
+}
+
 // TestWireRecipeRefusesNonFinite: a recipe arriving over the wire with a
 // NaN load or capacitance decodes (the fields are strings) but must not
 // build a study.
+
 func TestWireRecipeRefusesNonFinite(t *testing.T) {
-	for _, raw := range []string{
-		`{"scenario":"stress-clouds","reps":1,"seed":1,"util":"NaN"}`,
-		`{"scenario":"stress-clouds","reps":1,"seed":1,"storage":"ideal:NaN"}`,
-	} {
+	for _, raw := range nonFiniteRecipes {
 		c, err := DecodeConfig([]byte(raw))
 		if err != nil {
 			t.Fatalf("%s: %v", raw, err)

@@ -73,17 +73,21 @@ func TestConfigDefaultOmission(t *testing.T) {
 	}
 }
 
+// strictDecodeVectors are recipes DecodeConfig must refuse, each with
+// the word its diagnostic must mention.
+var strictDecodeVectors = []struct {
+	name string
+	raw  string
+	want string
+}{
+	{"unknown field", `{"scenario":"x","reps":1,"seed":1,"utll":"1"}`, "utll"},
+	{"wrong type", `{"scenario":"x","reps":"many","seed":1}`, "undecodable"},
+	{"trailing document", `{"scenario":"x","reps":1,"seed":1}{"again":true}`, "trailing data"},
+	{"not json", `scenario=x`, "undecodable"},
+}
+
 func TestDecodeConfigStrict(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		raw  string
-		want string
-	}{
-		{"unknown field", `{"scenario":"x","reps":1,"seed":1,"utll":"1"}`, "utll"},
-		{"wrong type", `{"scenario":"x","reps":"many","seed":1}`, "undecodable"},
-		{"trailing document", `{"scenario":"x","reps":1,"seed":1}{"again":true}`, "trailing data"},
-		{"not json", `scenario=x`, "undecodable"},
-	} {
+	for _, tc := range strictDecodeVectors {
 		_, err := DecodeConfig([]byte(tc.raw))
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: DecodeConfig error = %v, want mention of %q", tc.name, err, tc.want)
