@@ -387,6 +387,56 @@ func BenchmarkPVSolverCurrentSolve(b *testing.B) {
 	_ = acc
 }
 
+// walkRecorder is a supply source that records every (v, g) the
+// supply-node RHS solves, solving each with its own warm-started Solver
+// so the recorded walk is the one a PV-sourced run makes.
+type walkRecorder struct {
+	sol     *pv.Solver
+	profile pv.Profile
+	v, g    []float64
+}
+
+func (r *walkRecorder) Current(t, v float64) (float64, error) {
+	g := r.profile.Irradiance(t)
+	r.v, r.g = append(r.v, v), append(r.g, g)
+	return r.sol.CurrentAt(v, g)
+}
+
+var pvCurrentSink float64
+
+// BenchmarkPVCurrentAt is the PV Newton layer on its own. One op replays,
+// through one warm-started pv.Solver, the (v, g) walk a 10 s
+// stress-clouds run on the hybrid buffer makes: one CurrentAt per RHS
+// evaluation, in order. ns/solve and iters/solve normalise per call.
+func BenchmarkPVCurrentAt(b *testing.B) {
+	spec := scenario.MustLookup("stress-hybrid")
+	spec.Duration, spec.SkipSeries = 10, true
+	cfg, err := spec.Assemble(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rec := &walkRecorder{sol: pv.NewSolver(cfg.Array), profile: cfg.Profile}
+	cfg.Source = rec
+	if _, err := sim.Run(cfg); err != nil {
+		b.Fatal(err)
+	}
+	sol := pv.NewSolver(cfg.Array)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		for k, v := range rec.v {
+			// The engine counts a failed solve as zero harvest; the walk
+			// holds the few the run made, so errors are part of the work.
+			pvCurrentSink, _ = sol.CurrentAt(v, rec.g[k])
+		}
+	}
+	b.StopTimer()
+	solves := float64(b.N * len(rec.v))
+	iters, _ := sol.Work()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/solves, "ns/solve")
+	b.ReportMetric(float64(iters)/solves, "iters/solve")
+}
+
 // BenchmarkPVSolverAvailablePower exercises the fast Voc + MPP path on a
 // rotating irradiance set (after the first lap every query is memoised).
 func BenchmarkPVSolverAvailablePower(b *testing.B) {

@@ -36,7 +36,7 @@ import (
 )
 
 // defaultBench selects the benchmarks whose numbers the README quotes.
-const defaultBench = "BenchmarkStorageDispatch|BenchmarkSimControllerMinute|BenchmarkCampaignTraceFree|BenchmarkIntegratorSegment|BenchmarkServeCache|BenchmarkScenarioAssemble"
+const defaultBench = "BenchmarkStorageDispatch|BenchmarkSimControllerMinute|BenchmarkCampaignTraceFree|BenchmarkIntegratorSegment|BenchmarkServeCache|BenchmarkScenarioAssemble|BenchmarkPVCurrentAt"
 
 // defaultBenchtime is the default -benchtime. A fixed iteration count
 // (-Nx) keeps runs reproducible; 50 iterations keeps the short

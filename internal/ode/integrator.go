@@ -202,7 +202,7 @@ func (in *Integrator) settleStep(s *segState) {
 		// would desynchronise state and time.
 		s.res.Rejected++
 		if s.hs > o.MinStep {
-			s.h = math.Max(o.MinStep, s.hs*math.Max(0.1, 0.9*math.Pow(s.en, -1.0/3.0)))
+			s.h = math.Max(o.MinStep, s.hs*math.Max(0.1, 0.9*powNegThird(s.en)))
 			return
 		}
 		if s.en > 10 {
@@ -252,12 +252,21 @@ func (in *Integrator) settleStep(s *segState) {
 	// may only raise the suggestion, never shrink it.
 	hGrown := o.MaxStep
 	if s.en != 0 {
-		hGrown = s.hs * math.Min(5, 0.9*math.Pow(s.en, -1.0/3.0))
+		hGrown = s.hs * math.Min(5, 0.9*powNegThird(s.en))
 	}
 	if !s.truncated || hGrown > s.h {
 		s.h = hGrown
 	}
 	s.h = clamp(s.h, o.MinStep, o.MaxStep)
+}
+
+// powNegThird returns x^(−1/3), the step-size controller's power of the
+// error norm. It is the exact path math.Pow takes for this exponent,
+// 1 / Exp(1/3 · Log(x)), without Pow's special-case switch, Modf, Frexp
+// and Ldexp, so it returns math.Pow's bits for every x but −Inf (NaN
+// here, +0 from Pow), which an RMS error norm cannot produce.
+func powNegThird(x float64) float64 {
+	return 1 / math.Exp(1.0/3.0*math.Log(x))
 }
 
 // Integrate advances dy/dt = f(t,y) from t0 to t1 with the Bogacki–

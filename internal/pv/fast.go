@@ -26,7 +26,14 @@ import "math"
 // its own, which also keeps runs bit-reproducible regardless of how many
 // run in parallel.
 type Solver struct {
-	a    *Array
+	a *Array
+	// Per-array invariants of CurrentAt, computed once by NewSolver: the
+	// string thermal voltage, Rs, Rp, −I0 and Rs/Rp.
+	vt, rs, rp, negI0, rsOverRp float64
+	// lastG and lastIl cache the light current of the last irradiance
+	// CurrentAt saw (lastG starts as NaN, which matches nothing).
+	lastG, lastIl float64
+
 	warm bool
 	// Converged state of the previous CurrentAt solve: the root, the
 	// inputs it was solved at, and the residual derivative there. The next
@@ -37,6 +44,10 @@ type Solver struct {
 	// whose sensitivities come from the implicit function theorem on the
 	// diode residual, cutting typical iteration counts from ~5 to ~2.
 	prevI, prevV, prevIl, prevDf float64
+
+	// Work counters of CurrentAt: Newton iterations (residual
+	// evaluations) and solves handed to the exact bracketed fallback.
+	newtonIters, exactSolves int
 
 	voc map[float64]float64
 	mpp map[float64]MPP
@@ -63,47 +74,68 @@ const memoCap = 4096
 // results would go stale).
 func NewSolver(a *Array) *Solver {
 	return &Solver{
-		a:   a,
-		voc: make(map[float64]float64),
-		mpp: make(map[float64]MPP),
+		a:        a,
+		vt:       a.thermalVoltageString(),
+		rs:       a.Rs,
+		rp:       a.Rp,
+		negI0:    -a.I0,
+		rsOverRp: a.Rs / a.Rp,
+		lastG:    math.NaN(),
+		voc:      make(map[float64]float64),
+		mpp:      make(map[float64]MPP),
 	}
 }
 
 // Array returns the underlying array model.
 func (s *Solver) Array() *Array { return s.a }
 
+// Work returns the CurrentAt work done so far: Newton iterations and
+// solves that fell back to the exact bracketed method.
+func (s *Solver) Work() (newtonIters, exactSolves int) {
+	return s.newtonIters, s.exactSolves
+}
+
 // CurrentAt solves the implicit single-diode equation for the terminal
 // current at voltage v and irradiance g, warm-starting Newton from the
 // previous root. Agrees with Array.CurrentAt to the solver tolerance
 // (~1e-12 relative).
 func (s *Solver) CurrentAt(v, g float64) (float64, error) {
-	il := s.a.LightCurrent(g)
-	vt := s.a.thermalVoltageString()
+	if g != s.lastG {
+		s.lastG, s.lastIl = g, s.a.LightCurrent(g)
+	}
+	il, vt, rs, rp := s.lastIl, s.vt, s.rs, s.rp
 
 	i := il
 	if s.warm {
 		i = s.prevI
-		if s.a.Rs > 0 && s.prevDf != 0 {
+		if rs > 0 && s.prevDf != 0 {
 			// First-order extrapolation from the previous root: by the
 			// implicit function theorem, ∂I/∂V = -(df+1)/(Rs·df) and
 			// ∂I/∂Il = -1/df at the converged residual derivative df.
-			i += -(s.prevDf+1)/(s.a.Rs*s.prevDf)*(v-s.prevV) - (il-s.prevIl)/s.prevDf
+			i += -(s.prevDf+1)/(rs*s.prevDf)*(v-s.prevV) - (il-s.prevIl)/s.prevDf
 		}
 	}
 	var df float64
-	for iter := 0; iter < 40; iter++ {
-		arg := (v + s.a.Rs*i) / vt
+	iter := 0
+	for iter < 40 {
+		iter++
+		// Every expression keeps the operand order of the plain residual
+		// il − I0·em1 − (v+Rs·i)/Rp − i, so each iterate keeps its bits:
+		// il + (−I0)·em1 is il − I0·em1 exactly in IEEE arithmetic.
+		vd := v + rs*i
+		arg := vd / vt
 		if arg > 500 {
 			arg = 500
 		}
 		em1 := expm1(arg)
-		f := il - s.a.I0*em1 - (v+s.a.Rs*i)/s.a.Rp - i
-		df = -s.a.I0*(em1+1)*s.a.Rs/vt - s.a.Rs/s.a.Rp - 1
+		f := il + s.negI0*em1 - vd/rp - i
+		df = s.negI0*(em1+1)*rs/vt - s.rsOverRp - 1
 		next := i - f/df
 		if math.IsNaN(next) || math.IsInf(next, 0) {
 			break
 		}
 		if math.Abs(next-i) < 1e-12*(1+math.Abs(i)) {
+			s.newtonIters += iter
 			s.prevI, s.prevV, s.prevIl, s.prevDf = next, v, il, df
 			s.warm = true
 			return next, nil
@@ -112,6 +144,8 @@ func (s *Solver) CurrentAt(v, g float64) (float64, error) {
 	}
 	// Hostile inputs (e.g. the clamped-exponent region): fall back to the
 	// exact bracketed solve.
+	s.newtonIters += iter
+	s.exactSolves++
 	iex, err := s.a.CurrentAt(v, g)
 	if err == nil {
 		s.prevI, s.prevV, s.prevIl, s.prevDf = iex, v, il, 0

@@ -3,6 +3,7 @@ package pv
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 )
@@ -126,6 +127,101 @@ func TestSolverMemoisation(t *testing.T) {
 	}
 	if len(s.voc) > memoCap {
 		t.Errorf("voc memo grew to %d entries, cap is %d", len(s.voc), memoCap)
+	}
+}
+
+// refSolver is the warm-started CurrentAt as it stood before its per-array
+// invariants moved into NewSolver: every array field read and divided in
+// the loop. It is kept only as the bit-identity oracle for Solver.
+type refSolver struct {
+	a                            *Array
+	warm                         bool
+	prevI, prevV, prevIl, prevDf float64
+}
+
+func (s *refSolver) CurrentAt(v, g float64) (float64, error) {
+	il := s.a.LightCurrent(g)
+	vt := s.a.thermalVoltageString()
+
+	i := il
+	if s.warm {
+		i = s.prevI
+		if s.a.Rs > 0 && s.prevDf != 0 {
+			i += -(s.prevDf+1)/(s.a.Rs*s.prevDf)*(v-s.prevV) - (il-s.prevIl)/s.prevDf
+		}
+	}
+	var df float64
+	for iter := 0; iter < 40; iter++ {
+		arg := (v + s.a.Rs*i) / vt
+		if arg > 500 {
+			arg = 500
+		}
+		em1 := expm1(arg)
+		f := il - s.a.I0*em1 - (v+s.a.Rs*i)/s.a.Rp - i
+		df = -s.a.I0*(em1+1)*s.a.Rs/vt - s.a.Rs/s.a.Rp - 1
+		next := i - f/df
+		if math.IsNaN(next) || math.IsInf(next, 0) {
+			break
+		}
+		if math.Abs(next-i) < 1e-12*(1+math.Abs(i)) {
+			s.prevI, s.prevV, s.prevIl, s.prevDf = next, v, il, df
+			s.warm = true
+			return next, nil
+		}
+		i = next
+	}
+	iex, err := s.a.CurrentAt(v, g)
+	if err == nil {
+		s.prevI, s.prevV, s.prevIl, s.prevDf = iex, v, il, 0
+		s.warm = true
+	}
+	return iex, err
+}
+
+// TestSolverCurrentAtBitIdenticalToReference drives Solver and the
+// pre-hoisting reference along one long random (v, g) walk — small
+// integration-like moves, jumps across the IV curve, negative and zero
+// irradiance, repeated irradiance (the light-current cache) and voltages
+// far enough out to clamp the diode exponent and reach the exact
+// fallback — and requires the same result bits and error at every call.
+// An array without series resistance covers the unextrapolated seed.
+func TestSolverCurrentAtBitIdenticalToReference(t *testing.T) {
+	noRs := SouthamptonArray()
+	noRs.Rs = 0
+	for _, arr := range []*Array{SouthamptonArray(), SmallArray(), noRs} {
+		fast, ref := NewSolver(arr), &refSolver{a: arr}
+		rng := rand.New(rand.NewSource(3))
+		v, g := 5.3, 900.0
+		for k := 0; k < 200000; k++ {
+			switch r := rng.Float64(); {
+			case r < 0.001:
+				v = 150 + 400*rng.Float64() // clamped exponent
+			case r < 0.01:
+				v = -2 + 10*rng.Float64() // jump across the curve
+			default:
+				v += 1e-3 * rng.NormFloat64()
+			}
+			switch r := rng.Float64(); {
+			case r < 0.002:
+				g = 0
+			case r < 0.003:
+				g = -50
+			case r < 0.02:
+				g = 1200 * rng.Float64()
+			case r < 0.5:
+				g += rng.NormFloat64()
+			}
+			got, gerr := fast.CurrentAt(v, g)
+			want, werr := ref.CurrentAt(v, g)
+			if math.Float64bits(got) != math.Float64bits(want) || (gerr == nil) != (werr == nil) {
+				t.Fatalf("%+v step %d: CurrentAt(%b, %b) = %b, %v; reference %b, %v",
+					*arr, k, v, g, got, gerr, want, werr)
+			}
+		}
+		// With Rs = 0 the residual is linear in I and Newton never fails.
+		if _, exact := fast.Work(); exact == 0 && arr.Rs > 0 {
+			t.Errorf("%+v: the walk never reached the exact fallback", *arr)
+		}
 	}
 }
 

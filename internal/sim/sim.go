@@ -152,10 +152,27 @@ type Result struct {
 	// accumulated on every run — available even when series capture is
 	// off, bit-identical to the VC series analyses when it is on.
 	VCEnvelope Envelope
+	// Solver counts the numerical work the run took.
+	Solver SolverCounters
 
 	// stability holds the online within-band accumulators configured via
 	// Config.StabilityBands.
 	stability []stabAccum
+}
+
+// SolverCounters counts the numerical work of one run, layer by layer.
+type SolverCounters struct {
+	// Segments is the number of integration segments (one
+	// ode.Integrator.Integrate call each).
+	Segments int
+	// Steps and Rejected count accepted and rejected RK23 steps.
+	Steps, Rejected int
+	// RHSEvals counts evaluations of the supply-node right-hand side.
+	RHSEvals int
+	// NewtonIters counts the PV current solve's warm-started Newton
+	// iterations; ExactSolves counts solves that fell back to the exact
+	// bracketed method. Both stay zero for a non-PV source.
+	NewtonIters, ExactSolves int
 }
 
 // StabilityWithin returns the fraction of the run the supply spent within
@@ -244,9 +261,14 @@ type engine struct {
 	// ybuf backs the storage state vector; y is ybuf[:Storage.Dim()].
 	// State 0 is the sensed supply voltage (events, traces, brownout);
 	// further states are storage-internal (e.g. a hybrid reservoir).
-	ybuf                               [MaxStorageStates]float64
-	y                                  []float64
-	lastH                              float64 // step-size carry across segments
+	ybuf  [MaxStorageStates]float64
+	y     []float64
+	lastH float64 // step-size carry across segments
+	// drawW is the board's power draw for the segment being integrated,
+	// read once per segment just before Integrate. It is constant within
+	// one: the platform only mutates between integrations (Advance,
+	// RequestOPP, Kill and Reset all run in the discrete-event code).
+	drawW                              float64
 	events                             []ode.Event
 	rhsFn                              ode.RHS
 	onStepFn                           func(t float64, y []float64)
@@ -414,6 +436,9 @@ func (e *engine) finish() *Result {
 	e.res.StorageEnergyEndJ = e.storage.Energy(e.y)
 	e.res.VCEnvelope = e.env
 	e.res.stability = e.stab
+	if e.fast != nil {
+		e.res.Solver.NewtonIters, e.res.Solver.ExactSolves = e.fast.Work()
+	}
 	if e.ctrl != nil {
 		e.res.ControllerStats = e.ctrl.Stats()
 		e.res.Interrupts = e.hw.Interrupts()
@@ -462,6 +487,23 @@ func validate(cfg *Config) error {
 	if cfg.Controller != nil && cfg.Governor != nil {
 		return errors.New("sim: set at most one of Controller and Governor")
 	}
+	// Zero selects each field's default; anything else must be a
+	// non-negative finite number (!(x >= 0) also refuses NaN).
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"MaxStep", cfg.MaxStep},
+		{"RestartVolts", cfg.RestartVolts},
+		{"RebootSeconds", cfg.RebootSeconds},
+		{"RestartCooldown", cfg.RestartCooldown},
+		{"AvailSamplePeriod", cfg.AvailSamplePeriod},
+		{"TargetVolts", cfg.TargetVolts},
+	} {
+		if !(f.v >= 0) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("sim: %s must be non-negative and finite, got %g", f.name, f.v)
+		}
+	}
 	if cfg.MaxStep == 0 {
 		cfg.MaxStep = 0.25
 	}
@@ -502,6 +544,7 @@ func validate(cfg *Config) error {
 // there. Storage without an ESR term (ideal, hybrid) takes the single
 // pass and reproduces the historical capacitor maths bit for bit.
 func (e *engine) rhs(t float64, y, dydt []float64) {
+	e.res.Solver.RHSEvals++
 	v := y[0]
 	if v < 0 {
 		v = 0
@@ -537,11 +580,12 @@ func (e *engine) netCurrent(t, v float64) float64 {
 }
 
 // loadCurrent returns the board + monitor draw with the node at voltage
-// v (zero when browned out) — the load half of netCurrent.
+// v (zero when browned out) — the load half of netCurrent. The board
+// term is the segment's drawW through the constant-power regulator.
 func (e *engine) loadCurrent(v float64) float64 {
 	iload := 0.0
 	if e.alive {
-		iload = e.platform.CurrentDraw(v)
+		iload = soc.ConstantPowerCurrent(e.drawW, v)
 		if e.hw != nil && v > 0 {
 			iload += e.hw.PowerWatts() / v
 		}
@@ -633,7 +677,11 @@ func (e *engine) run() error {
 			}
 		}
 		kind, t0 := e.pendKind, e.pendT0
+		e.drawW = e.platform.PowerDraw()
 		res, err := e.integ.Integrate(e.rhsFn, e.pendT0, e.pendT1, e.stateBuf(), e.pendOptions())
+		e.res.Solver.Segments++
+		e.res.Solver.Steps += res.Steps
+		e.res.Solver.Rejected += res.Rejected
 		if err != nil {
 			return e.wrapSegErr(kind, t0, err)
 		}

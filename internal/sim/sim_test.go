@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"pnps/internal/core"
@@ -54,6 +55,46 @@ func TestConfigValidation(t *testing.T) {
 		tc.mut(&cfg)
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("%s: expected error", tc.name)
+		}
+	}
+}
+
+// TestConfigValidationTimingFields: the defaulted timing and voltage
+// fields refuse NaN, ±Inf and negative values with a validation error
+// (a NaN MaxStep used to run unbounded, a negative one to fail mid-run
+// with a step-size underflow); zero still selects the default.
+func TestConfigValidationTimingFields(t *testing.T) {
+	fields := map[string]func(*Config) *float64{
+		"MaxStep":           func(c *Config) *float64 { return &c.MaxStep },
+		"RestartVolts":      func(c *Config) *float64 { return &c.RestartVolts },
+		"RebootSeconds":     func(c *Config) *float64 { return &c.RebootSeconds },
+		"RestartCooldown":   func(c *Config) *float64 { return &c.RestartCooldown },
+		"AvailSamplePeriod": func(c *Config) *float64 { return &c.AvailSamplePeriod },
+		"TargetVolts":       func(c *Config) *float64 { return &c.TargetVolts },
+	}
+	cfgFor := func() Config {
+		plat := soc.NewDefaultPlatform()
+		plat.Reset(0, soc.MinOPP())
+		return Config{
+			Array: pv.SouthamptonArray(), Profile: pv.Constant(1000), Capacitance: 47e-3,
+			InitialVC: 5.3, Platform: plat, Duration: 1, BrownoutRestart: true,
+		}
+	}
+	for name, field := range fields {
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.25} {
+			cfg := cfgFor()
+			*field(&cfg) = bad
+			_, err := Run(cfg)
+			if err == nil || !strings.Contains(err.Error(), name+" must be non-negative and finite") {
+				t.Errorf("%s = %g: err = %v, want a validation error naming the field", name, bad, err)
+			}
+		}
+		for _, ok := range []float64{0, 0.5} {
+			cfg := cfgFor()
+			*field(&cfg) = ok
+			if _, err := Run(cfg); err != nil {
+				t.Errorf("%s = %g refused: %v", name, ok, err)
+			}
 		}
 	}
 }

@@ -250,19 +250,13 @@ func (p *Platform) PowerDraw() float64 {
 	return p.Power.Power(p.cur, p.utilisation)
 }
 
-// CurrentDraw returns supply current in amps at supply voltage v,
-// modelling the regulator as a constant-power load. Below a deep
-// under-voltage lockout the regulator stops switching and the draw
-// collapses resistively instead of demanding unbounded current.
+// CurrentDraw returns supply current in amps at supply voltage v: the
+// present PowerDraw through the ConstantPowerCurrent regulator model.
 func (p *Platform) CurrentDraw(v float64) float64 {
-	if v <= 0 || !p.alive {
+	if !p.alive {
 		return 0
 	}
-	const uvlo = 2.0 // volts; well below the 4.1 V brownout threshold
-	if v < uvlo {
-		return p.PowerDraw() / uvlo * (v / uvlo)
-	}
-	return p.PowerDraw() / v
+	return ConstantPowerCurrent(p.PowerDraw(), v)
 }
 
 // Instructions returns total completed instructions.

@@ -81,15 +81,24 @@ func (m *PowerModel) Power(o OPP, utilisation float64) float64 {
 // paper's Fig. 4.
 func (m *PowerModel) PowerAtFullLoad(o OPP) float64 { return m.Power(o, 1) }
 
-// CurrentDraw converts board power into supply current at the given supply
-// voltage, modelling the board's switching regulator as a constant-power
-// load: I = P / V (regulator efficiency is folded into the calibrated
-// power numbers).
-func (m *PowerModel) CurrentDraw(o OPP, utilisation, supplyVolts float64) float64 {
-	if supplyVolts <= 0 {
+// uvloVolts is the regulator's deep under-voltage lockout, well below the
+// 4.1 V brownout threshold.
+const uvloVolts = 2.0
+
+// ConstantPowerCurrent converts a board draw of w watts into supply
+// current at supply voltage v, modelling the board's switching regulator
+// as a constant-power load: I = P / V (regulator efficiency is folded
+// into the calibrated power numbers). Below the under-voltage lockout the
+// regulator stops switching and the draw collapses resistively instead of
+// demanding unbounded current; at v <= 0 it is zero.
+func ConstantPowerCurrent(w, v float64) float64 {
+	if v <= 0 {
 		return 0
 	}
-	return m.Power(o, utilisation) / supplyVolts
+	if v < uvloVolts {
+		return w / uvloVolts * (v / uvloVolts)
+	}
+	return w / v
 }
 
 // MinPower returns the full-load power at the minimal OPP.

@@ -82,16 +82,23 @@ func TestUtilisationScalesDynamicOnly(t *testing.T) {
 	}
 }
 
+// TestCurrentDraw checks the constant-power regulator model: I = P/V
+// above the under-voltage lockout, a resistive collapse below it that
+// meets the constant-power branch at the lockout, nothing at v <= 0.
 func TestCurrentDraw(t *testing.T) {
-	pm := DefaultPowerModel()
-	o := MaxOPP()
-	p := pm.PowerAtFullLoad(o)
-	i := pm.CurrentDraw(o, 1, 5.0)
-	if math.Abs(i-p/5.0) > 1e-12 {
-		t.Errorf("CurrentDraw = %g, want %g", i, p/5.0)
+	p := DefaultPowerModel().PowerAtFullLoad(MaxOPP())
+	if i := ConstantPowerCurrent(p, 5.0); math.Abs(i-p/5.0) > 1e-12 {
+		t.Errorf("ConstantPowerCurrent(%g, 5) = %g, want %g", p, i, p/5.0)
 	}
-	if pm.CurrentDraw(o, 1, 0) != 0 {
-		t.Error("zero-volt draw should be 0")
+	below := ConstantPowerCurrent(p, math.Nextafter(uvloVolts, 0))
+	if at := ConstantPowerCurrent(p, uvloVolts); math.Abs(below-at) > 1e-12 {
+		t.Errorf("draw jumps at the lockout: %g just below, %g at it", below, at)
+	}
+	if i := ConstantPowerCurrent(p, 0.01); i > ConstantPowerCurrent(p, 5) {
+		t.Errorf("draw at 10 mV (%g A) exceeds draw at 5 V", i)
+	}
+	if ConstantPowerCurrent(p, 0) != 0 || ConstantPowerCurrent(p, -1) != 0 {
+		t.Error("non-positive voltage should draw nothing")
 	}
 }
 
