@@ -123,12 +123,13 @@ func runJob[T any](ctx context.Context, job Func[T], i int) (out T, err error) {
 }
 
 // Map runs fn over items on a worker pool, returning out[i] = fn(items[i])
-// in input order. It is Run with the job list built for you.
+// in input order. It is Run with the job list built for you. Each job
+// indexes into items rather than capturing a copy of its item, so a
+// large In costs no per-job heap copy.
 func Map[In, Out any](ctx context.Context, items []In, fn func(ctx context.Context, item In) (Out, error), opts Options) ([]Out, error) {
 	jobs := make([]Func[Out], len(items))
 	for i := range items {
-		item := items[i]
-		jobs[i] = func(ctx context.Context) (Out, error) { return fn(ctx, item) }
+		jobs[i] = func(ctx context.Context) (Out, error) { return fn(ctx, items[i]) }
 	}
 	return Run(ctx, jobs, opts)
 }

@@ -49,6 +49,9 @@ type Solver struct {
 	// evaluations) and solves handed to the exact bracketed fallback.
 	newtonIters, exactSolves int
 
+	// Per-irradiance memos of OpenCircuitVoltage and MaximumPowerPoint,
+	// created on first insert: runs that never sample the available power
+	// (trace-free campaigns) never pay for them.
 	voc map[float64]float64
 	mpp map[float64]MPP
 }
@@ -81,8 +84,6 @@ func NewSolver(a *Array) *Solver {
 		negI0:    -a.I0,
 		rsOverRp: a.Rs / a.Rp,
 		lastG:    math.NaN(),
-		voc:      make(map[float64]float64),
-		mpp:      make(map[float64]MPP),
 	}
 }
 
@@ -176,7 +177,10 @@ func (s *Solver) OpenCircuitVoltage(g float64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if len(s.voc) >= memoCap {
+	switch {
+	case s.voc == nil:
+		s.voc = make(map[float64]float64)
+	case len(s.voc) >= memoCap:
 		clear(s.voc)
 	}
 	s.voc[g] = v
@@ -237,8 +241,11 @@ func (s *Solver) MaximumPowerPoint(g float64) (MPP, error) {
 		return MPP{}, err
 	}
 	m := MPP{V: v, I: i, P: v * i}
-	if len(s.mpp) >= memoCap {
+	switch {
+	case s.mpp == nil:
 		s.mpp = make(map[float64]MPP)
+	case len(s.mpp) >= memoCap:
+		clear(s.mpp)
 	}
 	s.mpp[g] = m
 	return m, nil

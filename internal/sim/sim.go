@@ -268,7 +268,10 @@ type engine struct {
 	// read once per segment just before Integrate. It is constant within
 	// one: the platform only mutates between integrations (Advance,
 	// RequestOPP, Kill and Reset all run in the discrete-event code).
-	drawW                              float64
+	drawW float64
+	// evbuf backs the event scratch slice events: a segment arms at most
+	// three events (brownout, Vlow, Vhigh), so the set never reallocates.
+	evbuf                              [3]ode.Event
 	events                             []ode.Event
 	rhsFn                              ode.RHS
 	onStepFn                           func(t float64, y []float64)
@@ -299,7 +302,12 @@ type engine struct {
 	pendT0, pendT1 float64
 	pendWhich      core.Crossing // crossing being serviced across a delay segment
 
-	res Result
+	// res is the run's Result, allocated apart from the engine so that a
+	// caller holding the Result does not keep the engine alive. Invariant:
+	// nothing reachable from res points back into the engine — res holds
+	// only values, its own series and the stability accumulators, never
+	// the platform, solver, monitor, observers or closures.
+	res *Result
 }
 
 // Run executes the configured simulation to completion.
@@ -330,7 +338,9 @@ func newEngine(cfg Config) (*engine, error) {
 		gov:      cfg.Governor,
 		vc:       cfg.InitialVC,
 		alive:    true,
+		res:      new(Result),
 	}
+	e.events = e.evbuf[:0]
 	e.y = e.ybuf[:e.storage.Dim()]
 	e.storage.Init(cfg.InitialVC, e.y)
 	e.res.StorageEnergyStartJ = e.storage.Energy(e.y)
@@ -360,7 +370,7 @@ func newEngine(cfg Config) (*engine, error) {
 		e.res.LittleCores = trace.NewSeries("littleCores", "cores")
 		e.res.BigCores = trace.NewSeries("bigCores", "cores")
 		e.res.TotalCores = trace.NewSeries("totalCores", "cores")
-		e.observers = append(e.observers, seriesObserver{res: &e.res})
+		e.observers = append(e.observers, seriesObserver{res: e.res})
 	}
 	e.observers = append(e.observers, cfg.Observers...)
 	e.supplyOnly = true
@@ -444,7 +454,7 @@ func (e *engine) finish() *Result {
 		e.res.Interrupts = e.hw.Interrupts()
 		e.res.CPUOverhead = e.hw.CPUOverhead(e.cfg.Duration)
 	}
-	return &e.res
+	return e.res
 }
 
 // validate checks the config and fills its defaults. Positive-value
@@ -515,6 +525,11 @@ func validate(cfg *Config) error {
 	}
 	if cfg.AvailSamplePeriod == 0 {
 		cfg.AvailSamplePeriod = 5
+	}
+	for i, o := range cfg.Observers {
+		if o == nil {
+			return fmt.Errorf("sim: Config.Observers[%d] is nil", i)
+		}
 	}
 	for _, pct := range cfg.StabilityBands {
 		// !(pct > 0) also rejects NaN, which pct <= 0 would let through

@@ -99,6 +99,38 @@ func TestConfigValidationTimingFields(t *testing.T) {
 	}
 }
 
+// TestConfigValidationNilObserver: a nil entry in Config.Observers is a
+// validation error naming its index (it used to panic mid-run, on the
+// first sample dispatch).
+func TestConfigValidationNilObserver(t *testing.T) {
+	env := func() Observer { return &EnvelopeObserver{Channel: ChanVC} }
+	cases := []struct {
+		name      string
+		observers []Observer
+		want      string // "" means the run must succeed
+	}{
+		{"lone nil", []Observer{nil}, "Config.Observers[0] is nil"},
+		{"nil after a valid one", []Observer{env(), nil}, "Config.Observers[1] is nil"},
+		{"nil before a valid one", []Observer{nil, env()}, "Config.Observers[0] is nil"},
+		{"all valid", []Observer{env(), env()}, ""},
+		{"none", nil, ""},
+	}
+	for _, tc := range cases {
+		plat := soc.NewDefaultPlatform()
+		plat.Reset(0, soc.MinOPP())
+		_, err := Run(Config{
+			Array: pv.SouthamptonArray(), Profile: pv.Constant(1000), Capacitance: 47e-3,
+			InitialVC: 5.3, Platform: plat, Duration: 1, Observers: tc.observers,
+		})
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: refused: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 func TestStaticRunReachesEquilibrium(t *testing.T) {
 	// A static light load under full sun settles at the PV equilibrium
 	// where the array delivers exactly the board power.
