@@ -24,6 +24,7 @@ import (
 	"pnps/internal/scenario"
 	"pnps/internal/sim"
 	"pnps/internal/soc"
+	"pnps/internal/testutil"
 	"pnps/internal/workload"
 )
 
@@ -481,6 +482,7 @@ func BenchmarkSimControllerMinute(b *testing.B) {
 	profile := pv.NewClouds(pv.Constant(900), pv.PartialSun(60), 42)
 	b.ReportAllocs()
 	b.ResetTimer()
+	var work sim.SolverCounters
 	for i := 0; i < b.N; i++ {
 		plat := soc.NewDefaultPlatform()
 		plat.Reset(0, soc.MinOPP())
@@ -488,14 +490,17 @@ func BenchmarkSimControllerMinute(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := sim.Run(sim.Config{
+		res, err := sim.Run(sim.Config{
 			Array: pv.SouthamptonArray(), Profile: profile,
 			Capacitance: 47e-3, InitialVC: 5.3, Platform: plat,
 			Controller: ctrl, Duration: 60,
-		}); err != nil {
+		})
+		if err != nil {
 			b.Fatal(err)
 		}
+		work.Add(res.Solver)
 	}
+	testutil.ReportSolverWork(b, work, b.N)
 }
 
 // BenchmarkSimGovernorMinute is the baseline-governor counterpart of

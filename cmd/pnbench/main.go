@@ -15,9 +15,12 @@
 // integrator segment, scenario assembly and the serve cache.
 //
 // -compare gates the fresh run against a previous report: any
-// allocs/op increase, or an ns/op slowdown beyond 15%, on a benchmark
-// present in both reports prints a diagnostic and exits non-zero — the
-// CI perf gate, replacing ad-hoc output greps. When both reports ran
+// allocs/op increase, any increase in a work-per-op count (the solver
+// counters segments/op, steps/op, rejects/op, rhs/op, newton/op and
+// exact/op), or an ns/op slowdown beyond 15%, on a benchmark present in
+// both reports prints a diagnostic and exits non-zero — the CI perf
+// gate, replacing ad-hoc output greps. Alloc and work counts are
+// deterministic, so their gate holds on any host. When both reports ran
 // the same -bench regex, a baseline benchmark missing from the fresh
 // run fails the gate too, so a deleted or renamed benchmark cannot drop
 // out of it silently.
@@ -36,7 +39,7 @@ import (
 )
 
 // defaultBench selects the benchmarks whose numbers the README quotes.
-const defaultBench = "BenchmarkStorageDispatch|BenchmarkSimControllerMinute|BenchmarkCampaignTraceFree|BenchmarkIntegratorSegment|BenchmarkServeCache|BenchmarkScenarioAssemble|BenchmarkPVCurrentAt"
+const defaultBench = "BenchmarkStorageDispatch|BenchmarkSimControllerMinute|BenchmarkCampaignTraceFree|BenchmarkIntegratorSegment|BenchmarkServeCache|BenchmarkScenarioAssemble|BenchmarkPVCurrentAt|BenchmarkCheckpointCodec"
 
 // defaultBenchtime is the default -benchtime. A fixed iteration count
 // (-Nx) keeps runs reproducible; 50 iterations keeps the short
@@ -86,7 +89,7 @@ func main() {
 		benchtime = flag.String("benchtime", defaultBenchtime, "go test -benchtime value (fixed -Nx iteration counts keep runs reproducible)")
 		count     = flag.Int("count", 1, "go test -count value")
 		pkg       = flag.String("pkg", "./...", "package pattern to benchmark")
-		compare   = flag.String("compare", "", "previous report JSON to gate against (>15% ns/op or any allocs/op regression exits non-zero)")
+		compare   = flag.String("compare", "", "previous report JSON to gate against (>15% ns/op, or any allocs/op or work-per-op increase, exits non-zero)")
 		verbose   = flag.Bool("v", false, "echo the raw go test output to stderr")
 	)
 	flag.Parse()
@@ -179,6 +182,13 @@ func main() {
 // Alloc counts are deterministic and tolerate no increase at all.
 const nsTolerance = 0.15
 
+// workMetrics are the custom metrics that count numerical work per op,
+// summed from sim.Result.Solver. Like allocs/op they are deterministic,
+// so -compare fails any increase: an extra RHS evaluation or a worse
+// Newton seed shows on any host, where timing could not tell it from
+// jitter.
+var workMetrics = []string{"segments/op", "steps/op", "rejects/op", "rhs/op", "newton/op", "exact/op"}
+
 // benchtimeMismatch decides whether a baseline recorded at benchtime
 // prev is comparable to a run at benchtime cur. ok is false — with a
 // diagnostic — when they differ or when the baseline predates benchtime
@@ -209,7 +219,8 @@ func readReport(path string) (Report, error) {
 }
 
 // compareReports returns one diagnostic per regression of cur against
-// prev: any allocs/op increase, or an ns/op slowdown beyond nsTolerance.
+// prev: any allocs/op or workMetrics increase, or an ns/op slowdown
+// beyond nsTolerance.
 // Results are matched by package and full benchmark name; benchmarks
 // absent from the baseline are new, not regressions, and are skipped.
 // When both reports ran the same -bench regex, a baseline benchmark
@@ -231,6 +242,14 @@ func compareReports(prev, cur Report) []string {
 		if r.AllocsPerOp != nil && b.AllocsPerOp != nil && *r.AllocsPerOp > *b.AllocsPerOp {
 			regs = append(regs, fmt.Sprintf("%s: allocs/op %g -> %g (any increase fails)",
 				r.Name, *b.AllocsPerOp, *r.AllocsPerOp))
+		}
+		for _, m := range workMetrics {
+			was, ok1 := b.Metrics[m]
+			now, ok2 := r.Metrics[m]
+			if ok1 && ok2 && now > was {
+				regs = append(regs, fmt.Sprintf("%s: %s %g -> %g (work counts are deterministic; any increase fails)",
+					r.Name, m, was, now))
+			}
 		}
 		if b.NsPerOp > 0 && r.NsPerOp > b.NsPerOp*(1+nsTolerance) {
 			regs = append(regs, fmt.Sprintf("%s: ns/op %.0f -> %.0f (+%.1f%%, tolerance %.0f%%)",

@@ -41,6 +41,37 @@ func TestCompareReports(t *testing.T) {
 	}
 }
 
+// TestCompareReportsWorkMetrics: the solver work counts are gated like
+// allocs/op — any increase fails, a decrease or an equal count passes,
+// and other custom metrics (stability, per-solve ratios) are not gated.
+func TestCompareReportsWorkMetrics(t *testing.T) {
+	work := func(rhs, newton, pct float64) Result {
+		return Result{Name: "BenchmarkW", Package: "p", NsPerOp: 1000, AllocsPerOp: f64(5),
+			Metrics: map[string]float64{"rhs/op": rhs, "newton/op": newton, "meanPct5": pct}}
+	}
+	prev := Report{Results: []Result{work(100, 50, 90)}}
+	for _, c := range []struct {
+		name string
+		cur  Result
+		want []string
+	}{
+		{"flat", work(100, 50, 90), nil},
+		{"fewer", work(99, 40, 10), nil},
+		{"one more rhs", work(101, 50, 90), []string{"rhs/op 100 -> 101"}},
+		{"both up", work(200, 51, 95), []string{"rhs/op 100 -> 200", "newton/op 50 -> 51"}},
+	} {
+		regs := compareReports(prev, Report{Results: []Result{c.cur}})
+		if len(regs) != len(c.want) {
+			t.Fatalf("%s: got %v, want %d regressions", c.name, regs, len(c.want))
+		}
+		for i, w := range c.want {
+			if !strings.Contains(regs[i], w) || !strings.Contains(regs[i], "any increase fails") {
+				t.Errorf("%s: diagnostic %q, want %q", c.name, regs[i], w)
+			}
+		}
+	}
+}
+
 func TestBenchtimeMismatch(t *testing.T) {
 	if msg, ok := benchtimeMismatch("50x", "50x"); !ok || msg != "" {
 		t.Errorf("matching benchtimes refused: %q", msg)

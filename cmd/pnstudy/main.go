@@ -7,9 +7,9 @@
 // Usage:
 //
 //	pnstudy [-scenario name] [-storage specs] [-control list] [-util list] [-reps N] ...
-//	pnstudy -shard i/n -checkpoint shard-i.json ...
-//	pnstudy -resume ck.json ...
-//	pnstudy -merge shard-0.json,shard-1.json,... ...
+//	pnstudy -shard i/n -checkpoint shard-i.ckpt ...
+//	pnstudy -resume ck.ckpt ...
+//	pnstudy -merge shard-0.ckpt,shard-1.ckpt,... ...
 //	pnstudy -worker http://coordinator:8080
 //	pnstudy -list
 //
@@ -18,7 +18,10 @@
 // them exactly — checkpoints carry a fingerprint and refuse to mix
 // with a different matrix. Worker counts, shard counts and
 // interruption points never change the result: the merged outcome is
-// bit-identical to a single unsharded run.
+// bit-identical to a single unsharded run. Checkpoint files are
+// versioned binary records (study.Checkpoint.WriteBinary); a file in
+// the older JSON format is refused with a diagnostic naming the format
+// version.
 //
 // -worker joins a pncoord coordinator instead: the study definition is
 // fetched from the coordinator (no matrix flags needed), rebuilt
@@ -50,6 +53,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strconv"
@@ -62,47 +66,54 @@ import (
 )
 
 func main() {
+	if err := run(context.Background(), os.Args[1:], os.Stdout); err != nil {
+		fatal(err)
+	}
+}
+
+// run executes one pnstudy invocation: args are the command-line flags,
+// and the summary and shard reports go to stdout.
+func run(ctx context.Context, args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("pnstudy", flag.ExitOnError)
 	var (
-		scn      = flag.String("scenario", "stress-clouds", "registered base scenario")
-		duration = flag.Float64("duration", 0, "override scenario duration, seconds (0 keeps the registered value)")
-		storage  = flag.String("storage", "", "storage axis: ideal:F,supercap:F,hybrid:F:R")
-		control  = flag.String("control", "", "control axis: pn, static, or governor names")
-		util     = flag.String("util", "", "workload axis: utilisations in [0,1]")
-		reps     = flag.Int("reps", 4, "Monte-Carlo repetitions per cell")
-		seed     = flag.Int64("seed", 2017, "study base seed")
-		paired   = flag.Bool("paired", false, "common random numbers: one realisation per repetition across all cells")
-		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent runs")
-		progress = flag.Bool("progress", false, "report run progress on stderr")
-		bins     = flag.Int("bins", 250, "dwell-time voltage histogram bins (0 disables)")
-		histLo   = flag.Float64("histlo", 0, "dwell histogram lower bound, volts")
-		histHi   = flag.Float64("histhi", 10, "dwell histogram upper bound, volts")
-		shard    = flag.String("shard", "", "run one shard i/n of the task ledger and write its checkpoint")
-		ckpt     = flag.String("checkpoint", "", "checkpoint file to write (-shard) ")
-		resume   = flag.String("resume", "", "checkpoint file to complete in place")
-		merge    = flag.String("merge", "", "comma-separated shard checkpoints to merge")
-		workerAt = flag.String("worker", "", "join the pncoord coordinator at this URL (matrix flags come from the coordinator)")
-		name     = flag.String("name", "", "worker name reported to the coordinator (-worker; default host-pid)")
-		token    = flag.String("token", "", "bearer token presented to a -token guarded coordinator (-worker)")
-		cellsCSV = flag.String("cells-csv", "", "write per-cell aggregates as CSV to this file")
-		runsCSV  = flag.String("runs-csv", "", "write per-run outcomes as CSV to this file")
-		jsonOut  = flag.String("json", "", "write the full aggregate as JSON to this file")
-		list     = flag.Bool("list", false, "list registered scenarios and exit")
+		scn      = fs.String("scenario", "stress-clouds", "registered base scenario")
+		duration = fs.Float64("duration", 0, "override scenario duration, seconds (0 keeps the registered value)")
+		storage  = fs.String("storage", "", "storage axis: ideal:F,supercap:F,hybrid:F:R")
+		control  = fs.String("control", "", "control axis: pn, static, or governor names")
+		util     = fs.String("util", "", "workload axis: utilisations in [0,1]")
+		reps     = fs.Int("reps", 4, "Monte-Carlo repetitions per cell")
+		seed     = fs.Int64("seed", 2017, "study base seed")
+		paired   = fs.Bool("paired", false, "common random numbers: one realisation per repetition across all cells")
+		workers  = fs.Int("workers", runtime.GOMAXPROCS(0), "concurrent runs")
+		progress = fs.Bool("progress", false, "report run progress on stderr")
+		bins     = fs.Int("bins", 250, "dwell-time voltage histogram bins (0 disables)")
+		histLo   = fs.Float64("histlo", 0, "dwell histogram lower bound, volts")
+		histHi   = fs.Float64("histhi", 10, "dwell histogram upper bound, volts")
+		shard    = fs.String("shard", "", "run one shard i/n of the task ledger and write its checkpoint")
+		ckpt     = fs.String("checkpoint", "", "checkpoint file to write (-shard) ")
+		resume   = fs.String("resume", "", "checkpoint file to complete in place")
+		merge    = fs.String("merge", "", "comma-separated shard checkpoints to merge")
+		workerAt = fs.String("worker", "", "join the pncoord coordinator at this URL (matrix flags come from the coordinator)")
+		name     = fs.String("name", "", "worker name reported to the coordinator (-worker; default host-pid)")
+		token    = fs.String("token", "", "bearer token presented to a -token guarded coordinator (-worker)")
+		cellsCSV = fs.String("cells-csv", "", "write per-cell aggregates as CSV to this file")
+		runsCSV  = fs.String("runs-csv", "", "write per-run outcomes as CSV to this file")
+		jsonOut  = fs.String("json", "", "write the full aggregate as JSON to this file")
+		list     = fs.Bool("list", false, "list registered scenarios and exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *list {
 		for _, s := range scenario.List() {
-			fmt.Printf("%-18s %s\n", s.Name, s.Description)
+			fmt.Fprintf(stdout, "%-18s %s\n", s.Name, s.Description)
 		}
-		return
+		return nil
 	}
 
-	ctx := context.Background()
 	if *workerAt != "" {
-		if err := runWorker(ctx, *workerAt, *name, *token, *workers); err != nil {
-			fatal(err)
-		}
-		return
+		return runWorker(ctx, *workerAt, *name, *token, *workers)
 	}
 
 	st, err := studycli.Config{
@@ -112,7 +123,7 @@ func main() {
 		Bins: *bins, HistLo: *histLo, HistHi: *histHi,
 	}.Build()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	st.Workers = *workers
 	if *progress {
@@ -131,18 +142,18 @@ func main() {
 	case *resume != "":
 		out, err = resumeOutcome(ctx, st, *resume)
 	case *shard != "":
-		err = runShard(ctx, st, *shard, *ckpt)
+		err = runShard(ctx, stdout, st, *shard, *ckpt)
 	default:
 		out, err = st.Run(ctx)
 	}
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if out == nil {
-		return // shard mode: checkpoint written, nothing to aggregate yet
+		return nil // shard mode: checkpoint written, nothing to aggregate yet
 	}
 
-	studycli.PrintOutcome(os.Stdout, st, out)
+	studycli.PrintOutcome(stdout, st, out)
 	if *cellsCSV != "" {
 		err = studycli.WriteFileAtomic(*cellsCSV, out.WriteCellsCSV)
 	}
@@ -152,9 +163,7 @@ func main() {
 	if err == nil && *jsonOut != "" {
 		err = studycli.WriteFileAtomic(*jsonOut, out.WriteJSON)
 	}
-	if err != nil {
-		fatal(err)
-	}
+	return err
 }
 
 // runWorker joins a coordinator: the study identity travels as a
@@ -196,7 +205,7 @@ func parseShard(s string) (i, n int, err error) {
 }
 
 // runShard executes one ledger shard and writes its checkpoint.
-func runShard(ctx context.Context, st study.Study, shard, ckpt string) error {
+func runShard(ctx context.Context, stdout io.Writer, st study.Study, shard, ckpt string) error {
 	if ckpt == "" {
 		return fmt.Errorf("-shard needs -checkpoint to write the shard's state to")
 	}
@@ -208,12 +217,12 @@ func runShard(ctx context.Context, st study.Study, shard, ckpt string) error {
 	if err != nil {
 		return err
 	}
-	if err := studycli.WriteFileAtomic(ckpt, cp.WriteJSON); err != nil {
+	if err := studycli.WriteFileAtomic(ckpt, cp.WriteBinary); err != nil {
 		return err
 	}
-	fmt.Printf("shard %d/%d: %d of %d tasks done, checkpoint %s\n",
+	fmt.Fprintf(stdout, "shard %d/%d: %d of %d tasks done, checkpoint %s\n",
 		i, n, len(cp.Records), cp.Total, ckpt)
-	fmt.Printf("missing ranges: %v\n", cp.Missing())
+	fmt.Fprintf(stdout, "missing ranges: %v\n", cp.Missing())
 	return nil
 }
 
@@ -227,7 +236,7 @@ func resumeOutcome(ctx context.Context, st study.Study, path string) (*study.Stu
 	if err != nil {
 		return nil, err
 	}
-	if err := studycli.WriteFileAtomic(path, full.WriteJSON); err != nil {
+	if err := studycli.WriteFileAtomic(path, full.WriteBinary); err != nil {
 		return nil, err
 	}
 	return st.Outcome(full)

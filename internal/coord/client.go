@@ -177,12 +177,12 @@ func (w *Worker) Run(ctx context.Context) error {
 // checkpoints (422) are a real fault and error out.
 func (w *Worker) submitChunk(ctx context.Context, lease Lease, cp *study.Checkpoint) (bool, error) {
 	var buf bytes.Buffer
-	if err := cp.WriteJSON(&buf); err != nil {
+	if err := cp.WriteBinary(&buf); err != nil {
 		return false, fmt.Errorf("coord: serialising chunk %d: %w", lease.Chunk, err)
 	}
 	sub := Submission{
 		Worker: w.name(), Chunk: lease.Chunk, LeaseID: lease.LeaseID,
-		Checkpoint: json.RawMessage(buf.Bytes()),
+		Checkpoint: buf.Bytes(),
 	}
 	var res SubmitResult
 	code, err := w.doJSON(ctx, http.MethodPost, "/v1/chunks", sub, &res)

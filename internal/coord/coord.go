@@ -81,14 +81,16 @@ type Lease struct {
 	TTLMS        int64           `json:"ttl_ms,omitempty"`
 }
 
-// Submission delivers one executed chunk. The checkpoint rides as raw
-// JSON so the server can push it through study.ReadCheckpoint — the
-// same validating deserialisation path files go through.
+// Submission delivers one executed chunk. The checkpoint is the binary
+// record Checkpoint.WriteBinary writes (base64 inside the JSON
+// envelope), so the server pushes it through study.ReadCheckpoint — the
+// same validating decoder checkpoint files go through — and journals
+// the accepted bytes unchanged.
 type Submission struct {
-	Worker     string          `json:"worker"`
-	Chunk      int             `json:"chunk"`
-	LeaseID    string          `json:"lease_id"`
-	Checkpoint json.RawMessage `json:"checkpoint"`
+	Worker     string `json:"worker"`
+	Chunk      int    `json:"chunk"`
+	LeaseID    string `json:"lease_id"`
+	Checkpoint []byte `json:"checkpoint"`
 }
 
 // SubmitResult acknowledges a submission. Duplicate marks a replayed
@@ -485,9 +487,9 @@ func (s *Server) submit(sub Submission) (int, SubmitResult) {
 	if len(sub.Checkpoint) == 0 {
 		return reject(http.StatusBadRequest, errors.New("submission carries no checkpoint"))
 	}
-	// Deserialise through the validating checkpoint reader before
-	// taking the lock: hostile payloads never reach the fold, and the
-	// server never parses JSON while holding its state mutex.
+	// Decode through the validating checkpoint reader before taking
+	// the lock: hostile payloads never reach the fold, and the server
+	// never decodes a record while holding its state mutex.
 	cp, err := study.ReadCheckpoint(bytes.NewReader(sub.Checkpoint))
 	if err != nil {
 		return reject(http.StatusUnprocessableEntity, err)

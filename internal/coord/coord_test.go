@@ -213,7 +213,7 @@ func leaseAndRun(t *testing.T, s *Server, worker string) (Lease, *study.Checkpoi
 func submission(t *testing.T, worker string, chunk int, leaseID string, cp *study.Checkpoint) Submission {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := cp.WriteJSON(&buf); err != nil {
+	if err := cp.WriteBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return Submission{Worker: worker, Chunk: chunk, LeaseID: leaseID, Checkpoint: buf.Bytes()}
@@ -228,14 +228,10 @@ func TestCoordinatorRejectsHostileSubmissions(t *testing.T) {
 	lease, cp := leaseAndRun(t, s, "tester")
 
 	// Structurally corrupt checkpoint: duplicate ledger index.
-	bad := submission(t, "tester", lease.Chunk, lease.LeaseID, cp)
-	var corrupt map[string]any
-	if err := json.Unmarshal(bad.Checkpoint, &corrupt); err != nil {
-		t.Fatal(err)
-	}
-	recs := corrupt["records"].([]any)
-	recs[1].(map[string]any)["task"] = recs[0].(map[string]any)["task"]
-	bad.Checkpoint, _ = json.Marshal(corrupt)
+	corrupt := *cp
+	corrupt.Records = append([]study.TaskRecord(nil), cp.Records...)
+	corrupt.Records[1].Index = corrupt.Records[0].Index
+	bad := submission(t, "tester", lease.Chunk, lease.LeaseID, &corrupt)
 	if code, res := s.submit(bad); code != http.StatusUnprocessableEntity || !strings.Contains(res.Error, "duplicate") {
 		t.Fatalf("corrupt checkpoint: HTTP %d %q, want 422 duplicate-index error", code, res.Error)
 	}

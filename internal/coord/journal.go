@@ -30,6 +30,10 @@ import (
 //	frame  := uint32 length | payload | uint32 CRC-32C(payload)
 //	journal := frame(header JSON) frame(record JSON)*
 //
+// A record frame is a JournalRecord in JSON; its checkpoint is the
+// binary study record the worker submitted, base64-encoded. Version 1
+// journals carried JSON checkpoints and are refused.
+//
 // The header frame binds the journal to one study: the fingerprint plus
 // the chunk geometry. Opening a journal whose header disagrees with the
 // live study is refused — replaying chunks of a different matrix is the
@@ -77,8 +81,10 @@ func (p SyncPolicy) String() string {
 }
 
 const (
-	journalMagic   = "pncoord-journal"
-	journalVersion = 1
+	journalMagic = "pncoord-journal"
+	// journalVersion 2 records carry binary checkpoints; version 1
+	// carried JSON ones and is refused.
+	journalVersion = 2
 	// maxFrameBytes bounds a frame's declared length. A length prefix
 	// beyond it cannot come from a torn append (truncation shortens,
 	// it does not invent bytes), so it is diagnosed as corruption.
@@ -104,10 +110,12 @@ type journalHeader struct {
 // study.ReadCheckpoint and Folder.Fold, the same validation live
 // submissions passed.
 type JournalRecord struct {
-	Chunk      int             `json:"chunk"`
-	LeaseID    string          `json:"lease_id,omitempty"`
-	Worker     string          `json:"worker,omitempty"`
-	Checkpoint json.RawMessage `json:"checkpoint"`
+	Chunk   int    `json:"chunk"`
+	LeaseID string `json:"lease_id,omitempty"`
+	Worker  string `json:"worker,omitempty"`
+	// Checkpoint is the submission's binary checkpoint record (base64
+	// inside the JSON frame payload).
+	Checkpoint []byte `json:"checkpoint"`
 }
 
 // JournalReplay is what opening an existing journal recovered.

@@ -3,7 +3,7 @@ package coord
 import (
 	"bytes"
 	"context"
-	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"pnps/internal/study"
 )
 
 // journalPath returns a per-test journal location.
@@ -39,8 +41,8 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatalf("fresh journal replayed %+v", replay)
 	}
 	recs := []JournalRecord{
-		{Chunk: 2, LeaseID: "lease-1", Worker: "w0", Checkpoint: json.RawMessage(`{"a":1}`)},
-		{Chunk: 0, LeaseID: "lease-2", Worker: "w1", Checkpoint: json.RawMessage(`{"b":[2,3]}`)},
+		{Chunk: 2, LeaseID: "lease-1", Worker: "w0", Checkpoint: []byte(`{"a":1}`)},
+		{Chunk: 0, LeaseID: "lease-2", Worker: "w1", Checkpoint: []byte(`{"b":[2,3]}`)},
 	}
 	for _, r := range recs {
 		if err := j.Append(r); err != nil {
@@ -70,7 +72,7 @@ func TestJournalRoundTrip(t *testing.T) {
 		}
 	}
 	// The reopened journal appends past the replayed tail.
-	if err := j2.Append(JournalRecord{Chunk: 1, Checkpoint: json.RawMessage(`{}`)}); err != nil {
+	if err := j2.Append(JournalRecord{Chunk: 1, Checkpoint: []byte(`{}`)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := j2.Close(); err != nil {
@@ -102,14 +104,14 @@ func TestJournalTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append(JournalRecord{Chunk: 0, Checkpoint: json.RawMessage(`{"keep":"me"}`)}); err != nil {
+	if err := j.Append(JournalRecord{Chunk: 0, Checkpoint: []byte(`{"keep":"me"}`)}); err != nil {
 		t.Fatal(err)
 	}
 	whole, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append(JournalRecord{Chunk: 1, Checkpoint: json.RawMessage(`{"torn":"away"}`)}); err != nil {
+	if err := j.Append(JournalRecord{Chunk: 1, Checkpoint: []byte(`{"torn":"away"}`)}); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
@@ -137,7 +139,7 @@ func TestJournalTornTail(t *testing.T) {
 		}
 		// The torn tail was truncated in place: an append then a replay
 		// yields exactly the surviving record plus the new one.
-		if err := j.Append(JournalRecord{Chunk: 3, Checkpoint: json.RawMessage(`{}`)}); err != nil {
+		if err := j.Append(JournalRecord{Chunk: 3, Checkpoint: []byte(`{}`)}); err != nil {
 			t.Fatal(err)
 		}
 		j.Close()
@@ -160,7 +162,7 @@ func TestJournalTornTail(t *testing.T) {
 		if _, err := rebuild.f.Seek(whole.Size(), 0); err != nil {
 			t.Fatal(err)
 		}
-		if err := rebuild.Append(JournalRecord{Chunk: 1, Checkpoint: json.RawMessage(`{"torn":"away"}`)}); err != nil {
+		if err := rebuild.Append(JournalRecord{Chunk: 1, Checkpoint: []byte(`{"torn":"away"}`)}); err != nil {
 			t.Fatal(err)
 		}
 		rebuild.Close()
@@ -180,7 +182,7 @@ func TestJournalRefusesCorruption(t *testing.T) {
 	}
 	headerEnd, _ := j.f.Seek(0, 1)
 	for c := 0; c < 2; c++ {
-		if err := j.Append(JournalRecord{Chunk: c, Checkpoint: json.RawMessage(`{"payload":"0123456789"}`)}); err != nil {
+		if err := j.Append(JournalRecord{Chunk: c, Checkpoint: []byte(`{"payload":"0123456789"}`)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -228,6 +230,48 @@ func TestJournalRefusesWrongStudy(t *testing.T) {
 	}
 	if _, _, err := OpenJournal(path, fp, 8, 2, 4, SyncAlways); err == nil {
 		t.Fatal("garbage file opened as journal")
+	}
+}
+
+// writeJournalV1 writes a journal in format version 1 — a header frame
+// with version 1 and one record whose checkpoint is inline JSON — as a
+// build before binary checkpoint records left it.
+func writeJournalV1(t testing.TB, path string, fp study.Fingerprint) {
+	t.Helper()
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := &Journal{f: f, path: path, policy: SyncOff}
+	defer j.Close()
+	header := journalHeader{
+		Magic: journalMagic, Version: 1, Fingerprint: fp,
+		TotalTasks: 8, ChunkSize: 2, NumChunks: 4,
+	}
+	if err := j.appendFrame(header); err != nil {
+		t.Fatal(err)
+	}
+	rec := map[string]any{"chunk": 0, "lease_id": "lease-1", "checkpoint": map[string]any{"total_tasks": 8}}
+	if err := j.appendFrame(rec); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestJournalRefusesVersion1: a journal written before checkpoints
+// became binary records is refused, naming both format versions, by
+// OpenJournal and by a coordinator restarted over it — never replayed
+// through a decoder that would misread its records.
+func TestJournalRefusesVersion1(t *testing.T) {
+	st, _ := testRecipe().Build()
+	fp, _ := st.Fingerprint()
+	path := journalPath(t)
+	writeJournalV1(t, path, fp)
+	want := fmt.Sprintf("format version 1, this build reads %d", journalVersion)
+	if _, _, err := OpenJournal(path, fp, 8, 2, 4, SyncAlways); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("version-1 journal: OpenJournal error %v, want %q", err, want)
+	}
+	if _, err := NewServer(Config{Study: st, ChunkSize: 2, JournalPath: path}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("version-1 journal: NewServer error %v, want %q", err, want)
 	}
 }
 

@@ -430,8 +430,8 @@ func (s *Server) runJob(j *Job) error {
 		if err != nil {
 			return err
 		}
-		if recs, ok := s.restoreCell(st, c, digest); ok {
-			cp, err := st.CellCheckpoint(c, recs)
+		if raw, ok := s.cache.Get(cellKey(digest)); ok {
+			cp, err := st.RestoreCell(c, raw)
 			if err != nil {
 				// A digest collision or corrupt entry: refuse the cache,
 				// simulate the truth instead.
@@ -447,10 +447,8 @@ func (s *Server) runJob(j *Job) error {
 		if err != nil {
 			return fmt.Errorf("serve: job %s cell %d: %w", j.id, c, err)
 		}
-		if recs, err := st.ExtractCellRecords(cp, c); err == nil {
-			if raw, err := json.Marshal(recs); err == nil {
-				s.cache.Put(cellKey(digest), raw)
-			}
+		if raw, err := st.EncodeCell(cp, c); err == nil {
+			s.cache.Put(cellKey(digest), raw)
 		}
 		if err := folder.Fold(c, cp); err != nil {
 			return err
@@ -468,20 +466,6 @@ func (s *Server) runJob(j *Job) error {
 	s.storeArtifacts(j.digest, artifacts)
 	j.complete(artifacts)
 	return nil
-}
-
-// restoreCell fetches and decodes one cell's cached records.
-func (s *Server) restoreCell(st study.Study, c int, digest string) ([]study.TaskRecord, bool) {
-	raw, ok := s.cache.Get(cellKey(digest))
-	if !ok {
-		return nil, false
-	}
-	var recs []study.TaskRecord
-	if err := json.Unmarshal(raw, &recs); err != nil {
-		s.logf("serve: cell %d cache entry undecodable (%v) — simulating", c, err)
-		return nil, false
-	}
-	return recs, true
 }
 
 // simulateCell runs one cell's repetitions under the server's context,

@@ -175,6 +175,16 @@ type SolverCounters struct {
 	NewtonIters, ExactSolves int
 }
 
+// Add accumulates another run's counters into c.
+func (c *SolverCounters) Add(o SolverCounters) {
+	c.Segments += o.Segments
+	c.Steps += o.Steps
+	c.Rejected += o.Rejected
+	c.RHSEvals += o.RHSEvals
+	c.NewtonIters += o.NewtonIters
+	c.ExactSolves += o.ExactSolves
+}
+
 // StabilityWithin returns the fraction of the run the supply spent within
 // ±pct of the target voltage (the paper's headline 93.3% at 5%). With
 // series capture on it is computed from the VC trace for any pct;

@@ -193,6 +193,7 @@ func BenchmarkStorageDispatch(b *testing.B) {
 	for _, m := range models {
 		b.Run(m.name, func(b *testing.B) {
 			b.ReportAllocs()
+			var work SolverCounters
 			for i := 0; i < b.N; i++ {
 				plat := soc.NewDefaultPlatform()
 				plat.Reset(0, soc.MinOPP())
@@ -200,14 +201,30 @@ func BenchmarkStorageDispatch(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := Run(Config{
+				res, err := Run(Config{
 					Array: pv.SouthamptonArray(), Profile: profile,
 					Storage: m.st, InitialVC: 5.3, Platform: plat,
 					Controller: ctrl, Duration: 60, SkipSeries: true,
-				}); err != nil {
+				})
+				if err != nil {
 					b.Fatal(err)
 				}
+				work.Add(res.Solver)
 			}
+			reportSolverWork(b, work, b.N)
 		})
 	}
+}
+
+// reportSolverWork is the in-package twin of testutil.ReportSolverWork
+// (sim's tests cannot import testutil): work per op from summed
+// counters, gated by pnbench -compare like allocs/op.
+func reportSolverWork(b *testing.B, work SolverCounters, ops int) {
+	n := float64(ops)
+	b.ReportMetric(float64(work.Segments)/n, "segments/op")
+	b.ReportMetric(float64(work.Steps)/n, "steps/op")
+	b.ReportMetric(float64(work.Rejected)/n, "rejects/op")
+	b.ReportMetric(float64(work.RHSEvals)/n, "rhs/op")
+	b.ReportMetric(float64(work.NewtonIters)/n, "newton/op")
+	b.ReportMetric(float64(work.ExactSolves)/n, "exact/op")
 }

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"pnps/internal/scenario"
+	"pnps/internal/sim"
+	"pnps/internal/testutil"
 )
 
 // BenchmarkCampaignTraceFree is the campaign-scale hot-path benchmark:
@@ -18,6 +20,9 @@ import (
 // campaigns. The meanPct5 metric pins the outcome on every record;
 // retainedB/run is the heap the held outcome keeps live per run, after
 // a full collection (what a study retaining thousands of runs pays).
+// The work metrics (segments/op ... exact/op) sum the campaign's solver
+// counters; every iteration runs the same deterministic campaign, so the
+// last one stands for all.
 func BenchmarkCampaignTraceFree(b *testing.B) {
 	base := scenario.MustLookup("stress-clouds")
 	base.Duration = 10
@@ -46,6 +51,11 @@ func BenchmarkCampaignTraceFree(b *testing.B) {
 					runtime.KeepAlive(out)
 					b.ReportMetric(out.Summary.Stability.Mean*100, "meanPct5")
 					b.ReportMetric((float64(held)-float64(before))/runs, "retainedB/run")
+					var work sim.SolverCounters
+					for _, r := range out.Results {
+						work.Add(r.Result.Solver)
+					}
+					testutil.ReportSolverWork(b, work, 1)
 				}
 			}
 		})

@@ -11,7 +11,7 @@ import (
 
 // cellCacheStudy is a small two-axis matrix used by the cell-identity
 // tests: 2 storage levels × 2 utilisations × reps repetitions.
-func cellCacheStudy(t *testing.T, reps int, storages []Level) Study {
+func cellCacheStudy(t testing.TB, reps int, storages []Level) Study {
 	t.Helper()
 	base, ok := scenario.Lookup("stress-clouds")
 	if !ok {

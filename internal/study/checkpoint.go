@@ -404,30 +404,13 @@ func MergeCheckpoints(cps ...*Checkpoint) (*Checkpoint, error) {
 	return out, nil
 }
 
-// WriteJSON serialises the checkpoint.
+// WriteJSON renders the checkpoint as indented JSON for people to
+// read. It is not an input format: ReadCheckpoint reads only the binary
+// record WriteBinary writes.
 func (cp *Checkpoint) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(cp)
-}
-
-// ReadCheckpoint deserialises a checkpoint written by WriteJSON. The
-// record set is re-sorted, the completed ranges are rebuilt from it
-// (never trusted from the file), and the result is validated: a
-// truncated file, duplicate or out-of-range record indices, or
-// inconsistent histogram counters are diagnostic errors here, not
-// wrong aggregates later.
-func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
-	cp := &Checkpoint{}
-	if err := json.NewDecoder(r).Decode(cp); err != nil {
-		return nil, fmt.Errorf("study: reading checkpoint: %w", err)
-	}
-	sort.Slice(cp.Records, func(i, j int) bool { return cp.Records[i].Index < cp.Records[j].Index })
-	cp.rebuildRanges()
-	if err := cp.Validate(); err != nil {
-		return nil, err
-	}
-	return cp, nil
 }
 
 // Outcome folds a complete checkpoint into the study's aggregate. The

@@ -1,6 +1,7 @@
 package study
 
 import (
+	"bytes"
 	"context"
 	"strings"
 	"testing"
@@ -24,11 +25,16 @@ func completeCheckpoint(t testing.TB) (Study, *Checkpoint) {
 // roundTrip serialises a (possibly corrupted) checkpoint and reads it
 // back through the validating deserialisation path.
 func roundTrip(cp *Checkpoint) (*Checkpoint, error) {
-	var buf strings.Builder
-	if err := cp.WriteJSON(&buf); err != nil {
-		return nil, err
+	return ReadCheckpoint(bytes.NewReader(encodeBinary(cp)))
+}
+
+// encodeBinary writes a checkpoint's binary record.
+func encodeBinary(cp *Checkpoint) []byte {
+	var buf bytes.Buffer
+	if err := cp.WriteBinary(&buf); err != nil {
+		panic(err)
 	}
-	return ReadCheckpoint(strings.NewReader(buf.String()))
+	return buf.Bytes()
 }
 
 // checkpointCorruptions are the hostile-checkpoint vectors: each
@@ -90,24 +96,6 @@ func TestCheckpointRejectsCorruptRecords(t *testing.T) {
 		}
 		if _, err := MergeCheckpoints(cp); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("%s: MergeCheckpoints error = %v, want %q", tc.name, err, tc.wantErr)
-		}
-	}
-}
-
-// TestCheckpointRejectsTruncatedJSON: a checkpoint file cut off
-// mid-write fails deserialisation cleanly.
-func TestCheckpointRejectsTruncatedJSON(t *testing.T) {
-	_, cp := completeCheckpoint(t)
-	var buf strings.Builder
-	if err := cp.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.String()
-	for _, frac := range []int{2, 4} {
-		cut := full[:len(full)/frac]
-		if _, err := ReadCheckpoint(strings.NewReader(cut)); err == nil ||
-			!strings.Contains(err.Error(), "reading checkpoint") {
-			t.Errorf("truncated to 1/%d: error = %v, want decode failure", frac, err)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package study
 
 import (
+	"bytes"
 	"context"
 	"strings"
 	"testing"
@@ -197,12 +198,12 @@ func TestStudyCheckpointResume(t *testing.T) {
 		t.Fatalf("incomplete outcome error = %v, want missing-ranges report", err)
 	}
 
-	// JSON round-trip preserves the ledger exactly.
-	var buf strings.Builder
-	if err := partial.WriteJSON(&buf); err != nil {
+	// The binary round-trip preserves the ledger exactly.
+	var buf bytes.Buffer
+	if err := partial.WriteBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := ReadCheckpoint(strings.NewReader(buf.String()))
+	restored, err := ReadCheckpoint(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +213,7 @@ func TestStudyCheckpointResume(t *testing.T) {
 	}
 	for i := range partial.Records {
 		if restored.Records[i].Metrics != partial.Records[i].Metrics {
-			t.Fatalf("record %d metrics changed across JSON round-trip", i)
+			t.Fatalf("record %d metrics changed across the binary round-trip", i)
 		}
 	}
 

@@ -112,3 +112,19 @@ func RequireEqualResults(t testing.TB, label string, got, want *sim.Result) {
 	RequireEqualSeries(t, label+" BigCores", got.BigCores, want.BigCores)
 	RequireEqualSeries(t, label+" TotalCores", got.TotalCores, want.TotalCores)
 }
+
+// ReportSolverWork reports a benchmark's numerical work per op, from
+// the summed sim.Result.Solver counters of ops operations. The counts
+// are deterministic, so pnbench -compare gates them like allocs/op: any
+// increase fails on any host. (internal/sim's BenchmarkStorageDispatch
+// keeps an in-package twin, since sim's tests cannot import this
+// package.)
+func ReportSolverWork(b *testing.B, work sim.SolverCounters, ops int) {
+	n := float64(ops)
+	b.ReportMetric(float64(work.Segments)/n, "segments/op")
+	b.ReportMetric(float64(work.Steps)/n, "steps/op")
+	b.ReportMetric(float64(work.Rejected)/n, "rejects/op")
+	b.ReportMetric(float64(work.RHSEvals)/n, "rhs/op")
+	b.ReportMetric(float64(work.NewtonIters)/n, "newton/op")
+	b.ReportMetric(float64(work.ExactSolves)/n, "exact/op")
+}

@@ -258,8 +258,10 @@ func MergeStudyCheckpoints(cps ...*StudyCheckpoint) (*StudyCheckpoint, error) {
 	return study.MergeCheckpoints(cps...)
 }
 
-// ReadStudyCheckpoint deserialises a checkpoint written by
-// StudyCheckpoint.WriteJSON.
+// ReadStudyCheckpoint decodes and validates a checkpoint written by
+// StudyCheckpoint.WriteBinary, the versioned binary record format.
+// StudyCheckpoint.WriteJSON is a human-readable rendering only; a JSON
+// checkpoint is refused with a diagnostic naming its format version.
 func ReadStudyCheckpoint(r io.Reader) (*StudyCheckpoint, error) {
 	return study.ReadCheckpoint(r)
 }

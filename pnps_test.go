@@ -1,6 +1,7 @@
 package pnps
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"strings"
@@ -180,11 +181,11 @@ func TestFacadeStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf strings.Builder
-	if err := merged.WriteJSON(&buf); err != nil {
+	var buf bytes.Buffer
+	if err := merged.WriteBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := ReadStudyCheckpoint(strings.NewReader(buf.String()))
+	restored, err := ReadStudyCheckpoint(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
