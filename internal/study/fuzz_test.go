@@ -7,6 +7,8 @@ import (
 	"encoding/json"
 	"math"
 	"testing"
+
+	"pnps/internal/scenario"
 )
 
 // FuzzReadCheckpoint feeds arbitrary bytes to the checkpoint decoder,
@@ -124,4 +126,152 @@ func FuzzCellRecords(f *testing.F) {
 			t.Fatalf("accepted cell re-encodes differently:\n%x\nvs\n%x", again, raw)
 		}
 	})
+}
+
+// splitStudy builds FuzzSplitEquivalence's recipe: a hook-free
+// stress-clouds study of 1–3 load cells × 1–4 repetitions of
+// 0.05–0.2 s runs under any seed mode, optionally with a dwell
+// histogram.
+func splitStudy(cells, reps, dur, mode uint8, hist bool, seed int64) Study {
+	base := scenario.MustLookup("stress-clouds")
+	base.Duration = 0.05 * float64(1+dur%4)
+	st := Study{
+		Name: "split", Base: base, Reps: 1 + int(reps%4),
+		Seed: seed, SeedMode: SeedMode(mode % 3),
+	}
+	if n := 1 + int(cells%3); n > 1 {
+		loads := []Level{Utilisation(1), Utilisation(0.6), Utilisation(0.3)}
+		st.Axes = []Axis{NewAxis("load", loads[:n]...)}
+	}
+	if hist {
+		st.VCHistBins, st.VCHistLo, st.VCHistHi = 8, 4, 6
+	}
+	return st
+}
+
+// permutation shuffles 0..n-1 with the fuzzed bytes as its randomness.
+func permutation(n int, seed []byte) []int {
+	order := forward(n)
+	for i := n - 1; i > 0 && len(seed) > 0; i-- {
+		j := int(seed[i%len(seed)]) % (i + 1)
+		order[i], order[j] = order[j], order[i]
+	}
+	return order
+}
+
+// FuzzSplitEquivalence is the determinism contract as a property: a
+// study cut into chunks folded in any order, into shards merged back
+// (more shards than tasks included), into cells restored from their
+// cache records, or resumed from one shard, yields outcome JSON
+// byte-equal to an unsharded Study.Run — and so does every mix of
+// pieces that round-trip through WriteBinary/ReadCheckpoint (bit k of
+// trips selects piece k) and pieces that stay in memory.
+func FuzzSplitEquivalence(f *testing.F) {
+	f.Add(uint8(1), uint8(1), uint8(0), uint8(0), true, int64(7), uint8(2), uint8(2), []byte{1, 2}, uint8(1), uint8(0), uint16(0x5555))
+	f.Add(uint8(2), uint8(3), uint8(3), uint8(1), false, int64(11), uint8(4), uint8(4), []byte{9, 0, 4}, uint8(5), uint8(2), uint16(0xffff))
+	f.Add(uint8(0), uint8(2), uint8(1), uint8(2), true, int64(-3), uint8(0), uint8(7), []byte{}, uint8(1), uint8(5), uint16(0))
+	f.Add(uint8(2), uint8(0), uint8(2), uint8(0), true, int64(2017), uint8(1), uint8(1), []byte{200}, uint8(6), uint8(0), uint16(0x00f0))
+
+	f.Fuzz(func(t *testing.T, cells, reps, dur, mode uint8, hist bool, seed int64,
+		chunk, shards uint8, perm []byte, restore, resume uint8, trips uint16) {
+		st := splitStudy(cells, reps, dur, mode, hist, seed)
+		ctx := context.Background()
+		want := outcomeBytes(t, "Run")(st.Run(ctx))
+		ncells := 1 + int(cells%3)
+		total := ncells * st.Reps
+
+		piece := 0
+		trip := func(cp *Checkpoint, err error) *Checkpoint {
+			t.Helper()
+			if err != nil {
+				t.Fatal(err)
+			}
+			piece++
+			if trips>>(piece%16)&1 == 0 {
+				return cp
+			}
+			back, err := ReadCheckpoint(bytes.NewReader(encodeBinary(cp)))
+			if err != nil {
+				t.Fatalf("piece %d round trip: %v", piece, err)
+			}
+			return back
+		}
+		same := func(label string) func(*StudyOutcome, error) {
+			return func(out *StudyOutcome, err error) {
+				t.Helper()
+				if got := outcomeBytes(t, label)(out, err); !bytes.Equal(got, want) {
+					t.Fatalf("%s outcome differs from Study.Run:\n%s\nvs\n%s", label, got, want)
+				}
+			}
+		}
+
+		// Chunks of any size, folded in a permuted order.
+		size := 1 + int(chunk)%(total+1)
+		folder, err := st.NewFolder(size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, i := range permutation(folder.NumChunks(), perm) {
+			if err := folder.Fold(i, trip(st.RunChunk(ctx, folder.Range(i)))); err != nil {
+				t.Fatalf("chunk %d of size %d: %v", i, size, err)
+			}
+		}
+		same("chunk fold")(folder.Outcome())
+
+		// Shards, up to two more than there are tasks, merged in a
+		// permuted order.
+		n := 1 + int(shards)%(total+2)
+		cps := make([]*Checkpoint, n)
+		for i, k := range permutation(n, perm) {
+			cps[i] = trip(st.RunShard(ctx, k, n))
+		}
+		merged, err := MergeCheckpoints(cps...)
+		if err != nil {
+			t.Fatalf("merge of %d shards: %v", n, err)
+		}
+		same("shard merge")(st.Outcome(merged))
+
+		// Cells: bit c of restore takes cell c from its cache record.
+		cellFolder, err := st.NewFolder(st.Reps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c := 0; c < ncells; c++ {
+			cp := trip(st.RunChunk(ctx, cellFolder.Range(c)))
+			if restore>>c&1 == 1 {
+				raw, err := st.EncodeCell(cp, c)
+				if err != nil {
+					t.Fatalf("cell %d encode: %v", c, err)
+				}
+				if cp, err = st.RestoreCell(c, raw); err != nil {
+					t.Fatalf("cell %d restore: %v", c, err)
+				}
+			}
+			if err := cellFolder.Fold(c, cp); err != nil {
+				t.Fatalf("cell %d fold: %v", c, err)
+			}
+		}
+		same("cell restore")(cellFolder.Outcome())
+
+		// Resume from one shard.
+		part := trip(st.RunShard(ctx, int(resume)%n, n))
+		full := trip(st.Resume(ctx, part))
+		same("resume")(st.Outcome(full))
+	})
+}
+
+// outcomeBytes returns a function rendering an outcome as its JSON
+// export, failing the test on an error from the call that produced it.
+func outcomeBytes(t *testing.T, label string) func(*StudyOutcome, error) []byte {
+	return func(out *StudyOutcome, err error) []byte {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		var buf bytes.Buffer
+		if err := out.WriteJSON(&buf); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		return buf.Bytes()
+	}
 }
