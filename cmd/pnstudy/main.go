@@ -13,6 +13,12 @@
 //	pnstudy -worker http://coordinator:8080
 //	pnstudy -list
 //
+// -shard i/n runs the i-th of n contiguous blocks of the task ledger
+// (cell-major: a cell's repetitions are adjacent), so shards of cells
+// that simulate slower take longer; -worker under pncoord balances load
+// instead. -shard, -resume and -merge are exclusive modes, and
+// -checkpoint goes with -shard only.
+//
 // The matrix flags (everything except -workers and -progress) define
 // the study identity: shard, resume and merge invocations must repeat
 // them exactly — checkpoints carry a fingerprint and refuse to mix
@@ -89,8 +95,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		bins     = fs.Int("bins", 250, "dwell-time voltage histogram bins (0 disables)")
 		histLo   = fs.Float64("histlo", 0, "dwell histogram lower bound, volts")
 		histHi   = fs.Float64("histhi", 10, "dwell histogram upper bound, volts")
-		shard    = fs.String("shard", "", "run one shard i/n of the task ledger and write its checkpoint")
-		ckpt     = fs.String("checkpoint", "", "checkpoint file to write (-shard) ")
+		shard    = fs.String("shard", "", "run shard i/n, the i-th of n contiguous blocks of the task ledger, and write its checkpoint")
+		ckpt     = fs.String("checkpoint", "", "checkpoint file to write (-shard)")
 		resume   = fs.String("resume", "", "checkpoint file to complete in place")
 		merge    = fs.String("merge", "", "comma-separated shard checkpoints to merge")
 		workerAt = fs.String("worker", "", "join the pncoord coordinator at this URL (matrix flags come from the coordinator)")
@@ -114,6 +120,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 
 	if *workerAt != "" {
 		return runWorker(ctx, *workerAt, *name, *token, *workers)
+	}
+	if err := checkModes(*shard, *ckpt, *resume, *merge); err != nil {
+		return err
 	}
 
 	st, err := studycli.Config{
@@ -187,6 +196,25 @@ func runWorker(ctx context.Context, url, name, token string, workers int) error 
 		},
 	}
 	return w.Run(ctx)
+}
+
+// checkModes refuses the flag combinations run would otherwise settle
+// by ignoring one flag: -shard, -resume and -merge each select a mode,
+// and -checkpoint names the file only -shard writes.
+func checkModes(shard, ckpt, resume, merge string) error {
+	var modes []string
+	for _, m := range []struct{ flag, value string }{{"-shard", shard}, {"-resume", resume}, {"-merge", merge}} {
+		if m.value != "" {
+			modes = append(modes, m.flag)
+		}
+	}
+	if len(modes) > 1 {
+		return fmt.Errorf("usage: %s and %s select different modes; give one of them", modes[0], modes[1])
+	}
+	if ckpt != "" && shard == "" {
+		return fmt.Errorf("usage: -checkpoint names the file -shard writes; give -shard with it")
+	}
+	return nil
 }
 
 // parseShard parses "i/n".

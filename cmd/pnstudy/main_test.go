@@ -141,3 +141,31 @@ func TestCheckpointFilesEndToEnd(t *testing.T) {
 		t.Fatal("the refused -resume rewrote the JSON checkpoint")
 	}
 }
+
+// TestConflictingModeFlags: flag combinations that used to run with one
+// flag silently ignored are refused with a usage error naming both
+// flags, before anything runs or is written.
+func TestConflictingModeFlags(t *testing.T) {
+	dir := t.TempDir()
+	out, in := filepath.Join(dir, "out.ckpt"), filepath.Join(dir, "in.ckpt")
+	for _, tc := range []struct {
+		name  string
+		args  []string
+		flags [2]string
+	}{
+		{"checkpoint without shard", []string{"-checkpoint", out}, [2]string{"-checkpoint", "-shard"}},
+		{"checkpoint with resume", []string{"-resume", in, "-checkpoint", out}, [2]string{"-checkpoint", "-shard"}},
+		{"shard with resume", []string{"-shard", "0/2", "-checkpoint", out, "-resume", in}, [2]string{"-shard", "-resume"}},
+		{"shard with merge", []string{"-shard", "0/2", "-checkpoint", out, "-merge", in + "," + in}, [2]string{"-shard", "-merge"}},
+		{"resume with merge", []string{"-resume", in, "-merge", in + "," + in}, [2]string{"-resume", "-merge"}},
+	} {
+		err := pnstudy(t, tc.args...)
+		if err == nil || !strings.Contains(err.Error(), "usage") ||
+			!strings.Contains(err.Error(), tc.flags[0]) || !strings.Contains(err.Error(), tc.flags[1]) {
+			t.Errorf("%s: %v, want a usage error naming %s and %s", tc.name, err, tc.flags[0], tc.flags[1])
+		}
+		if _, err := os.Stat(out); !os.IsNotExist(err) {
+			t.Fatalf("%s: refused invocation wrote %s", tc.name, out)
+		}
+	}
+}

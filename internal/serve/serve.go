@@ -409,7 +409,7 @@ func (s *Server) execute(j *Job) {
 }
 
 // runJob executes a study cell by cell: each cell is either restored
-// from the content-addressed store (CellCheckpoint verifies seeds
+// from the content-addressed store (RestoreCell verifies seeds
 // before anything reaches the folder) or simulated as one chunk, and
 // every fresh cell's records are stored for the next study that shares
 // them. With chunk size = reps, cells and chunks coincide, so the

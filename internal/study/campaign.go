@@ -2,7 +2,6 @@ package study
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"pnps/internal/scenario"
@@ -76,10 +75,6 @@ type RunResult struct {
 	Spec scenario.Spec
 	// Result is the simulation outcome.
 	Result *sim.Result
-
-	// vcHist is the per-run dwell-time histogram (VCHistBins > 0 only),
-	// merged into Outcome.VCHistogram during summarise.
-	vcHist *stats.Histogram
 }
 
 // Summary aggregates runs deterministically (in run order). Each
@@ -133,11 +128,12 @@ type Outcome struct {
 	VCHistogram *stats.Histogram
 }
 
-// Run executes the campaign on the study engine: a single-cell Study
-// whose repetition ledger is the campaign's run list. Runs are
-// independent simulations fanned over batch.Map; a failing run fails
-// the campaign (index-ordered error aggregation), and cancelling ctx
-// abandons unstarted runs.
+// Run executes the campaign as a single-cell Study whose repetition
+// ledger is the campaign's run list, and maps the study outcome onto
+// the campaign's: the same aggregator, so the two agree bit for bit.
+// Runs are independent simulations fanned over batch.Map; a failing run
+// fails the campaign (index-ordered error aggregation), and cancelling
+// ctx abandons unstarted runs.
 func (c Campaign) Run(ctx context.Context) (*Outcome, error) {
 	if c.Runs <= 0 {
 		return nil, fmt.Errorf("study: campaign needs a positive run count, got %d", c.Runs)
@@ -150,25 +146,20 @@ func (c Campaign) Run(ctx context.Context) (*Outcome, error) {
 		KeepSeries: c.KeepSeries, StabilityBands: c.StabilityBands,
 		VCHistBins: c.VCHistBins, VCHistLo: c.VCHistLo, VCHistHi: c.VCHistHi,
 	}
-	p, err := st.plan()
+	so, err := st.Run(ctx)
 	if err != nil {
 		return nil, err
 	}
-	results, err := st.runTasks(ctx, p, p.allTasks(st))
-	if err != nil {
-		return nil, err
+	out := &Outcome{
+		Results: make([]RunResult, len(so.Results)),
+		Summary: so.Summary, Groups: so.Groups, VCHistogram: so.VCHistogram,
 	}
-	runs := make([]RunResult, len(results))
-	for i := range results {
-		r := &results[i]
-		runs[i] = RunResult{
+	for i := range so.Results {
+		r := &so.Results[i]
+		out.Results[i] = RunResult{
 			Index: r.Task.Index, Seed: r.Task.Seed, Group: r.Group,
-			Spec: r.Spec, Result: r.Result, vcHist: r.Hist,
+			Spec: r.Spec, Result: r.Result,
 		}
-	}
-	out := &Outcome{Results: runs}
-	if err := out.summarise(c); err != nil {
-		return nil, err
 	}
 	return out, nil
 }
@@ -230,55 +221,4 @@ func (a *summaryAccum) summary() (Summary, error) {
 		return s, err
 	}
 	return s, nil
-}
-
-// summarise computes the aggregates strictly in run order, so the
-// Outcome is bit-identical at any worker count.
-func (o *Outcome) summarise(c Campaign) error {
-	n := len(o.Results)
-	if n == 0 {
-		return errors.New("study: empty campaign")
-	}
-	overall := newSummaryAccum(n)
-	var groupOrder []string
-	groups := map[string]*summaryAccum{}
-	for i := range o.Results {
-		r := &o.Results[i]
-		m := metricsFrom(r.Result)
-		overall.add(m)
-		if c.Group != nil {
-			g, ok := groups[r.Group]
-			if !ok {
-				g = newSummaryAccum(0)
-				groups[r.Group] = g
-				groupOrder = append(groupOrder, r.Group)
-			}
-			g.add(m)
-		}
-		if r.vcHist != nil {
-			if o.VCHistogram == nil {
-				merged := *r.vcHist // copy bounds; reuse the first run's bins
-				merged.Bins = append([]float64(nil), r.vcHist.Bins...)
-				o.VCHistogram = &merged
-			} else if err := o.VCHistogram.Merge(r.vcHist); err != nil {
-				return err
-			}
-			// Merged; drop the per-run histogram so a 10k-run campaign
-			// does not keep O(runs × bins) dead weight alive through
-			// the Outcome.
-			r.vcHist = nil
-		}
-	}
-	var err error
-	if o.Summary, err = overall.summary(); err != nil {
-		return err
-	}
-	for _, name := range groupOrder {
-		s, err := groups[name].summary()
-		if err != nil {
-			return err
-		}
-		o.Groups = append(o.Groups, GroupSummary{Name: name, Summary: s})
-	}
-	return nil
 }

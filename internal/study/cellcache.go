@@ -125,97 +125,3 @@ func (st Study) CellIdentities() ([]CellIdentity, error) {
 	}
 	return out, nil
 }
-
-// CellRange returns cell i's contiguous task range — the ledger slice
-// its repetitions occupy (cells are rep-major: task = cell·reps + rep).
-func (st Study) CellRange(i int) (TaskRange, error) {
-	p, err := st.plan()
-	if err != nil {
-		return TaskRange{}, err
-	}
-	if i < 0 || i >= len(p.cells) {
-		return TaskRange{}, fmt.Errorf("study: cell %d outside [0,%d)", i, len(p.cells))
-	}
-	return TaskRange{Lo: i * p.reps, Hi: (i + 1) * p.reps}, nil
-}
-
-// ExtractCellRecords cuts cell i's task records out of a checkpoint and
-// re-bases their indices to repetition order (0..reps-1) — the storable
-// form a content-addressed cache keys by CellIdentity.Digest. The
-// checkpoint must cover the whole cell; records are deep-copied, so
-// later mutation of the checkpoint cannot corrupt the cache entry.
-func (st Study) ExtractCellRecords(cp *Checkpoint, i int) ([]TaskRecord, error) {
-	p, err := st.plan()
-	if err != nil {
-		return nil, err
-	}
-	if err := st.cacheable(); err != nil {
-		return nil, err
-	}
-	if err := st.checkFingerprint(p, cp); err != nil {
-		return nil, err
-	}
-	if i < 0 || i >= len(p.cells) {
-		return nil, fmt.Errorf("study: cell %d outside [0,%d)", i, len(p.cells))
-	}
-	lo, hi := i*p.reps, (i+1)*p.reps
-	out := make([]TaskRecord, 0, p.reps)
-	for _, rec := range cp.Records {
-		if rec.Index < lo || rec.Index >= hi {
-			continue
-		}
-		rec.Index -= lo
-		rec.HistBins = append([]float64(nil), rec.HistBins...)
-		out = append(out, rec)
-	}
-	if len(out) != p.reps {
-		return nil, fmt.Errorf("study: checkpoint covers %d of cell %d's %d repetitions", len(out), i, p.reps)
-	}
-	return out, nil
-}
-
-// CellCheckpoint rebuilds the chunk checkpoint of cell i of this study
-// from repetition-relative records (the cache-restore path: records
-// extracted from one study re-based into another that shares the cell).
-// Seeds are verified against the study's own derivation — a record
-// whose seed disagrees with the ledger is a mis-keyed cache entry and
-// is refused, never folded — and the result passes full checkpoint
-// validation, so it can go straight into a Folder.
-func (st Study) CellCheckpoint(i int, recs []TaskRecord) (*Checkpoint, error) {
-	p, err := st.plan()
-	if err != nil {
-		return nil, err
-	}
-	if err := st.cacheable(); err != nil {
-		return nil, err
-	}
-	if i < 0 || i >= len(p.cells) {
-		return nil, fmt.Errorf("study: cell %d outside [0,%d)", i, len(p.cells))
-	}
-	if len(recs) != p.reps {
-		return nil, fmt.Errorf("study: cell %d restore carries %d records, want %d", i, len(recs), p.reps)
-	}
-	cp := &Checkpoint{
-		Fingerprint: st.fingerprint(p),
-		Total:       p.total,
-		Records:     make([]TaskRecord, len(recs)),
-	}
-	for rep, rec := range recs {
-		if rec.Index != rep {
-			return nil, fmt.Errorf("study: cell %d restore record %d carries repetition index %d", i, rep, rec.Index)
-		}
-		t := p.task(st, i*p.reps+rep)
-		if rec.Seed != t.Seed {
-			return nil, fmt.Errorf("study: cell %d repetition %d seed %d disagrees with ledger seed %d — mis-keyed cache entry",
-				i, rep, rec.Seed, t.Seed)
-		}
-		rec.Index = t.Index
-		rec.HistBins = append([]float64(nil), rec.HistBins...)
-		cp.Records[rep] = rec
-	}
-	cp.rebuildRanges()
-	if err := cp.Validate(); err != nil {
-		return nil, err
-	}
-	return cp, nil
-}

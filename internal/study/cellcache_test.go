@@ -28,12 +28,14 @@ func cellCacheStudy(t testing.TB, reps int, storages []Level) Study {
 	}
 }
 
-func idealLevel() Level    { return Storage("ideal", sim.IdealCap{Farads: 0.047}) }
-func ideal2Level() Level   { return Storage("ideal-2", sim.IdealCap{Farads: 0.1}) }
-func hybridLevel() Level { return Storage("hybrid", sim.HybridCap{
-	NodeFarads: 0.01, ReservoirFarads: 1, DiodeDropVolts: 0.35,
-	DiodeOhms: 0.2, ChargeOhms: 10, LeakOhms: 20000,
-}) }
+func idealLevel() Level  { return Storage("ideal", sim.IdealCap{Farads: 0.047}) }
+func ideal2Level() Level { return Storage("ideal-2", sim.IdealCap{Farads: 0.1}) }
+func hybridLevel() Level {
+	return Storage("hybrid", sim.HybridCap{
+		NodeFarads: 0.01, ReservoirFarads: 1, DiodeDropVolts: 0.35,
+		DiodeOhms: 0.2, ChargeOhms: 10, LeakOhms: 20000,
+	})
+}
 
 func TestCellIdentityDigests(t *testing.T) {
 	st := cellCacheStudy(t, 3, []Level{idealLevel(), ideal2Level()})
@@ -119,8 +121,32 @@ func TestCellIdentitySharedAcrossMatrices(t *testing.T) {
 	}
 }
 
-// TestCellRecordsRoundTrip: records extracted from one study's
-// checkpoint and re-based into a second identical study fold into an
+// cellRecord encodes repetition-relative task records as a cell
+// record, the form EncodeCell writes — so a test can build one EncodeCell
+// would refuse to.
+func cellRecord(recs []TaskRecord) []byte { return encodeRecord(nil, len(recs), recs, 0) }
+
+// cellRecords runs cell c of st as its own chunk and returns its
+// checkpoint and its repetition-relative records.
+func cellRecords(t testing.TB, st Study, c int) (*Checkpoint, []TaskRecord) {
+	t.Helper()
+	cp, err := st.RunChunk(context.Background(), TaskRange{Lo: c * st.Reps, Hi: (c + 1) * st.Reps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := st.EncodeCell(cp, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, recs, err := decodeRecord(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cp, recs
+}
+
+// TestCellRecordsRoundTrip: cell records encoded from one study's cell
+// chunks and restored into a second identical study fold into an
 // outcome bit-identical to a direct run — the cache-restore contract.
 func TestCellRecordsRoundTrip(t *testing.T) {
 	st := cellCacheStudy(t, 2, []Level{idealLevel(), ideal2Level()})
@@ -130,23 +156,23 @@ func TestCellRecordsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := st.RunShard(ctx, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 
-	// Rebuild the outcome purely from extracted-and-restored cells.
+	// Rebuild the outcome purely from encoded-and-restored cells.
 	twin := cellCacheStudy(t, 2, []Level{idealLevel(), ideal2Level()})
 	folder, err := twin.NewFolder(2) // chunk = one cell (reps = 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for c := 0; c < 4; c++ {
-		recs, err := st.ExtractCellRecords(full, c)
+		chunk, err := st.RunChunk(ctx, folder.Range(c))
 		if err != nil {
 			t.Fatal(err)
 		}
-		cp, err := twin.CellCheckpoint(c, recs)
+		raw, err := st.EncodeCell(chunk, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp, err := twin.RestoreCell(c, raw)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,34 +200,32 @@ func TestCellRecordsRoundTrip(t *testing.T) {
 
 func TestCellCheckpointRefusals(t *testing.T) {
 	st := cellCacheStudy(t, 2, []Level{idealLevel(), ideal2Level()})
-	full, err := st.RunShard(context.Background(), 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs, err := st.ExtractCellRecords(full, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, recs := cellRecords(t, st, 1)
+	good := cellRecord(recs)
 
 	// Restoring into the wrong cell trips the seed verification.
-	if _, err := st.CellCheckpoint(2, recs); err == nil {
+	if _, err := st.RestoreCell(2, good); err == nil {
 		t.Fatal("mis-keyed cell restore accepted")
 	}
 	// Wrong record count.
-	if _, err := st.CellCheckpoint(1, recs[:1]); err == nil {
+	if _, err := st.RestoreCell(1, cellRecord(recs[:1])); err == nil {
 		t.Fatal("short cell restore accepted")
 	}
 	// Tampered seed.
 	bad := append([]TaskRecord(nil), recs...)
 	bad[0].Seed++
-	if _, err := st.CellCheckpoint(1, bad); err == nil {
+	if _, err := st.RestoreCell(1, cellRecord(bad)); err == nil {
 		t.Fatal("tampered seed accepted")
 	}
 	// Out-of-range cells.
-	if _, err := st.ExtractCellRecords(full, 7); err == nil {
-		t.Fatal("out-of-range extract accepted")
+	full, err := st.RunShard(context.Background(), 0, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := st.CellCheckpoint(-1, recs); err == nil {
+	if _, err := st.EncodeCell(full, 7); err == nil {
+		t.Fatal("out-of-range encode accepted")
+	}
+	if _, err := st.RestoreCell(-1, good); err == nil {
 		t.Fatal("out-of-range restore accepted")
 	}
 
@@ -217,12 +241,16 @@ func TestCellCheckpointRefusals(t *testing.T) {
 		t.Fatal("Group study produced cell identities")
 	}
 
-	// The round trip only covers whole cells: a partial checkpoint errors.
+	// A cell record holds exactly one cell's chunk: a partial chunk, or
+	// a checkpoint holding more than the cell, errors.
 	partial, err := st.RunChunk(context.Background(), TaskRange{Lo: 2, Hi: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.ExtractCellRecords(partial, 1); err == nil {
-		t.Fatal("partial-cell extract accepted")
+	if _, err := st.EncodeCell(partial, 1); err == nil {
+		t.Fatal("partial-cell encode accepted")
+	}
+	if _, err := st.EncodeCell(full, 1); err == nil {
+		t.Fatal("whole-study checkpoint encoded as one cell")
 	}
 }

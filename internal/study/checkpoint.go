@@ -9,7 +9,6 @@ import (
 
 	"pnps/internal/scenario"
 	"pnps/internal/soc"
-	"pnps/internal/stats"
 )
 
 // Fingerprint identifies a study plan: merging or resuming checkpoints
@@ -160,29 +159,28 @@ type TaskRecord struct {
 }
 
 // Checkpoint is the serialisable state of a partially (or fully)
-// executed study: which ledger ranges are done and the per-task
-// records needed to finish the aggregation later, elsewhere, or both.
-// Shards produce checkpoints; Merge unions them; Study.Resume fills
-// the gaps; Study.Outcome folds a complete checkpoint into a
-// StudyOutcome bit-identical to an unsharded run's.
+// executed study: the per-task records of the ledger tasks done so far,
+// enough to finish the aggregation later, elsewhere, or both. Shards
+// and chunks produce checkpoints; MergeCheckpoints unions them;
+// Study.Resume fills the gaps; Study.Outcome folds a complete
+// checkpoint into a StudyOutcome bit-identical to an unsharded run's.
 //
 // Checkpoints travel across trust boundaries (files, the coordinator's
 // HTTP submissions), so none of their invariants are assumed: every
-// consumer re-validates record uniqueness, index bounds and histogram
-// consistency via Validate, and Completed is always rebuilt from the
-// records rather than trusted from the wire.
+// consumer re-validates record order, uniqueness, index bounds and
+// histogram consistency via Validate. Which tasks are done is read off
+// the validated records, never stored beside them.
 type Checkpoint struct {
 	Fingerprint Fingerprint `json:"fingerprint"`
 	// Total is the full ledger size (cells × reps).
 	Total int `json:"total_tasks"`
-	// Completed lists the done task ranges, sorted and coalesced.
-	Completed []TaskRange `json:"completed"`
 	// Records holds one entry per completed task, sorted by index.
 	Records []TaskRecord `json:"records"`
 }
 
-// checkpointFrom cuts a checkpoint from executed task results.
-func (st Study) checkpointFrom(p *plan, results []TaskResult) (*Checkpoint, error) {
+// checkpointFrom cuts a checkpoint from executed task results, which
+// arrive in ledger order.
+func (st Study) checkpointFrom(p *plan, results []TaskResult) *Checkpoint {
 	cp := &Checkpoint{
 		Fingerprint: st.fingerprint(p),
 		Total:       p.total,
@@ -200,57 +198,32 @@ func (st Study) checkpointFrom(p *plan, results []TaskResult) (*Checkpoint, erro
 		}
 		cp.Records[i] = rec
 	}
-	sort.Slice(cp.Records, func(i, j int) bool { return cp.Records[i].Index < cp.Records[j].Index })
-	cp.rebuildRanges()
-	return cp, nil
+	return cp
 }
 
-// rebuildRanges recomputes Completed from the sorted Records.
-func (cp *Checkpoint) rebuildRanges() {
-	cp.Completed = cp.Completed[:0]
-	for _, rec := range cp.Records {
-		if n := len(cp.Completed); n > 0 && cp.Completed[n-1].Hi == rec.Index {
-			cp.Completed[n-1].Hi++
-			continue
-		}
-		cp.Completed = append(cp.Completed, TaskRange{Lo: rec.Index, Hi: rec.Index + 1})
-	}
-}
-
-// completedSet expands the record list into a membership set.
-func (cp *Checkpoint) completedSet() map[int]bool {
-	done := make(map[int]bool, len(cp.Records))
-	for _, rec := range cp.Records {
-		done[rec.Index] = true
-	}
-	return done
-}
-
-// clone deep-copies the checkpoint.
-func (cp *Checkpoint) clone() *Checkpoint {
-	out := &Checkpoint{Fingerprint: cp.Fingerprint, Total: cp.Total}
-	out.Records = make([]TaskRecord, len(cp.Records))
-	for i, rec := range cp.Records {
-		rec.HistBins = append([]float64(nil), rec.HistBins...)
-		out.Records[i] = rec
-	}
-	out.rebuildRanges()
-	return out
-}
-
-// Complete reports whether every ledger task has a record. The check is
-// structural — the coalesced ranges must be exactly one span covering
-// [0, Total) — not a record count: a corrupt checkpoint with duplicate
-// indices can hold Total records without covering the ledger, and must
-// not pass as complete (see Validate for the full invariant set).
+// Complete reports whether the checkpoint is valid and holds a record
+// for every ledger task. Validation makes the record count decisive: a
+// valid checkpoint's indices are unique and inside [0, Total), so Total
+// of them cover the ledger, while duplicate indices padding the count
+// fail validation.
 func (cp *Checkpoint) Complete() bool {
-	if len(cp.Records) != cp.Total {
-		return false
+	return cp.Validate() == nil && len(cp.Records) == cp.Total
+}
+
+// covers reports whether a valid checkpoint holds exactly the tasks of
+// the non-empty range r: sorted unique records, as many as r spans,
+// from r.Lo to r.Hi-1.
+func (cp *Checkpoint) covers(r TaskRange) bool {
+	n := len(cp.Records)
+	return n > 0 && n == r.Hi-r.Lo && cp.Records[0].Index == r.Lo && cp.Records[n-1].Index == r.Hi-1
+}
+
+// coverage describes the tasks a checkpoint holds, for diagnostics.
+func (cp *Checkpoint) coverage() string {
+	if len(cp.Records) == 0 {
+		return "no tasks"
 	}
-	if cp.Total == 0 {
-		return true
-	}
-	return len(cp.Completed) == 1 && cp.Completed[0] == (TaskRange{Lo: 0, Hi: cp.Total})
+	return fmt.Sprintf("%d tasks in [%d,%d]", len(cp.Records), cp.Records[0].Index, cp.Records[len(cp.Records)-1].Index)
 }
 
 // histTotalTol is the relative tolerance of the HistTotal-vs-bin-sum
@@ -268,8 +241,9 @@ const histTotalTol = 1e-6
 // pinned configuration, total matching the bin sum). Checkpoints cross
 // trust boundaries — files that may have been corrupted or hand-edited,
 // HTTP submissions from workers — so every deserialisation and merge
-// boundary (ReadCheckpoint, Merge, Resume, Outcome, the coordinator's
-// submission handler) re-validates rather than trusting its input.
+// boundary (ReadCheckpoint, MergeCheckpoints, Resume, Outcome, the
+// coordinator's submission handler) re-validates rather than trusting
+// its input.
 func (cp *Checkpoint) Validate() error {
 	if cp.Total < 0 {
 		return fmt.Errorf("study: checkpoint ledger size %d is negative", cp.Total)
@@ -334,15 +308,16 @@ func (rec *TaskRecord) validateHist(wantBins int) error {
 	return nil
 }
 
-// Missing returns the ledger ranges still to execute, sorted.
+// Missing returns the ledger ranges a valid checkpoint has no records
+// for, sorted.
 func (cp *Checkpoint) Missing() []TaskRange {
 	var missing []TaskRange
 	next := 0
-	for _, r := range cp.Completed {
-		if r.Lo > next {
-			missing = append(missing, TaskRange{Lo: next, Hi: r.Lo})
+	for _, rec := range cp.Records {
+		if rec.Index > next {
+			missing = append(missing, TaskRange{Lo: next, Hi: rec.Index})
 		}
-		next = r.Hi
+		next = rec.Index + 1
 	}
 	if next < cp.Total {
 		missing = append(missing, TaskRange{Lo: next, Hi: cp.Total})
@@ -350,57 +325,41 @@ func (cp *Checkpoint) Missing() []TaskRange {
 	return missing
 }
 
-// Merge folds the other checkpoint into cp. Both must stem from the
-// same study, and their completed task sets must be disjoint — the
-// ledger guarantees every task runs exactly once, so an overlap means
-// two shards were mis-split and is an error, not a tie-break. Both
-// sides are re-validated first (checkpoints cross trust boundaries),
-// and the merged records are deep copies: other's backing arrays are
-// never aliased, so later mutation of cp cannot corrupt its sources.
-func (cp *Checkpoint) Merge(other *Checkpoint) error {
-	if err := cp.Validate(); err != nil {
-		return fmt.Errorf("study: merge target invalid: %w", err)
-	}
-	if err := other.Validate(); err != nil {
-		return fmt.Errorf("study: merge source invalid: %w", err)
-	}
-	if !cp.Fingerprint.equal(other.Fingerprint) {
-		return fmt.Errorf("study: merge of checkpoints from different studies")
-	}
-	if cp.Total != other.Total {
-		return fmt.Errorf("study: merge of checkpoints with ledger sizes %d vs %d", cp.Total, other.Total)
-	}
-	done := cp.completedSet()
-	for _, rec := range other.Records {
-		if done[rec.Index] {
-			return fmt.Errorf("study: merge overlap at task %d — shards must partition the ledger", rec.Index)
-		}
-	}
-	for _, rec := range other.Records {
-		rec.HistBins = append([]float64(nil), rec.HistBins...)
-		cp.Records = append(cp.Records, rec)
-	}
-	sort.Slice(cp.Records, func(i, j int) bool { return cp.Records[i].Index < cp.Records[j].Index })
-	cp.rebuildRanges()
-	return nil
-}
-
-// MergeCheckpoints unions shard checkpoints into one. None of the
-// inputs are mutated, and the result shares no backing arrays with
-// them — records are deep-copied on the way in.
+// MergeCheckpoints unions checkpoints of one study — shards, chunks, a
+// partial checkpoint and its resumed remainder — into one. Every input
+// is validated first (checkpoints cross trust boundaries), and their
+// task sets must be disjoint: the ledger runs every task exactly once,
+// so an overlap means two pieces were mis-split and is an error, not a
+// tie-break. None of the inputs are mutated, and the result shares no
+// backing arrays with them — records are deep-copied on the way in.
 func MergeCheckpoints(cps ...*Checkpoint) (*Checkpoint, error) {
 	if len(cps) == 0 {
 		return nil, fmt.Errorf("study: nothing to merge")
 	}
-	if err := cps[0].Validate(); err != nil {
-		return nil, err
-	}
-	out := cps[0].clone()
-	for _, cp := range cps[1:] {
-		if err := out.Merge(cp); err != nil {
+	out := &Checkpoint{Fingerprint: cps[0].Fingerprint, Total: cps[0].Total}
+	for _, cp := range cps {
+		if err := cp.Validate(); err != nil {
 			return nil, err
 		}
+		if !out.Fingerprint.equal(cp.Fingerprint) {
+			return nil, fmt.Errorf("study: merge of checkpoints from different studies")
+		}
+		if cp.Total != out.Total {
+			return nil, fmt.Errorf("study: merge of checkpoints with ledger sizes %d vs %d", out.Total, cp.Total)
+		}
+		for _, rec := range cp.Records {
+			rec.HistBins = append([]float64(nil), rec.HistBins...)
+			out.Records = append(out.Records, rec)
+		}
 	}
+	sort.SliceStable(out.Records, func(i, j int) bool { return out.Records[i].Index < out.Records[j].Index })
+	for i := 1; i < len(out.Records); i++ {
+		if out.Records[i].Index == out.Records[i-1].Index {
+			return nil, fmt.Errorf("study: merge overlap at task %d — shards must partition the ledger", out.Records[i].Index)
+		}
+	}
+	// Valid inputs sorted together and free of overlaps form a valid
+	// checkpoint: nothing else about a record depends on its neighbours.
 	return out, nil
 }
 
@@ -415,10 +374,11 @@ func (cp *Checkpoint) WriteJSON(w io.Writer) error {
 
 // Outcome folds a complete checkpoint into the study's aggregate. The
 // checkpoint must belong to this study and cover the whole ledger; an
-// incomplete checkpoint errors with the missing ranges. The outcome is
+// incomplete checkpoint errors with the missing ranges. The records
+// fold through the accumulator the chunk Folder uses, so the outcome is
 // bit-identical to an unsharded Run of the same study (its Results
-// carry metrics and histograms but no *sim.Result — the simulations
-// happened elsewhere).
+// carry metrics but no *sim.Result — the simulations happened
+// elsewhere).
 func (st Study) Outcome(cp *Checkpoint) (*StudyOutcome, error) {
 	p, err := st.plan()
 	if err != nil {
@@ -427,24 +387,12 @@ func (st Study) Outcome(cp *Checkpoint) (*StudyOutcome, error) {
 	if err := st.checkFingerprint(p, cp); err != nil {
 		return nil, err
 	}
-	if !cp.Complete() {
+	if len(cp.Records) != cp.Total {
 		return nil, fmt.Errorf("study: checkpoint incomplete — missing task ranges %v", cp.Missing())
 	}
-	results := make([]TaskResult, len(cp.Records))
-	for i, rec := range cp.Records {
-		results[i] = TaskResult{
-			Task:    p.task(st, rec.Index),
-			Group:   rec.Group,
-			Metrics: rec.Metrics,
-		}
-		if len(rec.HistBins) > 0 {
-			h, err := stats.RestoreHistogram(st.VCHistLo, st.VCHistHi, rec.HistBins,
-				rec.HistUnder, rec.HistOver, rec.HistTotal)
-			if err != nil {
-				return nil, fmt.Errorf("study: task %d histogram: %w", rec.Index, err)
-			}
-			results[i].Hist = h
-		}
+	a := st.newOutcomeAccum(p, make([]TaskResult, 0, p.total))
+	if err := a.addRecords(cp.Records); err != nil {
+		return nil, err
 	}
-	return st.outcomeFrom(p, results)
+	return a.outcome()
 }

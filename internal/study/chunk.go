@@ -3,8 +3,6 @@ package study
 import (
 	"context"
 	"fmt"
-
-	"pnps/internal/stats"
 )
 
 // Chunked execution: the distributed-coordination unit of a study.
@@ -55,7 +53,7 @@ func (st Study) Chunks(size int) ([]TaskRange, error) {
 
 // RunChunk executes the contiguous ledger block [r.Lo, r.Hi) and
 // returns its checkpoint — the worker-side unit of coordinated
-// execution. Like RunShard, the checkpoint merges and folds back into
+// execution. Like a shard's, the checkpoint merges and folds back into
 // an outcome bit-identical to an unsharded Run.
 func (st Study) RunChunk(ctx context.Context, r TaskRange) (*Checkpoint, error) {
 	p, err := st.plan()
@@ -65,15 +63,11 @@ func (st Study) RunChunk(ctx context.Context, r TaskRange) (*Checkpoint, error) 
 	if r.Lo < 0 || r.Hi > p.total || r.Lo >= r.Hi {
 		return nil, fmt.Errorf("study: chunk %v outside ledger [0,%d)", r, p.total)
 	}
-	tasks := make([]Task, 0, r.Hi-r.Lo)
-	for t := r.Lo; t < r.Hi; t++ {
-		tasks = append(tasks, p.task(st, t))
-	}
-	results, err := st.runTasks(ctx, p, tasks)
+	results, err := st.runRanges(ctx, p, r)
 	if err != nil {
 		return nil, err
 	}
-	return st.checkpointFrom(p, results)
+	return st.checkpointFrom(p, results), nil
 }
 
 // Folder streams chunk checkpoints into a study outcome. Chunks may
@@ -114,7 +108,7 @@ func (st Study) NewFolder(chunkSize int) (*Folder, error) {
 	}
 	return &Folder{
 		st: st, p: p, fp: st.fingerprint(p), chunkSize: chunkSize,
-		accum:   st.newOutcomeAccum(p),
+		accum:   st.newOutcomeAccum(p, make([]TaskResult, 0, p.total)),
 		pending: map[int]*Checkpoint{},
 	}, nil
 }
@@ -163,9 +157,8 @@ func (f *Folder) Fold(i int, cp *Checkpoint) error {
 	if cp.Total != f.p.total {
 		return fmt.Errorf("study: chunk %d checkpoint ledger size %d, study has %d tasks", i, cp.Total, f.p.total)
 	}
-	r := f.Range(i)
-	if len(cp.Completed) != 1 || cp.Completed[0] != r {
-		return fmt.Errorf("study: chunk %d checkpoint covers %v, want exactly %v", i, cp.Completed, r)
+	if r := f.Range(i); !cp.covers(r) {
+		return fmt.Errorf("study: chunk %d checkpoint covers %s, want exactly %v", i, cp.coverage(), r)
 	}
 	f.pending[i] = cp
 	for {
@@ -174,7 +167,7 @@ func (f *Folder) Fold(i int, cp *Checkpoint) error {
 			return nil
 		}
 		delete(f.pending, f.next)
-		if err := f.foldChunk(next); err != nil {
+		if err := f.accum.addRecords(next.Records); err != nil {
 			// Validation above makes this unreachable for hostile input;
 			// if it ever fires the accumulators are part-updated, so the
 			// folder refuses all further work.
@@ -183,26 +176,6 @@ func (f *Folder) Fold(i int, cp *Checkpoint) error {
 		}
 		f.next++
 	}
-}
-
-// foldChunk replays one in-order chunk's records through the outcome
-// accumulator.
-func (f *Folder) foldChunk(cp *Checkpoint) error {
-	for _, rec := range cp.Records {
-		r := TaskResult{Task: f.p.task(f.st, rec.Index), Group: rec.Group, Metrics: rec.Metrics}
-		if len(rec.HistBins) > 0 {
-			h, err := stats.RestoreHistogram(f.st.VCHistLo, f.st.VCHistHi, rec.HistBins,
-				rec.HistUnder, rec.HistOver, rec.HistTotal)
-			if err != nil {
-				return fmt.Errorf("study: task %d histogram: %w", rec.Index, err)
-			}
-			r.Hist = h
-		}
-		if err := f.accum.add(r); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Missing returns the chunk indices not yet folded or buffered.

@@ -181,13 +181,14 @@ func TestFolderRejections(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A strided shard does not cover chunk 0's contiguous range.
+	// A shard cut to another geometry ([0,2) of 8 tasks in 3 shards)
+	// does not cover chunk 0's range [0,3).
 	shard, err := st.RunShard(context.Background(), 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Fold(0, shard); err == nil || !strings.Contains(err.Error(), "covers") {
-		t.Fatalf("strided shard accepted as chunk: %v", err)
+		t.Fatalf("shard of another geometry accepted as chunk: %v", err)
 	}
 
 	// A chunk of a different study (other seed) must be refused.

@@ -28,8 +28,9 @@ import (
 //
 // A checkpoint carries its study fingerprint as JSON, so the study
 // identity keeps the one definition Fingerprint gives it. A cached cell
-// carries none (fpLen 0, total = count): its identity is its cache key,
-// and CellCheckpoint re-validates it against the restoring study.
+// carries none (fpLen 0, total = count, indices counted from the cell's
+// first task): its identity is its cache key, and RestoreCell
+// re-validates it against the restoring study.
 //
 // The decoder trusts nothing: every length is bounded by the bytes that
 // remain, trailing bytes, non-finite values and Survived bytes other
@@ -55,13 +56,12 @@ func (cp *Checkpoint) WriteBinary(w io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("study: encoding checkpoint fingerprint: %w", err)
 	}
-	_, err = w.Write(encodeRecord(fp, cp.Total, cp.Records))
+	_, err = w.Write(encodeRecord(fp, cp.Total, cp.Records, 0))
 	return err
 }
 
-// ReadCheckpoint decodes a checkpoint written by WriteBinary. The
-// completed ranges are rebuilt from the records (never trusted from the
-// input) and the result is validated: a truncated or padded record, a
+// ReadCheckpoint decodes a checkpoint written by WriteBinary and
+// validates it: a truncated or padded record, a
 // non-finite value, duplicate, unsorted or out-of-range task indices, or
 // inconsistent histogram counters are diagnostic errors here, not wrong
 // aggregates later. A checkpoint in the retired JSON format is refused
@@ -82,7 +82,6 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	if cp.Fingerprint, err = decodeFingerprint(fp); err != nil {
 		return nil, err
 	}
-	cp.rebuildRanges()
 	if err := cp.Validate(); err != nil {
 		return nil, err
 	}
@@ -104,23 +103,51 @@ func decodeFingerprint(raw []byte) (Fingerprint, error) {
 	return fp, nil
 }
 
-// EncodeCell extracts cell i's records from a checkpoint (see
-// ExtractCellRecords) and encodes them as a fingerprint-free binary
-// record — the value a content-addressed cell cache stores under the
-// cell's CellIdentity digest.
+// EncodeCell encodes cell i's chunk checkpoint — cp must hold exactly
+// the tasks of the cell's repetitions — as a fingerprint-free binary
+// record with task indices counted from the cell's first task: the
+// value a content-addressed cell cache stores under the cell's
+// CellIdentity digest.
 func (st Study) EncodeCell(cp *Checkpoint, i int) ([]byte, error) {
-	recs, err := st.ExtractCellRecords(cp, i)
+	p, err := st.plan()
 	if err != nil {
 		return nil, err
 	}
-	return encodeRecord(nil, len(recs), recs), nil
+	if err := st.cacheable(); err != nil {
+		return nil, err
+	}
+	r, err := p.cellRange(i)
+	if err != nil {
+		return nil, err
+	}
+	if err := st.checkFingerprint(p, cp); err != nil {
+		return nil, err
+	}
+	if !cp.covers(r) {
+		return nil, fmt.Errorf("study: checkpoint covers %s, want exactly cell %d's tasks %v", cp.coverage(), i, r)
+	}
+	return encodeRecord(nil, p.reps, cp.Records, r.Lo), nil
 }
 
-// RestoreCell decodes a cell record written by EncodeCell and rebuilds
-// it as cell i's chunk checkpoint of this study (see CellCheckpoint):
-// seeds are verified against the study's ledger and the result passes
-// full checkpoint validation, so it can go straight into a Folder.
+// RestoreCell decodes a cell record written by EncodeCell into cell i's
+// chunk checkpoint of this study (the cache-restore path: records
+// stored by one study restored into another that shares the cell).
+// Seeds are verified against the study's own ledger — a record whose
+// seed disagrees is a mis-keyed cache entry and is refused, never
+// folded — and the result is a valid checkpoint covering exactly the
+// cell, so it can go straight into a Folder.
 func (st Study) RestoreCell(i int, raw []byte) (*Checkpoint, error) {
+	p, err := st.plan()
+	if err != nil {
+		return nil, err
+	}
+	if err := st.cacheable(); err != nil {
+		return nil, err
+	}
+	r, err := p.cellRange(i)
+	if err != nil {
+		return nil, err
+	}
 	fp, total, recs, err := decodeRecord(raw)
 	if err != nil {
 		return nil, fmt.Errorf("study: reading cell record: %w", err)
@@ -129,11 +156,32 @@ func (st Study) RestoreCell(i int, raw []byte) (*Checkpoint, error) {
 		return nil, fmt.Errorf("study: reading cell record: not a cell record (fingerprint %d bytes, ledger size %d for %d tasks)",
 			len(fp), total, len(recs))
 	}
-	return st.CellCheckpoint(i, recs)
+	if len(recs) != p.reps {
+		return nil, fmt.Errorf("study: cell %d restore carries %d records, want %d", i, len(recs), p.reps)
+	}
+	for rep := range recs {
+		rec := &recs[rep]
+		if rec.Index != rep {
+			return nil, fmt.Errorf("study: cell %d restore record %d carries repetition index %d", i, rep, rec.Index)
+		}
+		t := p.task(st, r.Lo+rep)
+		if rec.Seed != t.Seed {
+			return nil, fmt.Errorf("study: cell %d repetition %d seed %d disagrees with ledger seed %d — mis-keyed cache entry",
+				i, rep, rec.Seed, t.Seed)
+		}
+		rec.Index = t.Index
+		// Repetition order makes the indices sorted, unique and in
+		// range; the histogram is all Validate has left to check.
+		if err := rec.validateHist(st.VCHistBins); err != nil {
+			return nil, err
+		}
+	}
+	return &Checkpoint{Fingerprint: st.fingerprint(p), Total: p.total, Records: recs}, nil
 }
 
-// encodeRecord encodes one binary record.
-func encodeRecord(fp []byte, total int, recs []TaskRecord) []byte {
+// encodeRecord encodes one binary record, writing each task index
+// less offset.
+func encodeRecord(fp []byte, total int, recs []TaskRecord, offset int) []byte {
 	size := recordHeaderBytes + len(fp) + 8 + 4
 	for i := range recs {
 		size += minTaskBytes + len(recs[i].Group) + 8*len(recs[i].HistBins)
@@ -149,7 +197,7 @@ func encodeRecord(fp []byte, total int, recs []TaskRecord) []byte {
 	for i := range recs {
 		rec := &recs[i]
 		m := &rec.Metrics
-		dst = le.AppendUint64(dst, uint64(rec.Index))
+		dst = le.AppendUint64(dst, uint64(rec.Index-offset))
 		dst = le.AppendUint64(dst, uint64(rec.Seed))
 		dst = le.AppendUint32(dst, uint32(len(rec.Group)))
 		dst = append(dst, rec.Group...)

@@ -175,7 +175,7 @@ func TestCheckpointRejectsForeignFingerprint(t *testing.T) {
 		"indented":      append([]byte("{ "), fp[1:]...),
 		"not JSON":      []byte("fingerprint"),
 	} {
-		_, err := ReadCheckpoint(bytes.NewReader(encodeRecord(bad, cp.Total, cp.Records)))
+		_, err := ReadCheckpoint(bytes.NewReader(encodeRecord(bad, cp.Total, cp.Records, 0)))
 		wantRefusal(t, label, err, "fingerprint")
 	}
 }
@@ -189,7 +189,11 @@ func TestCellRecordRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := st.EncodeCell(full, 1)
+	chunk, err := st.RunChunk(context.Background(), TaskRange{Lo: 2, Hi: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := st.EncodeCell(chunk, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

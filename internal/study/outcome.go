@@ -99,19 +99,20 @@ func (o *StudyOutcome) CellByKey(key string) (CellOutcome, bool) {
 
 // outcomeAccum is the streaming heart of study aggregation: results
 // are folded one at a time, strictly in canonical ledger order, into
-// the scalar summary accumulators and the cell/study histograms. Both
-// aggregation paths — the in-process outcomeFrom over a full result
-// slice and the chunk Folder consuming coordinator submissions — run
-// through this one accumulator, so a chunked, re-leased, out-of-order
-// distributed study is bit-identical to an unsharded Run by
-// construction, not by coincidence.
+// the scalar summary accumulators and the cell/study histograms. Every
+// aggregation path — the in-process outcomeFrom over a full result
+// slice, Study.Outcome over a merged checkpoint and the chunk Folder
+// consuming coordinator submissions — runs through this one
+// accumulator, so a sharded, chunked, re-leased, out-of-order study is
+// bit-identical to an unsharded Run by construction, not by
+// coincidence.
 //
 // Per-task histograms are merged and dropped as they are folded, so
 // the accumulator's histogram state is O(cells × bins) however many
 // tasks stream through it; the retained per-task state is the scalar
 // records the outcome's Results and quantile bands are made of.
 type outcomeAccum struct {
-	st *Study
+	st Study
 	p  *plan
 
 	overall      *summaryAccum
@@ -124,15 +125,19 @@ type outcomeAccum struct {
 	results      []TaskResult
 }
 
-func (st *Study) newOutcomeAccum(p *plan) *outcomeAccum {
+// newOutcomeAccum prepares an accumulator whose folded results are
+// appended to results, an empty slice with room for the whole ledger.
+func (st Study) newOutcomeAccum(p *plan, results []TaskResult) *outcomeAccum {
 	a := &outcomeAccum{
 		st: st, p: p,
 		overall:      newSummaryAccum(p.total),
 		cellAccums:   make([]*summaryAccum, len(p.cells)),
 		marginAccums: make([][]*summaryAccum, len(st.Axes)),
-		groupAccums:  map[string]*summaryAccum{},
 		cellHists:    make([]*stats.Histogram, len(p.cells)),
-		results:      make([]TaskResult, 0, p.total),
+		results:      results,
+	}
+	if st.Group != nil {
+		a.groupAccums = map[string]*summaryAccum{}
 	}
 	for i := range a.cellAccums {
 		a.cellAccums[i] = newSummaryAccum(p.reps)
@@ -192,6 +197,27 @@ func (a *outcomeAccum) add(r TaskResult) error {
 		r.Hist = nil
 	}
 	a.results = append(a.results, r)
+	return nil
+}
+
+// addRecords folds checkpoint records, which must continue the ledger
+// in canonical order, restoring each task's dwell histogram on the way.
+func (a *outcomeAccum) addRecords(recs []TaskRecord) error {
+	for i := range recs {
+		rec := &recs[i]
+		r := TaskResult{Task: a.p.task(a.st, rec.Index), Group: rec.Group, Metrics: rec.Metrics}
+		if len(rec.HistBins) > 0 {
+			h, err := stats.RestoreHistogram(a.st.VCHistLo, a.st.VCHistHi, rec.HistBins,
+				rec.HistUnder, rec.HistOver, rec.HistTotal)
+			if err != nil {
+				return fmt.Errorf("study: task %d histogram: %w", rec.Index, err)
+			}
+			r.Hist = h
+		}
+		if err := a.add(r); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
@@ -273,7 +299,8 @@ func (st Study) outcomeFrom(p *plan, results []TaskResult) (*StudyOutcome, error
 	if len(results) != p.total {
 		return nil, fmt.Errorf("study: %d results for a %d-task ledger", len(results), p.total)
 	}
-	a := st.newOutcomeAccum(p)
+	// Fold in place: result i is rewritten into slot i of its own slice.
+	a := st.newOutcomeAccum(p, results[:0])
 	for i := range results {
 		if err := a.add(results[i]); err != nil {
 			return nil, err

@@ -89,11 +89,17 @@ func (st Study) failTask(cancel context.CancelFunc, t Task, err error) error {
 
 // instrument attaches the per-run online observers to an assembled
 // config: stability bands always (appended to any spec-level bands), the
-// dwell histogram when configured. Fresh slices per run — specs fan out
-// across workers and must not share mutable state. Returns the run's
-// histogram (nil when the study runs without one).
+// dwell histogram when configured. Specs fan out across workers and
+// must not share mutable state, so appended slices are fresh per run;
+// a config without bands of its own takes the study's bands as they
+// are, since sim only reads them. Returns the run's histogram (nil when
+// the study runs without one).
 func (st Study) instrument(cfg *sim.Config, bands []float64) (*stats.Histogram, error) {
-	cfg.StabilityBands = append(append([]float64(nil), cfg.StabilityBands...), bands...)
+	if len(cfg.StabilityBands) == 0 {
+		cfg.StabilityBands = bands
+	} else {
+		cfg.StabilityBands = append(append([]float64(nil), cfg.StabilityBands...), bands...)
+	}
 	if st.VCHistBins <= 0 {
 		return nil, nil
 	}
@@ -149,6 +155,22 @@ func (st Study) runTasks(ctx context.Context, p *plan, tasks []Task) ([]TaskResu
 	return results, nil
 }
 
+// runRanges executes the tasks of the given ledger ranges, which must
+// be ascending and disjoint, so results come back in ledger order.
+func (st Study) runRanges(ctx context.Context, p *plan, rs ...TaskRange) ([]TaskResult, error) {
+	n := 0
+	for _, r := range rs {
+		n += r.Hi - r.Lo
+	}
+	tasks := make([]Task, 0, n)
+	for _, r := range rs {
+		for t := r.Lo; t < r.Hi; t++ {
+			tasks = append(tasks, p.task(st, t))
+		}
+	}
+	return st.runTasks(ctx, p, tasks)
+}
+
 // Run executes the whole study matrix and aggregates it. Runs are
 // independent simulations fanned over the batch engine; a failing run
 // fails the study (index-ordered error aggregation) and cancelling ctx
@@ -159,37 +181,39 @@ func (st Study) Run(ctx context.Context) (*StudyOutcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	results, err := st.runTasks(ctx, p, p.allTasks(st))
+	results, err := st.runRanges(ctx, p, TaskRange{Lo: 0, Hi: p.total})
 	if err != nil {
 		return nil, err
 	}
 	return st.outcomeFrom(p, results)
 }
 
-// RunShard executes shard i of n — the strided slice of the task ledger
-// with index % n == i — and returns its Checkpoint. Shards of the same
-// study merge back into one complete checkpoint (see Checkpoint.Merge)
-// whose Outcome is bit-identical to an unsharded Run, whatever the
-// shard count or worker counts involved.
+// RunShard executes shard i of n — the contiguous ledger block
+// [i·T/n, (i+1)·T/n) of a T-task ledger — and returns its Checkpoint;
+// when n > T some blocks are empty and so are their checkpoints. The
+// shards of a study merge back (MergeCheckpoints) into one complete
+// checkpoint whose Outcome is bit-identical to an unsharded Run,
+// whatever the shard count or worker counts involved. Blocks are not
+// cost-balanced: a shard of slow cells finishes last, where pncoord's
+// chunk leasing balances load as workers finish.
 func (st Study) RunShard(ctx context.Context, i, n int) (*Checkpoint, error) {
 	p, err := st.plan()
 	if err != nil {
 		return nil, err
 	}
-	tasks, err := p.shardTasks(st, i, n)
+	if n < 1 || i < 0 || i >= n {
+		return nil, fmt.Errorf("study: shard %d/%d invalid", i, n)
+	}
+	results, err := st.runRanges(ctx, p, TaskRange{Lo: i * p.total / n, Hi: (i + 1) * p.total / n})
 	if err != nil {
 		return nil, err
 	}
-	results, err := st.runTasks(ctx, p, tasks)
-	if err != nil {
-		return nil, err
-	}
-	return st.checkpointFrom(p, results)
+	return st.checkpointFrom(p, results), nil
 }
 
-// Resume executes every ledger task the checkpoint has not completed
-// and returns the union checkpoint (the input is not mutated). Resuming
-// a complete checkpoint is a no-op copy. The checkpoint must belong to
+// Resume executes the ledger ranges the checkpoint is missing and
+// returns the union checkpoint (the input is not mutated). Resuming a
+// complete checkpoint is a no-op copy. The checkpoint must belong to
 // this study (same fingerprint).
 func (st Study) Resume(ctx context.Context, cp *Checkpoint) (*Checkpoint, error) {
 	p, err := st.plan()
@@ -199,24 +223,9 @@ func (st Study) Resume(ctx context.Context, cp *Checkpoint) (*Checkpoint, error)
 	if err := st.checkFingerprint(p, cp); err != nil {
 		return nil, err
 	}
-	done := cp.completedSet()
-	var tasks []Task
-	for t := 0; t < p.total; t++ {
-		if !done[t] {
-			tasks = append(tasks, p.task(st, t))
-		}
-	}
-	results, err := st.runTasks(ctx, p, tasks)
+	results, err := st.runRanges(ctx, p, cp.Missing()...)
 	if err != nil {
 		return nil, err
 	}
-	fresh, err := st.checkpointFrom(p, results)
-	if err != nil {
-		return nil, err
-	}
-	merged := cp.clone()
-	if err := merged.Merge(fresh); err != nil {
-		return nil, err
-	}
-	return merged, nil
+	return MergeCheckpoints(cp, st.checkpointFrom(p, results))
 }

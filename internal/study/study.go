@@ -8,29 +8,34 @@
 // labelled cells. Each cell executes Reps Monte-Carlo repetitions; the
 // cell × repetition grid is a flat, stable task ledger (task index =
 // cell*Reps + rep) from which every per-run seed derives, so results
-// are bit-identical at any worker count, across Shard(i, n) splits and
-// across checkpoint/resume boundaries.
+// are bit-identical at any worker count and however the ledger is
+// split.
 //
-// Scale-out is first class: RunShard executes one strided slice of the
-// ledger and returns a serialisable Checkpoint (completed task ranges
-// plus per-task scalar metrics and dwell histograms); checkpoints from
-// different shards, processes or machines Merge into one, Resume fills
-// the gaps, and Outcome folds a complete checkpoint into the same
-// StudyOutcome an unsharded Run produces — bit-identical, because
-// aggregation always replays the ledger in canonical task order.
-// Chunks, RunChunk and Folder are the coordinated form of the same
-// contract: fixed-size contiguous ledger blocks a coordinator leases
-// to workers and folds back, in canonical order, at O(outstanding
-// chunks) histogram memory (see internal/coord).
+// Scale-out is first class, and every split is a union of contiguous
+// ledger ranges. RunShard(i, n) executes the block
+// [i·T/n, (i+1)·T/n) of a T-task ledger and returns a serialisable
+// Checkpoint (per-task scalar metrics and dwell histograms);
+// MergeCheckpoints unions checkpoints from different shards, processes
+// or machines, Resume runs the ranges a checkpoint is missing, and
+// Outcome folds a complete checkpoint into the same StudyOutcome an
+// unsharded Run produces — bit-identical, because aggregation always
+// replays the ledger in canonical task order. Contiguous shards are not
+// cost-balanced (neighbouring tasks share a cell and its cost profile);
+// the coordinated form balances load dynamically instead. Chunks,
+// RunChunk and Folder are that form: fixed-size ledger blocks a
+// coordinator leases to workers and folds back, in canonical order, at
+// O(outstanding chunks) histogram memory (see internal/coord). A cached
+// cell is the chunk of size Reps its repetitions occupy (EncodeCell,
+// RestoreCell; see internal/serve).
 //
 // Checkpoints cross trust boundaries — files that may be truncated,
 // corrupted or hand-edited, and HTTP submissions from remote workers —
 // so the protocol validates rather than trusts: every deserialisation
-// and merge boundary (ReadCheckpoint, Merge, MergeCheckpoints, Resume,
-// Outcome, Folder.Fold) re-checks record-index uniqueness and bounds,
-// histogram-counter consistency and the study fingerprint, and
-// Checkpoint.Complete is a structural coverage check, not a record
-// count. A hostile checkpoint produces a diagnostic error, never a
+// and merge boundary (ReadCheckpoint, MergeCheckpoints, Resume,
+// Outcome, Folder.Fold, RestoreCell) re-checks record order,
+// uniqueness and bounds, histogram-counter consistency and the study
+// fingerprint, and Checkpoint.Complete holds only for a valid
+// checkpoint. A hostile checkpoint produces a diagnostic error, never a
 // silently wrong aggregate.
 //
 // The Monte-Carlo Campaign runner and the experiments-package parameter
@@ -111,8 +116,8 @@ var DefaultStabilityBands = []float64{0.05, 0.10}
 // Base is required (Reps defaults to 1).
 //
 // Execution is deterministic end to end: Run, RunShard at any (i, n),
-// Resume and checkpoint merges all reproduce the same StudyOutcome
-// bit-identically for any Workers value.
+// chunk folds, cached cells, Resume and checkpoint merges all reproduce
+// the same StudyOutcome bit-identically for any Workers value.
 type Study struct {
 	// Name identifies the study in checkpoints and exports.
 	Name string
@@ -305,27 +310,13 @@ func (p *plan) task(st Study, t int) Task {
 	return Task{Index: t, Cell: t / p.reps, Rep: rep, Seed: st.taskSeed(t, rep)}
 }
 
-// allTasks enumerates the full ledger in canonical order.
-func (p *plan) allTasks(st Study) []Task {
-	tasks := make([]Task, p.total)
-	for t := range tasks {
-		tasks[t] = p.task(st, t)
+// cellRange returns cell i's ledger block: the chunk of size reps its
+// repetitions occupy.
+func (p *plan) cellRange(i int) (TaskRange, error) {
+	if i < 0 || i >= len(p.cells) {
+		return TaskRange{}, fmt.Errorf("study: cell %d outside [0,%d)", i, len(p.cells))
 	}
-	return tasks
-}
-
-// shardTasks enumerates shard i of n: the strided slice of the ledger
-// with task.Index % n == i. Striding balances load — neighbouring tasks
-// share a cell and therefore a cost profile.
-func (p *plan) shardTasks(st Study, i, n int) ([]Task, error) {
-	if n < 1 || i < 0 || i >= n {
-		return nil, fmt.Errorf("study: shard %d/%d invalid", i, n)
-	}
-	var tasks []Task
-	for t := i; t < p.total; t += n {
-		tasks = append(tasks, p.task(st, t))
-	}
-	return tasks, nil
+	return ChunkRange(p.total, p.reps, i), nil
 }
 
 // taskSpec derives the (possibly perturbed) spec and group label of one

@@ -180,6 +180,95 @@ func TestStudyShardMergeEqualsUnsharded(t *testing.T) {
 	}
 }
 
+// TestRunShardGeometry: shard i of n is the contiguous ledger block
+// [i·T/n, (i+1)·T/n), so the shards tile the ledger in order — empty
+// blocks included when n > T.
+func TestRunShardGeometry(t *testing.T) {
+	st := testStudy(0) // T = 8
+	for _, n := range []int{1, 2, 3, 5, 8, 11} {
+		next := 0
+		for i := 0; i < n; i++ {
+			cp, err := st.RunShard(context.Background(), i, n)
+			if err != nil {
+				t.Fatalf("shard %d/%d: %v", i, n, err)
+			}
+			lo, hi := i*8/n, (i+1)*8/n
+			if len(cp.Records) != hi-lo {
+				t.Fatalf("shard %d/%d holds %d tasks, want [%d,%d)", i, n, len(cp.Records), lo, hi)
+			}
+			for k, rec := range cp.Records {
+				if rec.Index != lo+k {
+					t.Fatalf("shard %d/%d record %d is task %d, want %d", i, n, k, rec.Index, lo+k)
+				}
+			}
+			if lo != next {
+				t.Fatalf("shard %d/%d starts at %d, previous shard ended at %d", i, n, lo, next)
+			}
+			next = hi
+		}
+		if next != 8 {
+			t.Fatalf("%d shards cover [0,%d) of 8 tasks", n, next)
+		}
+	}
+}
+
+// TestShardsBeyondLedgerMerge: with more shards than tasks, the empty
+// shards still merge (and round-trip through the binary record) into a
+// checkpoint whose outcome JSON is byte-equal to Run's.
+func TestShardsBeyondLedgerMerge(t *testing.T) {
+	st := testStudy(0)
+	want := outcomeBytes(t, "Run")(st.Run(context.Background()))
+	const n = 11
+	cps := make([]*Checkpoint, n)
+	empty := 0
+	for i := range cps {
+		cp, err := st.RunShard(context.Background(), i, n)
+		if err != nil {
+			t.Fatalf("shard %d/%d: %v", i, n, err)
+		}
+		if len(cp.Records) == 0 {
+			empty++
+		}
+		if cps[i], err = roundTrip(cp); err != nil {
+			t.Fatalf("shard %d/%d round trip: %v", i, n, err)
+		}
+	}
+	if empty != n-8 {
+		t.Fatalf("%d empty shards of %d over 8 tasks, want %d", empty, n, n-8)
+	}
+	merged, err := MergeCheckpoints(cps...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := outcomeBytes(t, "merged shards")(st.Outcome(merged)); !bytes.Equal(got, want) {
+		t.Fatalf("merged outcome differs from Run:\n%s\nvs\n%s", got, want)
+	}
+}
+
+// TestResumeMiddleShard: a middle shard leaves a gap on each side; one
+// Resume fills both and the outcome JSON is byte-equal to Run's.
+func TestResumeMiddleShard(t *testing.T) {
+	st := testStudy(0)
+	want := outcomeBytes(t, "Run")(st.Run(context.Background()))
+	mid, err := st.RunShard(context.Background(), 1, 3) // [2,5) of 8
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := mid.Missing(); len(got) != 2 || got[0] != (TaskRange{0, 2}) || got[1] != (TaskRange{5, 8}) {
+		t.Fatalf("middle shard misses %v, want [[0,2) [5,8)]", got)
+	}
+	full, err := st.Resume(context.Background(), mid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !full.Complete() {
+		t.Fatalf("resume left ranges missing: %v", full.Missing())
+	}
+	if got := outcomeBytes(t, "resumed")(st.Outcome(full)); !bytes.Equal(got, want) {
+		t.Fatalf("resumed outcome differs from Run:\n%s\nvs\n%s", got, want)
+	}
+}
+
 // TestStudyCheckpointResume: an interrupted study (one shard of three)
 // serialises, round-trips through JSON, reports its missing ranges,
 // resumes, and the completed checkpoint's outcome matches the unsharded
