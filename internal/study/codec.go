@@ -61,10 +61,10 @@ func (cp *Checkpoint) WriteBinary(w io.Writer) error {
 }
 
 // ReadCheckpoint decodes a checkpoint written by WriteBinary and
-// validates it: a truncated or padded record, a
-// non-finite value, duplicate, unsorted or out-of-range task indices, or
-// inconsistent histogram counters are diagnostic errors here, not wrong
-// aggregates later. A checkpoint in the retired JSON format is refused
+// validates it: a truncated or padded record, a non-finite value,
+// duplicate, unsorted or out-of-range task indices, or inconsistent
+// histogram counters are diagnostic errors here, not wrong aggregates
+// later. A checkpoint in the retired JSON format is refused
 // with a versioned diagnostic.
 func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	raw, err := io.ReadAll(r)
