@@ -14,9 +14,9 @@ import (
 // dimension and event count of the first call and grown on demand. An
 // Integrator is not safe for concurrent use; give each goroutine its own.
 //
-// The stepping core is factored into per-step methods over a segState
-// (begin/attemptPrepare/stage*/settleStep), which Integrate drives to
-// completion for one segment.
+// Integrate is one adaptive loop: each attempt evaluates the three new
+// stages, accepts or rejects on the embedded error estimate, localises
+// events over an accepted step and carries k4 into the next step's k1.
 type Integrator struct {
 	k1, k2, k3, k4     []float64
 	y1, y2, ytmp, errv []float64
@@ -83,183 +83,6 @@ func (in *Integrator) bindBuffers(buf []float64, n int) {
 	in.yc, in.ybis = view(9), view(10)
 }
 
-// segState is the in-flight state of one segment integration — everything
-// the step loop carries between attempts.
-type segState struct {
-	f     RHS
-	o     Options
-	y     []float64
-	t, t1 float64
-	h     float64
-	res   Result
-	err   error
-	done  bool
-	// Per-attempt state set by attemptPrepare and consumed by settleStep.
-	hs        float64
-	truncated bool
-	en        float64
-}
-
-// begin validates and initialises a segment: buffer sizing, event seeding,
-// the initial OnStep callback and the FSAL seed evaluation — exactly the
-// preamble of the historical Integrate.
-func (in *Integrator) begin(s *segState, f RHS, t0, t1 float64, y []float64, opts Options) error {
-	if err := validateSpan(t0, t1, y); err != nil {
-		return err
-	}
-	o := opts.withDefaults(t1 - t0)
-	in.ensure(len(y), len(o.Events))
-	in.hits, in.hitY = in.hits[:0], in.hitY[:0]
-
-	*s = segState{f: f, o: o, y: y, t: t0, t1: t1}
-	s.res = Result{T: t0, Y: y}
-	for i, ev := range o.Events {
-		in.gPrev[i] = ev.G(t0, y)
-	}
-	if o.OnStep != nil {
-		o.OnStep(t0, y)
-	}
-	s.h = clamp(o.InitialStep, o.MinStep, o.MaxStep)
-	f(t0, y, in.k1) // FSAL seed
-	return nil
-}
-
-// attemptPrepare starts one step attempt: it finishes the segment when the
-// span is covered, enforces MaxSteps, and picks this attempt's step size
-// (truncated to the span end without feeding back into h). It returns
-// false when the segment is finished or failed.
-func (in *Integrator) attemptPrepare(s *segState) bool {
-	if s.done {
-		return false
-	}
-	if !(s.t < s.t1) {
-		s.res.LastStep = s.h
-		s.done = true
-		return false
-	}
-	if s.res.Steps >= s.o.MaxSteps {
-		s.res.LastStep = s.h
-		s.err = fmt.Errorf("ode: RK23 exceeded MaxSteps=%d at t=%g", s.o.MaxSteps, s.t)
-		s.done = true
-		return false
-	}
-	s.hs = s.h
-	s.truncated = false
-	if s.t+s.hs > s.t1 {
-		s.hs = s.t1 - s.t
-		s.truncated = true
-	}
-	return true
-}
-
-// stageK2 evaluates stage 2: k2 = f(t + hs/2, y + hs/2 k1).
-func (in *Integrator) stageK2(s *segState) {
-	axpy(in.ytmp, s.y, s.hs/2, in.k1)
-	s.f(s.t+s.hs/2, in.ytmp, in.k2)
-}
-
-// stageK3 evaluates stage 3: k3 = f(t + 3hs/4, y + 3hs/4 k2).
-func (in *Integrator) stageK3(s *segState) {
-	axpy(in.ytmp, s.y, 3*s.hs/4, in.k2)
-	s.f(s.t+3*s.hs/4, in.ytmp, in.k3)
-}
-
-// stageY1K4 forms the 3rd-order solution and evaluates the FSAL stage:
-// y1 = y + hs(2/9 k1 + 1/3 k2 + 4/9 k3), k4 = f(t+hs, y1).
-func (in *Integrator) stageY1K4(s *segState) {
-	y, k1, k2, k3, y1 := s.y, in.k1, in.k2, in.k3, in.y1
-	hs := s.hs
-	for i := range y {
-		y1[i] = y[i] + hs*(2.0/9.0*k1[i]+1.0/3.0*k2[i]+4.0/9.0*k3[i])
-	}
-	s.f(s.t+hs, y1, in.k4)
-}
-
-// stageErr forms the embedded 2nd-order solution and the scaled error
-// norm: y2 = y + hs(7/24 k1 + 1/4 k2 + 1/3 k3 + 1/8 k4).
-func (in *Integrator) stageErr(s *segState) {
-	y, k1, k2, k3, k4 := s.y, in.k1, in.k2, in.k3, in.k4
-	y1, y2, errv := in.y1, in.y2, in.errv
-	hs := s.hs
-	for i := range y {
-		y2[i] = y[i] + hs*(7.0/24.0*k1[i]+1.0/4.0*k2[i]+1.0/3.0*k3[i]+1.0/8.0*k4[i])
-		errv[i] = y1[i] - y2[i]
-	}
-	s.en = errNorm(errv, y, y1, s.o.ATol, s.o.RTol)
-}
-
-// settleStep finishes one attempt: reject-and-shrink (the next attempt
-// retries with the smaller step), accept with event localisation, the
-// OnStep callback, the FSAL carry and step-size growth. Semantics are
-// the historical accept/reject tail of Integrate, verbatim.
-func (in *Integrator) settleStep(s *segState) {
-	o := &s.o
-	if s.en > 1 {
-		// Reject: shrink and retry, unless this attempt already ran at
-		// the smallest permitted step. Only a step actually computed
-		// with hs <= MinStep may be accepted here — committing y1 from
-		// a larger trial step while advancing t by the shrunk step
-		// would desynchronise state and time.
-		s.res.Rejected++
-		if s.hs > o.MinStep {
-			s.h = math.Max(o.MinStep, s.hs*math.Max(0.1, 0.9*powNegThird(s.en)))
-			return
-		}
-		if s.en > 10 {
-			s.res.LastStep = s.h
-			s.err = fmt.Errorf("%w: t=%g h=%g en=%g y=%v k1=%v",
-				ErrStepUnderflow, s.t, s.hs, s.en, s.y, in.k1)
-			s.done = true
-			return
-		}
-		// Marginal error at MinStep: accept rather than loop forever.
-	}
-
-	// Accept the step.
-	copy(in.yPrev, s.y)
-	tPrev := s.t
-	copy(s.y, in.y1)
-	s.t += s.hs
-	s.res.Steps++
-	s.res.T = s.t
-
-	// Event localisation over [tPrev, t] using cubic Hermite dense
-	// output built from (yPrev, k1) and (y, k4).
-	stopped, err := in.handleEvents(&s.res, o.Events, in.gPrev, tPrev, s.t, in.yPrev, s.y, in.k1, in.k4)
-	if err != nil {
-		s.res.LastStep = s.h
-		s.err = err
-		s.done = true
-		return
-	}
-	if stopped {
-		s.res.Stopped = true
-		s.res.LastStep = s.h
-		if o.OnStep != nil {
-			o.OnStep(s.res.T, s.y)
-		}
-		s.done = true
-		return
-	}
-
-	if o.OnStep != nil {
-		o.OnStep(s.t, s.y)
-	}
-
-	// FSAL: k4 becomes next step's k1.
-	copy(in.k1, in.k4)
-	// Grow step from the attempted size; a span-truncated final step
-	// may only raise the suggestion, never shrink it.
-	hGrown := o.MaxStep
-	if s.en != 0 {
-		hGrown = s.hs * math.Min(5, 0.9*powNegThird(s.en))
-	}
-	if !s.truncated || hGrown > s.h {
-		s.h = hGrown
-	}
-	s.h = clamp(s.h, o.MinStep, o.MaxStep)
-}
-
 // powNegThird returns x^(−1/3), the step-size controller's power of the
 // error norm. It is the exact path math.Pow takes for this exponent,
 // 1 / Exp(1/3 · Log(x)), without Pow's special-case switch, Modf, Frexp
@@ -278,18 +101,135 @@ func powNegThird(x float64) float64 {
 // reused storage and is only valid until the next Integrate or Reset on
 // this Integrator; copy it to retain it.
 func (in *Integrator) Integrate(f RHS, t0, t1 float64, y []float64, opts Options) (Result, error) {
-	var s segState
-	if err := in.begin(&s, f, t0, t1, y, opts); err != nil {
+	if err := validateSpan(t0, t1, y); err != nil {
 		return Result{}, err
 	}
-	for in.attemptPrepare(&s) {
-		in.stageK2(&s)
-		in.stageK3(&s)
-		in.stageY1K4(&s)
-		in.stageErr(&s)
-		in.settleStep(&s)
+	o := opts.withDefaults(t1 - t0)
+	in.ensure(len(y), len(o.Events))
+	in.hits, in.hitY = in.hits[:0], in.hitY[:0]
+
+	k1, k2, k3, k4 := in.k1, in.k2, in.k3, in.k4
+	y1, y2, ytmp, errv := in.y1, in.y2, in.ytmp, in.errv
+	yPrev := in.yPrev
+
+	res := Result{T: t0, Y: y}
+
+	// Event bookkeeping: previous g values.
+	gPrev := in.gPrev
+	for i, ev := range o.Events {
+		gPrev[i] = ev.G(t0, y)
 	}
-	return s.res, s.err
+	if o.OnStep != nil {
+		o.OnStep(t0, y)
+	}
+
+	t := t0
+	h := clamp(o.InitialStep, o.MinStep, o.MaxStep)
+	f(t, y, k1) // FSAL seed
+
+	for t < t1 {
+		if res.Steps >= o.MaxSteps {
+			res.LastStep = h
+			return res, fmt.Errorf("ode: RK23 exceeded MaxSteps=%d at t=%g", o.MaxSteps, t)
+		}
+		// hs is this attempt's step; truncation to the span end does not
+		// feed back into h, so the established step size survives across
+		// segmented integrations via Result.LastStep.
+		hs := h
+		truncated := false
+		if t+hs > t1 {
+			hs = t1 - t
+			truncated = true
+		}
+		// Stage 2: k2 = f(t + hs/2, y + hs/2 k1)
+		axpy(ytmp, y, hs/2, k1)
+		f(t+hs/2, ytmp, k2)
+		// Stage 3: k3 = f(t + 3hs/4, y + 3hs/4 k2)
+		axpy(ytmp, y, 3*hs/4, k2)
+		f(t+3*hs/4, ytmp, k3)
+		// 3rd-order solution: y1 = y + hs(2/9 k1 + 1/3 k2 + 4/9 k3)
+		for i := range y {
+			y1[i] = y[i] + hs*(2.0/9.0*k1[i]+1.0/3.0*k2[i]+4.0/9.0*k3[i])
+		}
+		// Stage 4 (FSAL): k4 = f(t+hs, y1)
+		f(t+hs, y1, k4)
+		// 2nd-order solution: y2 = y + hs(7/24 k1 + 1/4 k2 + 1/3 k3 + 1/8 k4)
+		for i := range y {
+			y2[i] = y[i] + hs*(7.0/24.0*k1[i]+1.0/4.0*k2[i]+1.0/3.0*k3[i]+1.0/8.0*k4[i])
+			errv[i] = y1[i] - y2[i]
+		}
+		en := errNorm(errv, y, y1, o.ATol, o.RTol)
+
+		// A NaN norm (the RHS returned NaN somewhere in the step) rejects
+		// like a huge one; every comparison with NaN is false, so it is
+		// tested for explicitly.
+		nan := math.IsNaN(en)
+		if en > 1 || nan {
+			// Reject: shrink and retry, unless this attempt already ran at
+			// the smallest permitted step. Only a step actually computed
+			// with hs <= MinStep may be accepted here — committing y1 from
+			// a larger trial step while advancing t by the shrunk step
+			// would desynchronise state and time.
+			res.Rejected++
+			if hs > o.MinStep {
+				shrink := 0.1 // the floor; a NaN norm takes it
+				if !nan {
+					shrink = math.Max(0.1, 0.9*powNegThird(en))
+				}
+				h = math.Max(o.MinStep, hs*shrink)
+				continue
+			}
+			if en > 10 || nan {
+				res.LastStep = h
+				return res, fmt.Errorf("%w: t=%g h=%g en=%g y=%v k1=%v",
+					ErrStepUnderflow, t, hs, en, y, k1)
+			}
+			// Marginal error at MinStep: accept rather than loop forever.
+		}
+
+		// Accept the step.
+		copy(yPrev, y)
+		tPrev := t
+		copy(y, y1)
+		t += hs
+		res.Steps++
+		res.T = t
+
+		// Event localisation over [tPrev, t] using cubic Hermite dense
+		// output built from (yPrev, k1) and (y, k4).
+		stopped, err := in.handleEvents(&res, o.Events, gPrev, tPrev, t, yPrev, y, k1, k4)
+		if err != nil {
+			res.LastStep = h
+			return res, err
+		}
+		if stopped {
+			res.Stopped = true
+			res.LastStep = h
+			if o.OnStep != nil {
+				o.OnStep(res.T, y)
+			}
+			return res, nil
+		}
+
+		if o.OnStep != nil {
+			o.OnStep(t, y)
+		}
+
+		// FSAL: k4 becomes next step's k1.
+		copy(k1, k4)
+		// Grow step from the attempted size; a span-truncated final step
+		// may only raise the suggestion, never shrink it.
+		hGrown := o.MaxStep
+		if en != 0 {
+			hGrown = hs * math.Min(5, 0.9*powNegThird(en))
+		}
+		if !truncated || hGrown > h {
+			h = hGrown
+		}
+		h = clamp(h, o.MinStep, o.MaxStep)
+	}
+	res.LastStep = h
+	return res, nil
 }
 
 // handleEvents scans for sign changes of each event function across the

@@ -47,6 +47,31 @@ func TestRK23MinStepUnderflowStillErrors(t *testing.T) {
 	}
 }
 
+// TestRK23NaNNormRejects: an RHS that turns NaN mid-span gives a NaN
+// error norm, which compares false against every bound. The solver must
+// treat it as a rejection, shrink to MinStep and fail with
+// ErrStepUnderflow, never accept a NaN state (the old loop returned T=NaN,
+// y=[NaN] and no error).
+func TestRK23NaNNormRejects(t *testing.T) {
+	nanLate := func(t float64, y, dydt []float64) {
+		dydt[0] = -y[0]
+		if t > 0.5 {
+			dydt[0] = math.NaN()
+		}
+	}
+	y := []float64{1}
+	res, err := RK23(nanLate, 0, 1, y, Options{})
+	if !errors.Is(err, ErrStepUnderflow) {
+		t.Fatalf("got err=%v, want ErrStepUnderflow", err)
+	}
+	if math.IsNaN(y[0]) || math.IsInf(y[0], 0) || math.IsNaN(res.T) {
+		t.Errorf("non-finite state after the failure: T=%g y=%v", res.T, y)
+	}
+	if res.T > 0.5 {
+		t.Errorf("accepted a step past the NaN boundary: T=%g", res.T)
+	}
+}
+
 // TestIntegratorReuseMatchesRK23 verifies that one Integrator reused
 // across heterogeneous problems (different dimensions, events, segmented
 // continuation) is bit-identical to fresh RK23 calls.

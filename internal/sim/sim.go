@@ -218,29 +218,6 @@ func (r *Result) StabilityBands() []float64 {
 	return bands
 }
 
-// segKind distinguishes the two integration segment shapes the discrete-
-// event loop issues: monitored main segments (threshold/brownout events,
-// per-step observer dispatch) and unmonitored interrupt-delay segments.
-type segKind int
-
-const (
-	segMain segKind = iota
-	segDelay
-)
-
-// runState is the resumption point of the segment state machine between
-// integrations.
-type runState int
-
-const (
-	// stSegment: advance due discrete actions and arm the next main
-	// segment (or finish the run).
-	stSegment runState = iota
-	// stTail: run the post-event tail — the unmonitored-interval brownout
-	// level check and the latched-crossing replay loop.
-	stTail
-)
-
 // engine is the per-run mutable state.
 type engine struct {
 	cfg      Config
@@ -299,18 +276,6 @@ type engine struct {
 	supplyOnly   bool // every observer reads only T/VC/Alive
 	availStarted bool
 	lastAvailT   float64
-
-	// Segment state machine (see step/settle): the discrete-event loop is
-	// factored so run alternates between "arm an integration request"
-	// and "settle its result".
-	state          runState
-	tEnd           float64
-	nextTick       float64 // governor tick time (governor mode only)
-	rebootAt       float64
-	pendArmed      bool
-	pendKind       segKind
-	pendT0, pendT1 float64
-	pendWhich      core.Crossing // crossing being serviced across a delay segment
 
 	// res is the run's Result, allocated apart from the engine so that a
 	// caller holding the Result does not keep the engine alive. Invariant:
@@ -442,8 +407,6 @@ func newEngine(cfg Config) (*engine, error) {
 		Terminal:  true,
 	}
 
-	e.tEnd = e.cfg.Duration
-	e.rebootAt = -1
 	return e, nil
 }
 
@@ -687,167 +650,146 @@ func (e *engine) sampleAvailable(t float64) {
 	}
 }
 
-// run loops the segment state machine: alternate between step (arm the
-// next integration request) and settle (absorb its result) until the run
-// completes.
+// run is the discrete-event loop. Each pass performs the due governor
+// tick and reboot, integrates the supply to the next forced stop or
+// terminal event, dispatches that event, and then level-checks the node:
+// a brownout missed by an unmonitored interval, or a crossing latched
+// while the platform was busy.
 func (e *engine) run() error {
-	for {
-		if !e.pendArmed {
-			more, err := e.step()
-			if err != nil {
-				return err
-			}
-			if !more {
-				return nil
-			}
-		}
-		kind, t0 := e.pendKind, e.pendT0
-		e.drawW = e.platform.PowerDraw()
-		res, err := e.integ.Integrate(e.rhsFn, e.pendT0, e.pendT1, e.stateBuf(), e.pendOptions())
-		e.res.Solver.Segments++
-		e.res.Solver.Steps += res.Steps
-		e.res.Solver.Rejected += res.Rejected
-		if err != nil {
-			return e.wrapSegErr(kind, t0, err)
-		}
-		if err := e.settle(res); err != nil {
-			return err
-		}
-	}
-}
+	tEnd := e.cfg.Duration
+	nextTick := 0.0 // governor tick time (governor mode only)
+	rebootAt := -1.0
 
-// wrapSegErr wraps an integration failure with the segment's context,
-// preserving the historical messages of the main and delay paths.
-func (e *engine) wrapSegErr(kind segKind, t0 float64, err error) error {
-	if kind == segDelay {
-		return fmt.Errorf("sim: interrupt-delay integration failed: %w", err)
-	}
-	return fmt.Errorf("sim: integration failed at t=%g: %w", t0, err)
-}
-
-// step advances discrete-event work until an integration segment is
-// armed (returns true; integrate pendT0..pendT1 with pendOptions and the
-// state from stateBuf, then call settle) or the run completes (returns
-// false; finish may be called).
-func (e *engine) step() (bool, error) {
-	for {
-		switch e.state {
-		case stTail:
-			if err := e.runTail(); err != nil {
-				return false, err
-			}
-			if e.pendArmed {
-				return true, nil // a replayed service needs its delay segment
-			}
-			e.state = stSegment
-		case stSegment:
-			if !e.nextSegment() {
-				// Final bookkeeping sample.
-				e.record(e.now, e.vc)
-				return false, nil
-			}
-			return true, nil
-		}
-	}
-}
-
-// nextSegment performs the due discrete actions (governor tick, reboot)
-// and arms the next main integration segment. It returns false when the
-// simulated span is covered.
-func (e *engine) nextSegment() bool {
-	for {
-		if !(e.now < e.tEnd) {
-			return false
-		}
+	for e.now < tEnd {
 		// Governor tick due exactly now.
-		if e.gov != nil && e.alive && e.now >= e.nextTick {
+		if e.gov != nil && e.alive && e.now >= nextTick {
 			e.governorTick()
-			e.nextTick = e.now + e.gov.SamplingPeriod()
+			nextTick = e.now + e.gov.SamplingPeriod()
 		}
 		// Reboot due now — but only if the supply is still healthy; the
 		// harvest may have collapsed again during the cooldown, in which
 		// case we disarm and wait for the next recovery crossing.
-		if !e.alive && e.rebootAt >= 0 && e.now >= e.rebootAt {
-			e.rebootAt = -1
+		if !e.alive && rebootAt >= 0 && e.now >= rebootAt {
+			rebootAt = -1
 			if e.vc >= e.cfg.RestartVolts {
 				e.reboot()
 				if e.gov != nil {
-					e.nextTick = e.now
+					nextTick = e.now
 					continue
 				}
 			}
 		}
 
 		// Choose the next forced stop.
-		segEnd := e.tEnd
-		if e.gov != nil && e.alive && e.nextTick < segEnd {
-			segEnd = e.nextTick
+		segEnd := tEnd
+		if e.gov != nil && e.alive && nextTick < segEnd {
+			segEnd = nextTick
 		}
 		if c, ok := e.platform.NextCompletion(); ok && e.alive && c < segEnd {
 			segEnd = c
 		}
-		if !e.alive && e.rebootAt >= 0 && e.rebootAt < segEnd {
-			segEnd = e.rebootAt
+		if !e.alive && rebootAt >= 0 && rebootAt < segEnd {
+			segEnd = rebootAt
 		}
 		if segEnd <= e.now {
 			segEnd = math.Nextafter(e.now, math.Inf(1))
 		}
-		e.pendArmed = true
-		e.pendKind = segMain
-		e.pendT0, e.pendT1 = e.now, segEnd
-		return true
-	}
-}
 
-// pendOptions builds the ODE options for the armed segment. Main
-// segments are monitored (threshold/brownout events, per-step observer
-// dispatch); interrupt-delay segments integrate blind — the hardware has
-// latched the edge. Both resume at the step size established by the
-// previous segment (zero on the first selects the default heuristic):
-// interrupt-driven runs integrate thousands of short segments, and
-// regrowing from the span/100 default each time costs several extra RHS
-// evaluations per segment.
-func (e *engine) pendOptions() ode.Options {
-	o := ode.Options{
-		InitialStep: e.lastH,
-		MaxStep:     e.cfg.MaxStep,
-		RTol:        1e-6,
-		ATol:        1e-7,
-	}
-	if e.pendKind == segMain {
-		o.Events = e.buildEvents()
-		o.OnStep = e.onStepFn
-	}
-	return o
-}
+		// Main segments are monitored: threshold/brownout events and
+		// per-step observer dispatch.
+		res, err := e.integrate(segEnd, ode.Options{Events: e.buildEvents(), OnStep: e.onStepFn})
+		if err != nil {
+			return fmt.Errorf("sim: integration failed at t=%g: %w", e.now, err)
+		}
+		if e.alive {
+			if err := e.platform.Advance(e.now); err != nil {
+				return err
+			}
+		}
+		if res.Stopped {
+			// A terminal event fired: find it (the last hit).
+			hit := res.Hits[len(res.Hits)-1]
+			switch hit.Name {
+			case "brownout":
+				e.brownout()
+			case "recover":
+				rebootAt = e.now + e.cfg.RebootSeconds
+				if earliest := e.deadSince + e.cfg.RestartCooldown; rebootAt < earliest {
+					rebootAt = earliest
+				}
+			case "vlow":
+				err = e.service(core.CrossLow)
+			case "vhigh":
+				err = e.service(core.CrossHigh)
+			default:
+				err = fmt.Errorf("sim: unknown terminal event %q", hit.Name)
+			}
+			if err != nil {
+				return err
+			}
+		}
 
-// settle absorbs the result of the armed segment's integration and
-// advances the state machine.
-func (e *engine) settle(res ode.Result) error {
-	kind := e.pendKind
-	e.pendArmed = false
-	switch kind {
-	case segMain:
-		if err := e.settleMain(res); err != nil {
-			return err
+		// Level-check the node after the segment and after every service:
+		// a brownout that slipped through an unmonitored interval (an
+		// interrupt-delay integration) is caught here, also when that
+		// delay ran past tEnd. Then replay crossings latched while the
+		// platform was busy: once the actuation completes, the comparator
+		// outputs are level-checked and any asserted threshold is
+		// serviced. A service does not always clear the crossing: a
+		// threshold the controller slides past the monitor's range stays
+		// clamped at VMin/VMax, so a supply resting beyond it asserts
+		// again after every interrupt delay. The tEnd bound is what ends
+		// the loop.
+		for {
+			if e.alive && e.vc < soc.MinOperatingVolts-1e-6 {
+				e.brownout()
+			}
+			if e.ctrl == nil || !e.alive || !(e.now < tEnd) {
+				break
+			}
+			if _, busy := e.platform.NextCompletion(); busy {
+				break
+			}
+			if e.vc <= e.hw.Low.Threshold() {
+				err = e.service(core.CrossLow)
+			} else if e.vc >= e.hw.High.Threshold() {
+				err = e.service(core.CrossHigh)
+			} else {
+				break
+			}
+			if err != nil {
+				return err
+			}
 		}
-		// settleMain may have armed an interrupt-delay segment (a service
-		// with a propagation delay); the tail runs once that settles.
-		if !e.pendArmed {
-			e.state = stTail
-		}
-	case segDelay:
-		if err := e.settleDelay(res); err != nil {
-			return err
-		}
-		e.state = stTail
 	}
+	// Final bookkeeping sample.
+	e.record(e.now, e.vc)
 	return nil
 }
 
-// settleMain finishes a monitored main segment: clock/state carry,
-// platform advance and terminal-event dispatch.
-func (e *engine) settleMain(res ode.Result) error {
+// integrate advances the supply from e.now to t1 (or to a terminal event
+// in opts) and carries the clock, the sensed voltage, the step size and
+// the alive time forward; the caller advances the platform. Integration
+// failures are returned unwrapped, with e.now still at the segment start.
+func (e *engine) integrate(t1 float64, opts ode.Options) (ode.Result, error) {
+	// Sync the sensed voltage into the persistent state buffer; storage-
+	// internal states (indices ≥ 1) carry over untouched.
+	e.y[0] = e.vc
+	e.drawW = e.platform.PowerDraw()
+	// Every segment resumes at the step size established by the previous
+	// one (zero on the first selects the default heuristic): interrupt-
+	// driven runs integrate thousands of short segments, and regrowing
+	// from the span/100 default each time costs several extra RHS
+	// evaluations per segment.
+	opts.InitialStep, opts.MaxStep = e.lastH, e.cfg.MaxStep
+	opts.RTol, opts.ATol = 1e-6, 1e-7
+	res, err := e.integ.Integrate(e.rhsFn, e.now, t1, e.y, opts)
+	e.res.Solver.Segments++
+	e.res.Solver.Steps += res.Steps
+	e.res.Solver.Rejected += res.Rejected
+	if err != nil {
+		return res, err
+	}
 	e.lastH = res.LastStep
 	// Account alive time across the integrated span.
 	if e.alive {
@@ -855,96 +797,7 @@ func (e *engine) settleMain(res ode.Result) error {
 	}
 	e.now = res.T
 	e.vc = e.y[0]
-	if e.alive {
-		if err := e.platform.Advance(e.now); err != nil {
-			return err
-		}
-	}
-	if res.Stopped {
-		// A terminal event fired: find it (the last hit).
-		hit := res.Hits[len(res.Hits)-1]
-		switch hit.Name {
-		case "brownout":
-			e.brownout()
-		case "recover":
-			e.rebootAt = e.now + e.cfg.RebootSeconds
-			if earliest := e.deadSince + e.cfg.RestartCooldown; e.rebootAt < earliest {
-				e.rebootAt = earliest
-			}
-		case "vlow":
-			return e.beginService(core.CrossLow)
-		case "vhigh":
-			return e.beginService(core.CrossHigh)
-		default:
-			return fmt.Errorf("sim: unknown terminal event %q", hit.Name)
-		}
-	}
-	return nil
-}
-
-// settleDelay finishes an interrupt-delay segment and completes the
-// service it was integrating towards.
-func (e *engine) settleDelay(res ode.Result) error {
-	e.lastH = res.LastStep
-	e.aliveFor += res.T - e.now
-	e.now = res.T
-	e.vc = e.y[0]
-	if err := e.platform.Advance(e.now); err != nil {
-		return err
-	}
-	return e.completeService(e.pendWhich)
-}
-
-// runTail runs the post-segment tail. A replayed service with an
-// interrupt delay arms a delay segment and suspends the tail; resuming
-// the whole tail after that service completes is equivalent to the
-// historical nested flow because the tail's opening level check is
-// exactly the replay loop's first clause.
-func (e *engine) runTail() error {
-	// Brownouts that slip through unmonitored intervals (e.g. the
-	// interrupt-delay integration) are caught by a level check.
-	if e.alive && e.vc < soc.MinOperatingVolts-1e-6 {
-		e.brownout()
-	}
-
-	// Replay crossings latched while the platform was busy: once the
-	// actuation completes, the comparator outputs are level-checked
-	// and any asserted threshold is serviced immediately. A service
-	// does not always clear the crossing: a threshold the controller
-	// slides past the monitor's range stays clamped at VMin/VMax, so a
-	// supply resting beyond it asserts again after every interrupt
-	// delay. The e.tEnd bound is what ends the loop.
-	for e.ctrl != nil && e.alive && e.now < e.tEnd {
-		if e.vc < soc.MinOperatingVolts-1e-6 {
-			e.brownout()
-			break
-		}
-		if _, busy := e.platform.NextCompletion(); busy {
-			break
-		}
-		if e.vc <= e.hw.Low.Threshold() {
-			if err := e.beginService(core.CrossLow); err != nil {
-				return err
-			}
-		} else if e.vc >= e.hw.High.Threshold() {
-			if err := e.beginService(core.CrossHigh); err != nil {
-				return err
-			}
-		} else {
-			break
-		}
-		if e.pendArmed {
-			return nil // suspend: the service's delay segment must integrate first
-		}
-	}
-	return nil
-}
-
-// stateBuf syncs the sensed voltage into the persistent storage state
-// buffer; storage-internal states (indices ≥ 1) carry over untouched.
-func (e *engine) stateBuf() []float64 {
-	e.y[0] = e.vc
-	return e.y
+	return res, nil
 }
 
 // buildEvents assembles the ODE event set for the current discrete state
@@ -985,30 +838,25 @@ func (e *engine) governorTick() {
 	e.res.GovernorTicks++
 }
 
-// beginService starts servicing a Vlow/Vhigh crossing. The analogue
-// crossing has happened; the ISR runs after the propagation + dispatch
-// delay, so when the channel has one the supply is first integrated
-// through it without threshold events (the hardware latches the edge) —
-// beginService arms that delay segment and the service completes in
-// settleDelay. With no delay the service completes immediately.
-func (e *engine) beginService(which core.Crossing) error {
+// service handles a Vlow/Vhigh crossing. The analogue crossing has
+// happened; the ISR runs after the propagation + dispatch delay, so when
+// the channel has one the supply is first integrated through it without
+// threshold events or per-step samples (the hardware latches the edge).
+// The ISR then takes the controller decision, actuates the OPP change and
+// reprograms both thresholds.
+func (e *engine) service(which core.Crossing) error {
 	ch := e.hw.Low
 	if which == core.CrossHigh {
 		ch = e.hw.High
 	}
 	if delay := ch.InterruptDelay(); delay > 0 {
-		e.pendArmed = true
-		e.pendKind = segDelay
-		e.pendT0, e.pendT1 = e.now, e.now+delay
-		e.pendWhich = which
-		return nil
+		if _, err := e.integrate(e.now+delay, ode.Options{}); err != nil {
+			return fmt.Errorf("sim: interrupt-delay integration failed: %w", err)
+		}
+		if err := e.platform.Advance(e.now); err != nil {
+			return err
+		}
 	}
-	return e.completeService(which)
-}
-
-// completeService runs the ISR for a threshold crossing: controller
-// decision, OPP actuation and threshold reprogramming.
-func (e *engine) completeService(which core.Crossing) error {
 	e.hw.RecordInterrupt()
 
 	d := e.ctrl.OnCrossing(which, e.now)

@@ -1,11 +1,14 @@
 package sim
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"pnps/internal/buffer"
 	"pnps/internal/core"
+	"pnps/internal/ode"
 	"pnps/internal/pv"
 	"pnps/internal/soc"
 )
@@ -227,4 +230,37 @@ func reportSolverWork(b *testing.B, work SolverCounters, ops int) {
 	b.ReportMetric(float64(work.RHSEvals)/n, "rhs/op")
 	b.ReportMetric(float64(work.NewtonIters)/n, "newton/op")
 	b.ReportMetric(float64(work.ExactSolves)/n, "exact/op")
+}
+
+// nanAfter is an IdealCap whose Derivative returns NaN from its calls-th
+// call on: a storage model that breaks down mid-run.
+type nanAfter struct {
+	IdealCap
+	calls int
+}
+
+func (s *nanAfter) Derivative(state []float64, i float64, dstate []float64) {
+	if s.calls--; s.calls < 0 {
+		dstate[0] = math.NaN()
+		return
+	}
+	s.IdealCap.Derivative(state, i, dstate)
+}
+
+// TestStorageNaNFailsRun: a NaN derivative must fail the run with the
+// solver's step underflow rather than carry a NaN supply voltage on.
+func TestStorageNaNFailsRun(t *testing.T) {
+	plat := soc.NewDefaultPlatform()
+	plat.Reset(0, soc.MinOPP())
+	_, err := Run(Config{
+		Array: pv.SouthamptonArray(), Profile: pv.Constant(1000),
+		Storage:   &nanAfter{IdealCap: IdealCap{Farads: 47e-3}, calls: 200},
+		InitialVC: 5.3, Platform: plat, Duration: 10,
+	})
+	if !errors.Is(err, ode.ErrStepUnderflow) {
+		t.Fatalf("got err=%v, want ode.ErrStepUnderflow", err)
+	}
+	if !strings.HasPrefix(err.Error(), "sim: integration failed at t=") {
+		t.Errorf("error %q lacks the main-segment prefix", err)
+	}
 }
