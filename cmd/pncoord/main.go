@@ -129,8 +129,8 @@ func parseOptions(args []string) (*options, error) {
 			JournalPath: *journal, JournalSync: fsync,
 			OnChunk: printChunkStatus,
 		},
-		tokens:  coord.SplitTokens(*tokens),
-		journal: *journal,
+		tokens:   coord.SplitTokens(*tokens),
+		journal:  *journal,
 		cellsCSV: *cellsCSV, runsCSV: *runsCSV, jsonOut: *jsonOut,
 	}
 	if *verbose {
