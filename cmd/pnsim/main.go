@@ -1,8 +1,8 @@
 // Command pnsim regenerates the paper's evaluation artefacts and runs
 // named scenarios from the declarative registry. Each experiment id
 // corresponds to a table or figure of "Power Neutral Performance Scaling
-// for Energy Harvesting MP-SoCs" (DATE 2017); see DESIGN.md for the
-// index.
+// for Energy Harvesting MP-SoCs" (DATE 2017); pnsim -list (or
+// experiments.IDs) gives the index.
 //
 // Usage:
 //
@@ -18,13 +18,14 @@
 // GOMAXPROCS); reports are printed in the order the ids were given.
 //
 // -scenario runs one registered scenario (see -list for names) and
-// prints its outcome; with -mc N it becomes a Monte-Carlo campaign of N
-// seed-varied repetitions fanned over -workers goroutines. Campaigns
-// run trace-free — online observers accumulate within-band stability,
+// prints its outcome; with -mc N it runs a one-cell study of N
+// seed-varied repetitions fanned over -workers goroutines. The study
+// runs trace-free — online observers accumulate within-band stability,
 // supply envelopes and the dwell-time voltage histogram per run, so
-// memory stays O(1) per in-flight run at any -mc count — and report the
-// deterministic aggregate (bit-identical for any -workers). -csv writes
-// the per-run scalar outcomes, -json the aggregate summary.
+// memory stays O(1) per in-flight run at any -mc count — and reports
+// the deterministic aggregate (bit-identical for any -workers). -csv
+// writes the per-run scalar outcomes (study.StudyOutcome.WriteRunsCSV),
+// -json the study aggregate (StudyOutcome.WriteJSON, as pnstudy -json).
 //
 // -cpuprofile and -memprofile write pprof profiles of whatever workload
 // the other flags select, so perf hunts run against the real CLI paths.
@@ -59,7 +60,7 @@ func run() int {
 		list    = flag.Bool("list", false, "list experiment ids and scenario names, then exit")
 		scn     = flag.String("scenario", "", "run a registered scenario instead of experiments")
 		mc      = flag.Int("mc", 1, "with -scenario: Monte-Carlo repetitions (campaign mode when > 1)")
-		jsonOut = flag.String("json", "", "with -scenario -mc: write the campaign aggregate (summary, groups, histogram) as JSON to this file")
+		jsonOut = flag.String("json", "", "with -scenario -mc: write the study aggregate (summary, dwell-time quantiles) as JSON to this file")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file (pprof)")
 		memProf = flag.String("memprofile", "", "write a heap profile to this file on exit (pprof)")
 	)
@@ -152,8 +153,8 @@ func run() int {
 	return 0
 }
 
-// runScenario executes one registered scenario, or a Monte-Carlo
-// campaign of it when mc > 1.
+// runScenario executes one registered scenario, or a one-cell
+// Monte-Carlo study of it when mc > 1.
 func runScenario(name string, seed int64, mc, workers int, csvDir, jsonOut string) error {
 	spec, ok := scenario.Lookup(name)
 	if !ok {
@@ -161,7 +162,7 @@ func runScenario(name string, seed int64, mc, workers int, csvDir, jsonOut strin
 	}
 	if mc <= 1 {
 		if jsonOut != "" {
-			return fmt.Errorf("-json exports a campaign aggregate and needs -mc > 1")
+			return fmt.Errorf("-json exports a study aggregate and needs -mc > 1")
 		}
 		res, err := spec.Run(seed)
 		if err != nil {
@@ -183,9 +184,9 @@ func runScenario(name string, seed int64, mc, workers int, csvDir, jsonOut strin
 		return nil
 	}
 
-	out, err := study.Campaign{
-		Base: spec, Runs: mc, Seed: seed, Workers: workers,
-		// Campaign-level supply distribution: trace-free dwell-time
+	out, err := study.Study{
+		Name: spec.Name, Base: spec, Reps: mc, Seed: seed, Workers: workers,
+		// Study-level supply distribution: trace-free dwell-time
 		// histogram. The bounds span everything the node can physically
 		// do — full brownout decay (0 V) up past any PV open-circuit
 		// voltage — so no dwell mass lands in under/overflow and the
@@ -203,7 +204,7 @@ func runScenario(name string, seed int64, mc, workers int, csvDir, jsonOut strin
 		return err
 	}
 	if csvDir != "" {
-		if err := writeCampaignCSV(csvDir, "campaign-"+name, out); err != nil {
+		if err := writeRunsCSV(csvDir, "campaign-"+name, out); err != nil {
 			return err
 		}
 	}
@@ -212,7 +213,7 @@ func runScenario(name string, seed int64, mc, workers int, csvDir, jsonOut strin
 		if err != nil {
 			return err
 		}
-		if err := out.WriteSummaryJSON(f); err != nil {
+		if err := out.WriteJSON(f); err != nil {
 			f.Close()
 			return err
 		}
@@ -245,8 +246,8 @@ func runScenario(name string, seed int64, mc, workers int, csvDir, jsonOut strin
 	return nil
 }
 
-// writeCampaignCSV exports the per-run scalar outcomes of a campaign.
-func writeCampaignCSV(dir, id string, out *study.Outcome) error {
+// writeRunsCSV exports the per-run scalar outcomes of a study.
+func writeRunsCSV(dir, id string, out *study.StudyOutcome) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}

@@ -12,16 +12,16 @@ import (
 )
 
 // BenchmarkCampaignTraceFree is the campaign-scale hot-path benchmark:
-// a Monte-Carlo campaign of short cloud-stressed power-neutral runs
-// with trace-free aggregation (online stability, envelopes, dwell-time
-// histogram). Memory per iteration is the campaign's whole footprint —
-// O(runs) scalar outcomes, no series — so allocs/op and B/op here are
-// the numbers the README "Performance" section quotes for trace-free
-// campaigns. The meanPct5 metric pins the outcome on every record;
+// a one-cell Monte-Carlo study of short cloud-stressed power-neutral
+// runs with trace-free aggregation (online stability, envelopes,
+// dwell-time histogram). Memory per iteration is the study's whole
+// footprint — O(runs) scalar outcomes, no series — so allocs/op and
+// B/op here are the numbers the README "Performance" section quotes
+// for trace-free campaigns. The meanPct5 metric pins the outcome on every record;
 // retainedB/run is the heap the held outcome keeps live per run, after
 // a full collection (what a study retaining thousands of runs pays).
-// The work metrics (segments/op ... exact/op) sum the campaign's solver
-// counters; every iteration runs the same deterministic campaign, so the
+// The work metrics (segments/op ... exact/op) sum the study's solver
+// counters; every iteration runs the same deterministic study, so the
 // last one stands for all.
 func BenchmarkCampaignTraceFree(b *testing.B) {
 	base := scenario.MustLookup("stress-clouds")
@@ -38,8 +38,8 @@ func BenchmarkCampaignTraceFree(b *testing.B) {
 					before = liveHeap()
 					b.StartTimer()
 				}
-				out, err := Campaign{
-					Base: base, Runs: runs, Seed: 17, Workers: workers,
+				out, err := Study{
+					Name: base.Name, Base: base, Reps: runs, Seed: 17, Workers: workers,
 					VCHistBins: 64, VCHistLo: 4.0, VCHistHi: 6.0,
 				}.Run(context.Background())
 				if err != nil {

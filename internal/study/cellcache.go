@@ -22,9 +22,9 @@ import (
 // can answer them without simulating (see internal/serve).
 //
 // The identity deliberately excludes execution detail (Workers —
-// outcomes are bit-identical at any worker count) and KeepSeries:
-// like checkpoints, cached cell records carry metrics and histograms
-// only, which is everything aggregation consumes.
+// outcomes are bit-identical at any worker count): like checkpoints,
+// cached cell records carry metrics and histograms only, which is
+// everything aggregation consumes.
 
 // CellLevel names one axis level a cell selects.
 type CellLevel struct {
@@ -79,29 +79,11 @@ func (f Fingerprint) Digest() (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// cacheable rejects studies whose per-run behaviour is shaped by
-// non-serialisable hooks: a Vary or Group func is code, not data, so
-// cell identities cannot promise bit-identical records across
-// processes that may run different code.
-func (st Study) cacheable() error {
-	if st.Vary != nil {
-		return fmt.Errorf("study: cell identities need a hook-free study (Vary is set and cannot be serialised)")
-	}
-	if st.Group != nil {
-		return fmt.Errorf("study: cell identities need a hook-free study (Group is set and cannot be serialised)")
-	}
-	return nil
-}
-
 // CellIdentities validates the study and returns one identity per
-// matrix cell, in canonical cell order. It refuses studies with Vary or
-// Group hooks — their effect on records is code, not serialisable data.
+// matrix cell, in canonical cell order.
 func (st Study) CellIdentities() ([]CellIdentity, error) {
 	p, err := st.plan()
 	if err != nil {
-		return nil, err
-	}
-	if err := st.cacheable(); err != nil {
 		return nil, err
 	}
 	base := baseDigest(st.Base)

@@ -229,18 +229,6 @@ func TestCellCheckpointRefusals(t *testing.T) {
 		t.Fatal("out-of-range restore accepted")
 	}
 
-	// Hook-bearing studies cannot promise serialisable cell identity.
-	hooked := cellCacheStudy(t, 2, []Level{idealLevel(), ideal2Level()})
-	hooked.Vary = func(rep int, seed int64, s *scenario.Spec) {}
-	if _, err := hooked.CellIdentities(); err == nil {
-		t.Fatal("Vary study produced cell identities")
-	}
-	grouped := cellCacheStudy(t, 2, []Level{idealLevel(), ideal2Level()})
-	grouped.Group = func(rep int, seed int64, s scenario.Spec) string { return "g" }
-	if _, err := grouped.CellIdentities(); err == nil {
-		t.Fatal("Group study produced cell identities")
-	}
-
 	// A cell record holds exactly one cell's chunk: a partial chunk, or
 	// a checkpoint holding more than the cell, errors.
 	partial, err := st.RunChunk(context.Background(), TaskRange{Lo: 2, Hi: 3})

@@ -149,7 +149,6 @@ func (r TaskRange) String() string { return fmt.Sprintf("[%d,%d)", r.Lo, r.Hi) }
 type TaskRecord struct {
 	Index   int        `json:"task"`
 	Seed    int64      `json:"seed"`
-	Group   string     `json:"group,omitempty"`
 	Metrics RunMetrics `json:"metrics"`
 
 	HistBins  []float64 `json:"hist_bins,omitempty"`
@@ -188,7 +187,7 @@ func (st Study) checkpointFrom(p *plan, results []TaskResult) *Checkpoint {
 	}
 	for i, r := range results {
 		rec := TaskRecord{
-			Index: r.Task.Index, Seed: r.Task.Seed, Group: r.Group, Metrics: r.Metrics,
+			Index: r.Task.Index, Seed: r.Task.Seed, Metrics: r.Metrics,
 		}
 		if h := r.Hist; h != nil {
 			rec.HistBins = append([]float64(nil), h.Bins...)

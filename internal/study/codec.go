@@ -21,7 +21,7 @@ import (
 //	record := magic "PNRC" | version u16
 //	          | fpLen u32 | fingerprint (canonical compact JSON)
 //	          | total u64 | count u32 | task × count
-//	task   := index i64 | seed i64 | groupLen u32 | group
+//	task   := index i64 | seed i64 | reserved u32 (0)
 //	          | survived u8 | brownouts i64
 //	          | stability, instructions, lifetime, finalVC, minVC, dEnergy f64
 //	          | bins u32 | bin f64 × bins | under f64 | over f64 | histTotal f64
@@ -32,9 +32,13 @@ import (
 // first task): its identity is its cache key, and RestoreCell
 // re-validates it against the restoring study.
 //
+// The reserved u32 is where records once carried a run's group label.
+// No producer ever wrote one, so the slot is always 0 and keeps every
+// existing record decodable at this version.
+//
 // The decoder trusts nothing: every length is bounded by the bytes that
-// remain, trailing bytes, non-finite values and Survived bytes other
-// than 0 or 1 are refused, and checkpoints then pass Validate (which
+// remain, trailing bytes, non-finite values, a non-zero reserved slot
+// and Survived bytes other than 0 or 1 are refused, and checkpoints then pass Validate (which
 // refuses unsorted or duplicate records).
 
 const (
@@ -44,8 +48,8 @@ const (
 	recordVersion = 2
 
 	recordHeaderBytes = len(recordMagic) + 2 + 4
-	// minTaskBytes is the size of a task with no group and no bins; it
-	// bounds a declared task count by the bytes that remain.
+	// minTaskBytes is the size of a task with no bins; it bounds a
+	// declared task count by the bytes that remain.
 	minTaskBytes = 8 + 8 + 4 + 1 + 8 + 6*8 + 4 + 3*8
 )
 
@@ -113,9 +117,6 @@ func (st Study) EncodeCell(cp *Checkpoint, i int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := st.cacheable(); err != nil {
-		return nil, err
-	}
 	r, err := p.cellRange(i)
 	if err != nil {
 		return nil, err
@@ -139,9 +140,6 @@ func (st Study) EncodeCell(cp *Checkpoint, i int) ([]byte, error) {
 func (st Study) RestoreCell(i int, raw []byte) (*Checkpoint, error) {
 	p, err := st.plan()
 	if err != nil {
-		return nil, err
-	}
-	if err := st.cacheable(); err != nil {
 		return nil, err
 	}
 	r, err := p.cellRange(i)
@@ -184,7 +182,7 @@ func (st Study) RestoreCell(i int, raw []byte) (*Checkpoint, error) {
 func encodeRecord(fp []byte, total int, recs []TaskRecord, offset int) []byte {
 	size := recordHeaderBytes + len(fp) + 8 + 4
 	for i := range recs {
-		size += minTaskBytes + len(recs[i].Group) + 8*len(recs[i].HistBins)
+		size += minTaskBytes + 8*len(recs[i].HistBins)
 	}
 	dst := make([]byte, 0, size)
 	le := binary.LittleEndian
@@ -199,8 +197,7 @@ func encodeRecord(fp []byte, total int, recs []TaskRecord, offset int) []byte {
 		m := &rec.Metrics
 		dst = le.AppendUint64(dst, uint64(rec.Index-offset))
 		dst = le.AppendUint64(dst, uint64(rec.Seed))
-		dst = le.AppendUint32(dst, uint32(len(rec.Group)))
-		dst = append(dst, rec.Group...)
+		dst = le.AppendUint32(dst, 0) // reserved
 		survived := byte(0)
 		if m.Survived {
 			survived = 1
@@ -333,7 +330,9 @@ func decodeRecord(raw []byte) (fp []byte, total int, recs []TaskRecord, err erro
 		rec := &recs[k]
 		rec.Index = int(int64(r.u64()))
 		rec.Seed = int64(r.u64())
-		rec.Group = string(r.take(r.length(1)))
+		if v := r.u32(); r.err == nil && v != 0 {
+			return nil, 0, nil, wrap(fmt.Errorf("task %d reserved field (former group length) is %d, want 0", rec.Index, v))
+		}
 		m := &rec.Metrics
 		switch s := r.u8(); {
 		case r.err != nil:

@@ -17,7 +17,6 @@ import (
 // the record byte for byte — floats travel as raw IEEE-754 bits.
 func TestCheckpointBinaryRoundTrip(t *testing.T) {
 	_, cp := completeCheckpoint(t)
-	cp.Records[0].Group = "group-a"
 	cp.Records[2].Metrics.StorageEnergyDeltaJ = math.Copysign(0, -1)
 	raw := encodeBinary(cp)
 	got, err := ReadCheckpoint(bytes.NewReader(raw))
@@ -112,7 +111,7 @@ func TestCheckpointRejectsSurvivedByte(t *testing.T) {
 	raw := encodeBinary(cp)
 	fpLen := int(binary.LittleEndian.Uint32(raw[len(recordMagic)+2:]))
 	// header | fingerprint | total | count, then task 0's index, seed
-	// and (empty) group precede its survived byte.
+	// and reserved slot precede its survived byte.
 	off := recordHeaderBytes + fpLen + 8 + 4 + 8 + 8 + 4
 	if raw[off] > 1 {
 		t.Fatalf("offset %d holds %d, not a survived byte — layout changed", off, raw[off])
@@ -123,6 +122,27 @@ func TestCheckpointRejectsSurvivedByte(t *testing.T) {
 		_, err := ReadCheckpoint(bytes.NewReader(bad))
 		wantRefusal(t, fmt.Sprintf("survived byte %d", b), err,
 			fmt.Sprintf("task %d survived byte %d", cp.Records[0].Index, b))
+	}
+}
+
+// TestCheckpointRejectsReservedSlot: the u32 after each task's seed,
+// where records once carried a group label, must be 0; any other value
+// is refused, naming the field.
+func TestCheckpointRejectsReservedSlot(t *testing.T) {
+	_, cp := completeCheckpoint(t)
+	raw := encodeBinary(cp)
+	fpLen := int(binary.LittleEndian.Uint32(raw[len(recordMagic)+2:]))
+	// header | fingerprint | total | count, then task 0's index and seed.
+	off := recordHeaderBytes + fpLen + 8 + 4 + 8 + 8
+	if v := binary.LittleEndian.Uint32(raw[off:]); v != 0 {
+		t.Fatalf("offset %d holds %d, not the reserved slot — layout changed", off, v)
+	}
+	for _, v := range []uint32{1, 7, math.MaxUint32} {
+		bad := append([]byte(nil), raw...)
+		binary.LittleEndian.PutUint32(bad[off:], v)
+		_, err := ReadCheckpoint(bytes.NewReader(bad))
+		wantRefusal(t, fmt.Sprintf("reserved slot %d", v), err,
+			fmt.Sprintf("task %d reserved field", cp.Records[0].Index), fmt.Sprintf("is %d, want 0", v))
 	}
 }
 

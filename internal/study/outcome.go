@@ -35,6 +35,34 @@ func dwellBand(h *stats.Histogram) *QuantileBand {
 	return b
 }
 
+// Summary aggregates runs deterministically (in run order). Each
+// stats.Summary carries the quantile band (P5/P25/median/P75/P95)
+// alongside the moments.
+type Summary struct {
+	// Runs is the number of completed runs.
+	Runs int
+	// SurvivalRate is the fraction of runs without a brownout.
+	SurvivalRate float64
+	// TotalBrownouts counts brownouts across all runs.
+	TotalBrownouts int
+	// Stability summarises the per-run fraction of time within ±5% of
+	// the target voltage — computed by the online stability observers,
+	// so it is bit-identical to the series-derived stability.
+	Stability stats.Summary
+	// Instructions summarises per-run completed instructions.
+	Instructions stats.Summary
+	// LifetimeSeconds summarises per-run alive time.
+	LifetimeSeconds stats.Summary
+	// FinalVC summarises the per-run final supply voltage.
+	FinalVC stats.Summary
+	// MinVC summarises the per-run supply-voltage minimum (from the
+	// online envelope; the paper's brownout-margin view).
+	MinVC stats.Summary
+	// StorageEnergyDeltaJ summarises per-run stored-energy change
+	// (end − start), joules.
+	StorageEnergyDeltaJ stats.Summary
+}
+
 // CellOutcome is the aggregate of one matrix cell's repetitions.
 type CellOutcome struct {
 	// Cell identifies the matrix point (axis coordinates, labels, key).
@@ -76,25 +104,12 @@ type StudyOutcome struct {
 	// Marginals holds one aggregate per axis level (axes in declaration
 	// order, levels in axis order); nil for studies without axes.
 	Marginals []Marginal
-	// Groups holds one aggregate per Study.Group label, ordered by
-	// first occurrence in the ledger; nil when the study was ungrouped.
-	Groups []GroupSummary
 	// VCHistogram is the task-order merge of every run's dwell-time
 	// voltage histogram (VCHistBins > 0 only).
 	VCHistogram *stats.Histogram
 	// Results holds every run in ledger order. In-process runs carry
 	// the full *sim.Result; checkpoint-restored runs carry metrics only.
 	Results []TaskResult
-}
-
-// CellByKey returns the cell outcome with the given canonical key.
-func (o *StudyOutcome) CellByKey(key string) (CellOutcome, bool) {
-	for _, c := range o.Cells {
-		if c.Cell.Key == key {
-			return c, true
-		}
-	}
-	return CellOutcome{}, false
 }
 
 // outcomeAccum is the streaming heart of study aggregation: results
@@ -118,8 +133,6 @@ type outcomeAccum struct {
 	overall      *summaryAccum
 	cellAccums   []*summaryAccum
 	marginAccums [][]*summaryAccum
-	groupOrder   []string
-	groupAccums  map[string]*summaryAccum
 	cellHists    []*stats.Histogram
 	vcHist       *stats.Histogram
 	results      []TaskResult
@@ -135,9 +148,6 @@ func (st Study) newOutcomeAccum(p *plan, results []TaskResult) *outcomeAccum {
 		marginAccums: make([][]*summaryAccum, len(st.Axes)),
 		cellHists:    make([]*stats.Histogram, len(p.cells)),
 		results:      results,
-	}
-	if st.Group != nil {
-		a.groupAccums = map[string]*summaryAccum{}
 	}
 	for i := range a.cellAccums {
 		a.cellAccums[i] = newSummaryAccum(p.reps)
@@ -176,15 +186,6 @@ func (a *outcomeAccum) add(r TaskResult) error {
 	for ax := range a.st.Axes {
 		a.marginAccums[ax][cell.Coords[ax]].add(r.Metrics)
 	}
-	if a.st.Group != nil {
-		g, ok := a.groupAccums[r.Group]
-		if !ok {
-			g = newSummaryAccum(0)
-			a.groupAccums[r.Group] = g
-			a.groupOrder = append(a.groupOrder, r.Group)
-		}
-		g.add(r.Metrics)
-	}
 	if r.Hist != nil {
 		if err := mergeHist(&a.cellHists[cell.Index], r.Hist); err != nil {
 			return err
@@ -205,7 +206,7 @@ func (a *outcomeAccum) add(r TaskResult) error {
 func (a *outcomeAccum) addRecords(recs []TaskRecord) error {
 	for i := range recs {
 		rec := &recs[i]
-		r := TaskResult{Task: a.p.task(a.st, rec.Index), Group: rec.Group, Metrics: rec.Metrics}
+		r := TaskResult{Task: a.p.task(a.st, rec.Index), Metrics: rec.Metrics}
 		if len(rec.HistBins) > 0 {
 			h, err := stats.RestoreHistogram(a.st.VCHistLo, a.st.VCHistHi, rec.HistBins,
 				rec.HistUnder, rec.HistOver, rec.HistTotal)
@@ -279,13 +280,6 @@ func (a *outcomeAccum) outcome() (*StudyOutcome, error) {
 			out.Marginals = append(out.Marginals, m)
 		}
 	}
-	for _, name := range a.groupOrder {
-		s, err := a.groupAccums[name].summary()
-		if err != nil {
-			return nil, err
-		}
-		out.Groups = append(out.Groups, GroupSummary{Name: name, Summary: s})
-	}
 	return out, nil
 }
 
@@ -307,4 +301,63 @@ func (st Study) outcomeFrom(p *plan, results []TaskResult) (*StudyOutcome, error
 		}
 	}
 	return a.outcome()
+}
+
+// summaryAccum collects the per-run scalars of one aggregation bucket.
+type summaryAccum struct {
+	stability, instr, life, finalVC, minVC, deltaJ []float64
+	survived, brownouts                            int
+}
+
+func newSummaryAccum(capacity int) *summaryAccum {
+	return &summaryAccum{
+		stability: make([]float64, 0, capacity),
+		instr:     make([]float64, 0, capacity),
+		life:      make([]float64, 0, capacity),
+		finalVC:   make([]float64, 0, capacity),
+		minVC:     make([]float64, 0, capacity),
+		deltaJ:    make([]float64, 0, capacity),
+	}
+}
+
+func (a *summaryAccum) add(m RunMetrics) {
+	if m.Survived {
+		a.survived++
+	}
+	a.brownouts += m.Brownouts
+	a.stability = append(a.stability, m.Stability)
+	a.instr = append(a.instr, m.Instructions)
+	a.life = append(a.life, m.LifetimeSeconds)
+	a.finalVC = append(a.finalVC, m.FinalVC)
+	a.minVC = append(a.minVC, m.MinVC)
+	a.deltaJ = append(a.deltaJ, m.StorageEnergyDeltaJ)
+}
+
+func (a *summaryAccum) summary() (Summary, error) {
+	n := len(a.instr)
+	s := Summary{
+		Runs:           n,
+		SurvivalRate:   float64(a.survived) / float64(n),
+		TotalBrownouts: a.brownouts,
+	}
+	var err error
+	if s.Stability, err = stats.Summarize(a.stability); err != nil {
+		return s, err
+	}
+	if s.Instructions, err = stats.Summarize(a.instr); err != nil {
+		return s, err
+	}
+	if s.LifetimeSeconds, err = stats.Summarize(a.life); err != nil {
+		return s, err
+	}
+	if s.FinalVC, err = stats.Summarize(a.finalVC); err != nil {
+		return s, err
+	}
+	if s.MinVC, err = stats.Summarize(a.minVC); err != nil {
+		return s, err
+	}
+	if s.StorageEnergyDeltaJ, err = stats.Summarize(a.deltaJ); err != nil {
+		return s, err
+	}
+	return s, nil
 }

@@ -50,17 +50,14 @@ func metricsFrom(res *sim.Result) RunMetrics {
 }
 
 // TaskResult is one completed ledger task. In-process runs carry the
-// full simulation Result (and the perturbed Spec); results restored
+// full simulation Result (and the cell's Spec); results restored
 // from a Checkpoint carry only the metrics and histogram — which is all
 // aggregation consumes, keeping the two paths bit-identical.
 type TaskResult struct {
 	// Task locates the run in the ledger.
 	Task Task
-	// Group is the aggregation label assigned by Study.Group ("" when
-	// ungrouped).
-	Group string
-	// Spec is the (possibly perturbed) scenario the run executed (zero
-	// for checkpoint-restored results).
+	// Spec is the scenario the run executed (zero for
+	// checkpoint-restored results).
 	Spec scenario.Spec
 	// Metrics are the scalar outcomes aggregation runs on.
 	Metrics RunMetrics
@@ -112,16 +109,14 @@ func (st Study) instrument(cfg *sim.Config, bands []float64) (*stats.Histogram, 
 }
 
 // runTasks executes the given ledger tasks, one sim.Run per task fanned
-// over the worker pool. Specs, seeds and group labels are derived up
-// front in task order, deterministically, and results come back in task
-// order, so everything downstream is bit-identical for any Workers
-// value.
+// over the worker pool. Specs and seeds are derived up front in task
+// order, deterministically, and results come back in task order, so
+// everything downstream is bit-identical for any Workers value.
 func (st Study) runTasks(ctx context.Context, p *plan, tasks []Task) ([]TaskResult, error) {
 	bands := st.stabilityBands()
 	results := make([]TaskResult, len(tasks))
 	for i, t := range tasks {
-		sp, group := st.taskSpec(p, t)
-		results[i] = TaskResult{Task: t, Group: group, Spec: sp}
+		results[i] = TaskResult{Task: t, Spec: st.taskSpec(p, t)}
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()

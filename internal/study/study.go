@@ -1,5 +1,5 @@
 // Package study is the declarative cross-scenario experiment surface:
-// one API for the cartesian matrices, Monte-Carlo campaigns and
+// one API for the cartesian matrices, Monte-Carlo repetitions and
 // parameter sweeps that the paper's results are made of.
 //
 // A Study is a base scenario.Spec plus typed Axes — storage family,
@@ -38,8 +38,9 @@
 // checkpoint. A hostile checkpoint produces a diagnostic error, never a
 // silently wrong aggregate.
 //
-// The Monte-Carlo Campaign runner and the experiments-package parameter
-// sweep are both implemented on top of this engine.
+// A plain Monte-Carlo run of one scenario is a Study without axes
+// (pnsim -mc), and the experiments-package parameter sweep is a Study
+// too: there is one execution and aggregation engine.
 package study
 
 import (
@@ -93,18 +94,6 @@ const (
 	SeedShared
 )
 
-// Variant perturbs the spec for one run. It receives the repetition
-// index and the run's derived seed and mutates the copied spec in place
-// after the axis levels have been applied — the Monte-Carlo hook the
-// Campaign runner is built on. Axes are the declarative way to express
-// structured variation; Vary covers the long tail.
-type Variant func(rep int, seed int64, s *scenario.Spec)
-
-// GroupFunc labels one run for grouped aggregation. It runs after the
-// axes and Vary, so the label can reflect the perturbation; the spec is
-// passed by value — grouping classifies a run, it cannot change it.
-type GroupFunc func(rep int, seed int64, s scenario.Spec) string
-
 // DefaultStabilityBands are the fractional supply-stability bands every
 // run accumulates online (±5%, the paper's headline metric, and ±10%):
 // studies report within-band stability without retaining any trace.
@@ -124,8 +113,8 @@ type Study struct {
 	// Base is the scenario every run starts from.
 	Base scenario.Spec
 	// Axes are the matrix dimensions, applied in order (last fastest).
-	// An empty axis list is a single-cell study — a plain Monte-Carlo
-	// campaign of Reps runs.
+	// An empty axis list is a single-cell study — Reps plain
+	// Monte-Carlo runs of Base.
 	Axes []Axis
 	// Reps is the number of Monte-Carlo repetitions per cell (default 1).
 	Reps int
@@ -134,15 +123,6 @@ type Study struct {
 	Seed int64
 	// SeedMode selects the seed-derivation scheme (default SeedPerTask).
 	SeedMode SeedMode
-
-	// Vary, when non-nil, perturbs each run's spec after the axis levels
-	// are applied (the Campaign compatibility hook).
-	Vary Variant
-	// Group, when non-nil, labels each run; the outcome then carries
-	// one GroupSummary per distinct label (first-occurrence ledger
-	// order) alongside the cells. Cells are the structured way to
-	// partition a study; Group covers ad-hoc, Campaign-style labels.
-	Group GroupFunc
 
 	// Workers bounds concurrency; <= 0 selects GOMAXPROCS.
 	Workers int
@@ -153,9 +133,6 @@ type Study struct {
 	// (parameter-sweep semantics); by default every task is attempted.
 	FailFast bool
 
-	// KeepSeries retains per-run time series (off by default: studies
-	// are trace-free, summarising runs with online observers).
-	KeepSeries bool
 	// StabilityBands overrides DefaultStabilityBands (fractional
 	// half-widths around the run's target voltage). The ±5% band the
 	// summaries aggregate is always included.
@@ -319,25 +296,15 @@ func (p *plan) cellRange(i int) (TaskRange, error) {
 	return ChunkRange(p.total, p.reps, i), nil
 }
 
-// taskSpec derives the (possibly perturbed) spec and group label of one
-// task: base copy, trace-free default, axis levels in order, then the
-// Vary and Group hooks — exactly the Campaign derivation order, so
-// campaigns re-implemented on the engine reproduce their old outputs.
-func (st Study) taskSpec(p *plan, t Task) (scenario.Spec, string) {
+// taskSpec derives the spec of one task: a trace-free copy of the base
+// with the cell's axis levels applied in order. Studies summarise runs
+// with online observers, so no run retains a time series.
+func (st Study) taskSpec(p *plan, t Task) scenario.Spec {
 	sp := st.Base
-	if !st.KeepSeries {
-		sp.SkipSeries = true
-	}
+	sp.SkipSeries = true
 	cell := p.cells[t.Cell]
 	for i := range st.Axes {
 		st.Axes[i].Levels[cell.Coords[i]].Apply(&sp)
 	}
-	if st.Vary != nil {
-		st.Vary(t.Rep, t.Seed, &sp)
-	}
-	group := ""
-	if st.Group != nil {
-		group = st.Group(t.Rep, t.Seed, sp)
-	}
-	return sp, group
+	return sp
 }

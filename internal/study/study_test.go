@@ -3,14 +3,18 @@ package study
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
 	"pnps/internal/batch"
 	"pnps/internal/buffer"
+	"pnps/internal/pv"
 	"pnps/internal/scenario"
 	"pnps/internal/sim"
 	"pnps/internal/soc"
+	"pnps/internal/testutil"
 )
 
 // testStudy is the shared storage × workload matrix the contract tests
@@ -365,42 +369,6 @@ func TestStudyCheckpointSafety(t *testing.T) {
 	}
 }
 
-// TestStudyGroups: the ad-hoc Group hook aggregates into per-label
-// summaries on the study outcome itself (first-occurrence ledger
-// order), surviving the checkpoint path identically.
-func TestStudyGroups(t *testing.T) {
-	st := testStudy(0)
-	st.Group = func(rep int, _ int64, _ scenario.Spec) string {
-		if rep == 0 {
-			return "first-sky"
-		}
-		return "later-skies"
-	}
-	out, err := st.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Groups) != 2 || out.Groups[0].Name != "first-sky" || out.Groups[1].Name != "later-skies" {
-		t.Fatalf("groups = %+v, want [first-sky later-skies]", out.Groups)
-	}
-	if out.Groups[0].Summary.Runs+out.Groups[1].Summary.Runs != out.Summary.Runs {
-		t.Error("group run counts do not partition the study")
-	}
-	cp, err := st.RunShard(context.Background(), 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := st.Outcome(cp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range out.Groups {
-		if got.Groups[i] != out.Groups[i] {
-			t.Fatalf("group %q diverged through the checkpoint path", out.Groups[i].Name)
-		}
-	}
-}
-
 // TestStudySeedModes: SeedPerTask decorrelates every run, SeedPerRep
 // pairs repetitions across cells (common random numbers), SeedShared
 // holds the realisation fixed everywhere.
@@ -482,37 +450,260 @@ func TestStudyPlanValidation(t *testing.T) {
 	}
 }
 
-// TestStudyCampaignEquivalence: a Campaign and its single-cell Study
-// counterpart execute the identical ledger — same seeds, same per-run
-// results — pinning the campaign re-implementation to the engine.
-func TestStudyCampaignEquivalence(t *testing.T) {
+// supercapVsIdeal is the paper's storage comparison as a study axis:
+// the ideal 47 mF capacitor against a real supercap bank with ESR and
+// leakage.
+func supercapVsIdeal() Axis {
+	return NewAxis("storage",
+		Storage("ideal", sim.IdealCap{Farads: 47e-3}),
+		Storage("supercap", sim.NewSupercap(buffer.Supercap{
+			Farads: 47e-3, ESROhms: 0.05, LeakOhms: 5000, VMax: soc.MaxOperatingVolts,
+		})))
+}
+
+// TestCampaignDeterministicAcrossWorkers: a supercap-vs-ideal
+// Monte-Carlo study must produce bit-identical outcomes and per-run
+// results at 1, 2 and 8 workers (CI runs this under -race).
+func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
 	base := scenario.MustLookup("stress-clouds")
-	base.Duration = 12
-	camp, err := Campaign{Base: base, Runs: 4, Seed: 31, VCHistBins: 16, VCHistLo: 4, VCHistHi: 6}.
-		Run(context.Background())
+	base.Duration = 20
+	mk := func(workers int) *StudyOutcome {
+		out, err := Study{
+			Base: base, Axes: []Axis{supercapVsIdeal()}, Reps: 3, Seed: 99, Workers: workers,
+		}.Run(context.Background())
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		return out
+	}
+	ref := mk(1)
+	for _, workers := range []int{2, 8} {
+		got := mk(workers)
+		testutil.RequireEqual(t, fmt.Sprintf("workers=%d summary", workers), got.Summary, ref.Summary)
+		for i := range ref.Results {
+			testutil.RequireEqualResults(t, fmt.Sprintf("workers=%d run %d", workers, i),
+				got.Results[i].Result, ref.Results[i].Result)
+		}
+	}
+}
+
+// TestCampaignTraceFreeDeterministicAndBounded: a Monte-Carlo study
+// retains no series on any run, still reports real within-band
+// stability and supply envelopes, and its full aggregate — cells,
+// marginals and the merged dwell-time voltage histogram — is
+// bit-identical at 1, 2 and 8 workers.
+func TestCampaignTraceFreeDeterministicAndBounded(t *testing.T) {
+	base := scenario.MustLookup("stress-clouds")
+	base.Duration = 15
+	mk := func(workers int) *StudyOutcome {
+		out, err := Study{
+			Base: base, Axes: []Axis{supercapVsIdeal()}, Reps: 4, Seed: 5, Workers: workers,
+			VCHistBins: 64, VCHistLo: 4.0, VCHistHi: 6.0,
+		}.Run(context.Background())
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		return out
+	}
+	ref := mk(1)
+	for _, r := range ref.Results {
+		if r.Result.VC != nil {
+			t.Fatalf("run %d retained a series in a trace-free study", r.Task.Index)
+		}
+		if s := r.Result.StabilityWithin(0.05); math.IsNaN(s) || s < 0 || s > 1 {
+			t.Fatalf("run %d stability %.3f — online band missing or broken", r.Task.Index, s)
+		}
+	}
+	if n := ref.Summary.Stability.N; n != 8 {
+		t.Fatalf("stability aggregated over %d runs, want 8", n)
+	}
+	if ref.Summary.Stability.P25 > ref.Summary.Stability.P75 {
+		t.Error("stability quantile band inverted")
+	}
+	if len(ref.Cells) != 2 || ref.Cells[0].Cell.Key != "storage=ideal" || ref.Cells[1].Cell.Key != "storage=supercap" {
+		t.Fatalf("cells = %+v, want [storage=ideal storage=supercap]", ref.Cells)
+	}
+	if ref.Cells[0].Summary.Runs+ref.Cells[1].Summary.Runs != ref.Summary.Runs {
+		t.Error("cell run counts do not partition the study")
+	}
+	for i, m := range ref.Marginals {
+		if m.Summary != ref.Cells[i].Summary {
+			t.Errorf("one-axis marginal %s=%s differs from its cell", m.Axis, m.Level)
+		}
+	}
+	if ref.VCHistogram == nil || ref.VCHistogram.Total() <= 0 {
+		t.Fatal("merged VC histogram missing")
+	}
+	for _, workers := range []int{2, 8} {
+		sameOutcome(t, fmt.Sprintf("workers=%d", workers), ref, mk(workers))
+	}
+}
+
+// TestCampaignCustomBandsKeepSummary: overriding StabilityBands with a
+// list that omits ±5% must not poison the headline Summary.Stability —
+// the summary band is always accumulated alongside the custom ones.
+func TestCampaignCustomBandsKeepSummary(t *testing.T) {
+	base := scenario.MustLookup("stress-clouds")
+	base.Duration = 10
+	out, err := Study{
+		Base: base, Reps: 3, Seed: 9, StabilityBands: []float64{0.02},
+	}.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := Study{Base: base, Reps: 4, Seed: 31, VCHistBins: 16, VCHistLo: 4, VCHistHi: 6}
-	out, err := st.Run(context.Background())
+	if math.IsNaN(out.Summary.Stability.Mean) {
+		t.Fatal("custom bands without 0.05 poisoned Summary.Stability with NaN")
+	}
+	for _, r := range out.Results {
+		if s := r.Result.StabilityWithin(0.02); math.IsNaN(s) {
+			t.Fatal("requested custom band did not run")
+		}
+		if s := r.Result.StabilityWithin(0.05); math.IsNaN(s) {
+			t.Fatal("summary band missing from run")
+		}
+	}
+}
+
+// TestCampaignStabilityMatchesSeries: the online stability and supply
+// minimum a trace-free study aggregates are bit-identical to those
+// derived from the series of the same seeds run with series kept.
+func TestCampaignStabilityMatchesSeries(t *testing.T) {
+	base := scenario.MustLookup("stress-clouds")
+	base.Duration = 15
+	free, err := Study{Base: base, Reps: 4, Seed: 11}.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Summary != camp.Summary {
-		t.Fatalf("single-cell study summary diverged from campaign:\n%+v\nvs\n%+v",
-			out.Summary, camp.Summary)
-	}
-	for i := range camp.Results {
-		if camp.Results[i].Seed != out.Results[i].Task.Seed {
-			t.Fatalf("run %d seeds diverged", i)
+	kept := newSummaryAccum(len(free.Results))
+	for _, r := range free.Results {
+		res, err := base.Run(r.Task.Seed)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if metricsFrom(camp.Results[i].Result) != out.Results[i].Metrics {
-			t.Fatalf("run %d metrics diverged", i)
+		if res.VC == nil {
+			t.Fatal("series run did not retain series")
+		}
+		kept.add(metricsFrom(res))
+	}
+	ks, err := kept.summary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	testutil.RequireEqual(t, "trace-free vs series-derived stability",
+		free.Summary.Stability, ks.Stability)
+	if free.Summary.MinVC != ks.MinVC {
+		t.Error("trace-free MinVC diverged from the series-retaining runs")
+	}
+}
+
+// TestCampaignExport: a Monte-Carlo study's runs CSV has one row per
+// run led by its task identity, and its JSON aggregate carries the
+// summary and dwell-time band without NaN.
+func TestCampaignExport(t *testing.T) {
+	base := scenario.MustLookup("stress-clouds")
+	base.Duration = 10
+	out, err := Study{
+		Base: base, Reps: 3, Seed: 3,
+		VCHistBins: 16, VCHistLo: 4, VCHistHi: 6,
+	}.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var csv strings.Builder
+	if err := out.WriteRunsCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(csv.String()), "\n")
+	if len(lines) != 4 {
+		t.Fatalf("CSV has %d lines, want header + 3 runs", len(lines))
+	}
+	if !strings.HasPrefix(lines[0], "task,cell,rep,seed,survived,") {
+		t.Errorf("CSV header %q", lines[0])
+	}
+	if want := fmt.Sprintf("1,0,1,%d,", batch.Seed(3, 1)); !strings.HasPrefix(lines[2], want) {
+		t.Errorf("CSV row %q does not start with its task identity %q", lines[2], want)
+	}
+	if strings.Contains(csv.String(), "NaN") {
+		t.Error("CSV contains NaN — an online observer did not run")
+	}
+	var js strings.Builder
+	if err := out.WriteJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`"survival_rate"`, `"stability_pct5"`, `"p25"`, `"dwell_vc"`} {
+		if !strings.Contains(js.String(), want) {
+			t.Errorf("JSON missing %s", want)
 		}
 	}
-	for i, w := range camp.VCHistogram.Bins {
-		if out.VCHistogram.Bins[i] != w {
-			t.Fatalf("histogram bin %d diverged", i)
+	if strings.Contains(js.String(), "NaN") {
+		t.Error("JSON contains bare NaN")
+	}
+}
+
+// TestCampaignSeedsDecorrelated: a single-cell study still varies its
+// runs — each gets an independent weather realisation from its derived
+// seed.
+func TestCampaignSeedsDecorrelated(t *testing.T) {
+	base := scenario.MustLookup("stress-clouds")
+	base.Duration = 20
+	out, err := Study{Base: base, Reps: 4, Seed: 7}.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Summary.Runs != 4 {
+		t.Fatalf("summary counted %d runs, want 4", out.Summary.Runs)
+	}
+	seen := map[float64]bool{}
+	for k, r := range out.Results {
+		if want := batch.Seed(7, k); r.Task.Seed != want {
+			t.Errorf("run %d seed %d, want %d", k, r.Task.Seed, want)
+		}
+		seen[r.Result.Instructions] = true
+	}
+	if len(seen) < 2 {
+		t.Error("all runs produced identical work — seeds not decorrelated")
+	}
+	if out.Summary.Instructions.Min > out.Summary.Instructions.Mean ||
+		out.Summary.Instructions.Mean > out.Summary.Instructions.Max {
+		t.Error("summary ordering broken")
+	}
+}
+
+// TestCampaignSupercapPaysForParasitics: on an open-loop (static, no
+// controller phase effects) run of the same weather, a leaky bank's
+// supply trajectory is bounded above by the lossless capacitor's, so it
+// never ends a run with more stored energy. Under closed-loop control
+// this need not hold per run — the controller adapts to the lossy
+// trajectory — which is exactly why the storage belongs in the live ODE.
+func TestCampaignSupercapPaysForParasitics(t *testing.T) {
+	base := scenario.MustLookup("stress-clouds")
+	base.Duration = 20
+	base.Control = scenario.Uncontrolled() // static MinOPP: event-free
+	base.Profile = func(seed int64, span float64) pv.Profile {
+		// Shallow clouds: deep occlusions would brown out even MinOPP.
+		return pv.NewClouds(pv.Constant(800), pv.PartialSun(span), seed)
+	}
+	run := func(st sim.Storage) *StudyOutcome {
+		b := base
+		b.Storage = st
+		out, err := Study{Base: b, Reps: 3, Seed: 42}.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	ideal := run(sim.IdealCap{Farads: 47e-3})
+	lossy := run(sim.NewSupercap(buffer.Supercap{
+		Farads: 47e-3, ESROhms: 0.05, LeakOhms: 100, VMax: soc.MaxOperatingVolts,
+	}))
+	for i := range ideal.Results {
+		a, b := ideal.Results[i].Result, lossy.Results[i].Result
+		if a.BrownedOut || b.BrownedOut {
+			t.Fatalf("run %d browned out — comparison requires an event-free scenario", i)
+		}
+		if b.StorageEnergyEndJ > a.StorageEnergyEndJ {
+			t.Errorf("run %d: lossy bank ended with %.3f J > ideal %.3f J",
+				i, b.StorageEnergyEndJ, a.StorageEnergyEndJ)
 		}
 	}
 }

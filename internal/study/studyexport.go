@@ -4,7 +4,10 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"io"
+	"math"
 	"strconv"
+
+	"pnps/internal/stats"
 )
 
 // Study export: per-cell and per-run scalar outcomes as CSV (for
@@ -97,6 +100,61 @@ func (o *StudyOutcome) WriteRunsCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
+}
+
+// jsonSummary mirrors stats.Summary with JSON-safe values (JSON has no
+// NaN; missing measurements marshal as null).
+type jsonSummary struct {
+	N      int      `json:"n"`
+	Min    *float64 `json:"min"`
+	Max    *float64 `json:"max"`
+	Mean   *float64 `json:"mean"`
+	StdDev *float64 `json:"stddev"`
+	P5     *float64 `json:"p5"`
+	P25    *float64 `json:"p25"`
+	Median *float64 `json:"median"`
+	P75    *float64 `json:"p75"`
+	P95    *float64 `json:"p95"`
+}
+
+func jsonNum(x float64) *float64 {
+	if math.IsNaN(x) || math.IsInf(x, 0) {
+		return nil
+	}
+	return &x
+}
+
+func toJSONSummary(s stats.Summary) jsonSummary {
+	return jsonSummary{
+		N: s.N, Min: jsonNum(s.Min), Max: jsonNum(s.Max),
+		Mean: jsonNum(s.Mean), StdDev: jsonNum(s.StdDev),
+		P5: jsonNum(s.P5), P25: jsonNum(s.P25), Median: jsonNum(s.Median),
+		P75: jsonNum(s.P75), P95: jsonNum(s.P95),
+	}
+}
+
+type jsonAggregate struct {
+	Runs                int         `json:"runs"`
+	SurvivalRate        float64     `json:"survival_rate"`
+	TotalBrownouts      int         `json:"total_brownouts"`
+	Stability           jsonSummary `json:"stability_pct5"`
+	Instructions        jsonSummary `json:"instructions"`
+	LifetimeSeconds     jsonSummary `json:"lifetime_s"`
+	FinalVC             jsonSummary `json:"final_vc_v"`
+	MinVC               jsonSummary `json:"min_vc_v"`
+	StorageEnergyDeltaJ jsonSummary `json:"storage_denergy_j"`
+}
+
+func toJSONAggregate(s Summary) jsonAggregate {
+	return jsonAggregate{
+		Runs: s.Runs, SurvivalRate: s.SurvivalRate, TotalBrownouts: s.TotalBrownouts,
+		Stability:           toJSONSummary(s.Stability),
+		Instructions:        toJSONSummary(s.Instructions),
+		LifetimeSeconds:     toJSONSummary(s.LifetimeSeconds),
+		FinalVC:             toJSONSummary(s.FinalVC),
+		MinVC:               toJSONSummary(s.MinVC),
+		StorageEnergyDeltaJ: toJSONSummary(s.StorageEnergyDeltaJ),
+	}
 }
 
 type jsonBand struct {

@@ -20,7 +20,7 @@
 //   - internal/sim       — the ODE/discrete-event co-simulation engine
 //   - internal/workload  — smallpt path tracer + load profiles
 //   - internal/scenario  — declarative run specs + named registry
-//   - internal/study     — cross-scenario matrices, campaigns, sharding
+//   - internal/study     — cross-scenario matrices, Monte-Carlo runs, sharding
 //   - internal/experiments — regeneration of every paper table/figure
 //
 // The type aliases below form the stable public API; see the examples/
@@ -134,28 +134,13 @@ type (
 // live simulation loop.
 func NewSupercapBank(p SupercapParams) SupercapBank { return sim.NewSupercap(p) }
 
-// Scenario and campaign types: the declarative run-assembly layer.
+// Scenario types: the declarative run-assembly layer.
 type (
 	// Scenario declares one simulation run end to end (source, storage,
 	// platform, control, workload, duration).
 	Scenario = scenario.Spec
 	// ScenarioControl selects a run's power-management scheme.
 	ScenarioControl = scenario.Control
-	// Campaign fans Monte-Carlo variations of a scenario across the
-	// deterministic batch engine (the single-cell special case of a
-	// Study).
-	Campaign = study.Campaign
-	// CampaignOutcome is a completed campaign: per-run results plus the
-	// deterministic aggregate summary.
-	CampaignOutcome = study.Outcome
-	// CampaignSummary is the order-independent campaign aggregate.
-	CampaignSummary = study.Summary
-	// CampaignVariant perturbs the spec for one campaign run.
-	CampaignVariant = study.Variant
-	// CampaignGroup labels runs for per-variant grouped aggregation.
-	CampaignGroup = study.GroupFunc
-	// CampaignGroupSummary is one group's aggregate.
-	CampaignGroupSummary = study.GroupSummary
 )
 
 // Study types: the declarative cross-scenario experiment surface. A
@@ -184,6 +169,10 @@ type (
 	StudyCellOutcome = study.CellOutcome
 	// StudyMarginal is one axis level's aggregate across all other axes.
 	StudyMarginal = study.Marginal
+	// StudySummary is the deterministic aggregate of a set of runs
+	// (StudyOutcome.Summary, and each cell's and marginal's), with
+	// quantile bands.
+	StudySummary = study.Summary
 	// StudyCheckpoint is the serialisable state of a sharded, resumed or
 	// interrupted study.
 	StudyCheckpoint = study.Checkpoint
