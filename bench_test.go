@@ -1,7 +1,8 @@
 package pnps
 
 // The benchmark harness regenerates every table and figure of the paper's
-// evaluation (one benchmark per artefact; see DESIGN.md §5) and reports
+// evaluation (one benchmark per artefact; pnsim -list and
+// experiments.IDs() give the index) and reports
 // the headline quantity of each as a custom benchmark metric, so
 //
 //	go test -bench=. -benchmem

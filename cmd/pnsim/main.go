@@ -59,7 +59,7 @@ func run() int {
 		all     = flag.Bool("all", false, "run every registered experiment")
 		list    = flag.Bool("list", false, "list experiment ids and scenario names, then exit")
 		scn     = flag.String("scenario", "", "run a registered scenario instead of experiments")
-		mc      = flag.Int("mc", 1, "with -scenario: Monte-Carlo repetitions (campaign mode when > 1)")
+		mc      = flag.Int("mc", 1, "with -scenario: Monte-Carlo repetitions (a one-cell study when > 1)")
 		jsonOut = flag.String("json", "", "with -scenario -mc: write the study aggregate (summary, dwell-time quantiles) as JSON to this file")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file (pprof)")
 		memProf = flag.String("memprofile", "", "write a heap profile to this file on exit (pprof)")

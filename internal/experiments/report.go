@@ -4,8 +4,9 @@
 // the paper's reported values where it states them, so paper-vs-measured
 // comparisons are mechanical.
 //
-// Index (see DESIGN.md §5): Fig1, Fig3, Fig4, Fig6, Fig7, Fig10, Table1,
-// Fig11, Fig12, Fig13, Fig14, Table2, Fig15, ParamSweep, ablations.
+// Index (IDs() lists them, as does pnsim -list): Fig1, Fig3, Fig4, Fig6,
+// Fig7, Fig10, Table1, Fig11, Fig12, Fig13, Fig14, Table2, Fig15,
+// ParamSweep, ablations.
 package experiments
 
 import (

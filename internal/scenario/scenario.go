@@ -8,7 +8,7 @@
 //
 // Specs are registered under stable names (see Register and the
 // built-ins in builtin.go) and varied programmatically by Monte-Carlo
-// campaigns (see Campaign): every stochastic element of a run derives
+// studies (see internal/study): every stochastic element of a run derives
 // from the explicit seed passed to Assemble/Run, never from global
 // state, so campaigns stay bit-reproducible at any worker count.
 package scenario

@@ -17,9 +17,10 @@ import (
 // dwell-time histogram). Memory per iteration is the study's whole
 // footprint — O(runs) scalar outcomes, no series — so allocs/op and
 // B/op here are the numbers the README "Performance" section quotes
-// for trace-free campaigns. The meanPct5 metric pins the outcome on every record;
-// retainedB/run is the heap the held outcome keeps live per run, after
-// a full collection (what a study retaining thousands of runs pays).
+// for trace-free campaigns. The meanPct5 metric pins the outcome on
+// every record; retainedB/run is the heap the held outcome keeps live
+// per run, after a full collection (what a study retaining thousands
+// of runs pays).
 // The work metrics (segments/op ... exact/op) sum the study's solver
 // counters; every iteration runs the same deterministic study, so the
 // last one stands for all.

@@ -32,14 +32,15 @@ import (
 // first task): its identity is its cache key, and RestoreCell
 // re-validates it against the restoring study.
 //
-// The reserved u32 is where records once carried a run's group label.
-// No producer ever wrote one, so the slot is always 0 and keeps every
-// existing record decodable at this version.
+// The reserved u32 held the length of a run's group label, which only a
+// study with the since-removed Group hook could set and no tool ever
+// did: every record written carries 0 there, so keeping the slot keeps
+// them all decodable at this version.
 //
 // The decoder trusts nothing: every length is bounded by the bytes that
 // remain, trailing bytes, non-finite values, a non-zero reserved slot
-// and Survived bytes other than 0 or 1 are refused, and checkpoints then pass Validate (which
-// refuses unsorted or duplicate records).
+// and Survived bytes other than 0 or 1 are refused, and checkpoints
+// then pass Validate (which refuses unsorted or duplicate records).
 
 const (
 	recordMagic = "PNRC"
