@@ -59,7 +59,11 @@ func (o Options) workers(jobs int) int {
 // error is deterministic too. On error the result slice is still
 // returned; slots whose job failed hold the zero value.
 func Run[T any](ctx context.Context, jobs []Func[T], opts Options) ([]T, error) {
-	n := len(jobs)
+	return run(ctx, len(jobs), func(ctx context.Context, i int) (T, error) { return jobs[i](ctx) }, opts)
+}
+
+// run is Run over n jobs given as one indexed function.
+func run[T any](ctx context.Context, n int, job func(ctx context.Context, i int) (T, error), opts Options) ([]T, error) {
 	out := make([]T, n)
 	if n == 0 {
 		return out, ctx.Err()
@@ -98,7 +102,7 @@ func Run[T any](ctx context.Context, jobs []Func[T], opts Options) ([]T, error) 
 					errs[i] = fmt.Errorf("batch: job %d not started: %w", i, err)
 					continue
 				}
-				out[i], errs[i] = runJob(ctx, jobs[i], i)
+				out[i], errs[i] = runJob(ctx, job, i)
 				report()
 			}
 		}()
@@ -109,13 +113,13 @@ func Run[T any](ctx context.Context, jobs []Func[T], opts Options) ([]T, error) 
 
 // runJob executes one job, converting a panic into an error so a single
 // bad parameter combination cannot take down a whole sweep.
-func runJob[T any](ctx context.Context, job Func[T], i int) (out T, err error) {
+func runJob[T any](ctx context.Context, job func(ctx context.Context, i int) (T, error), i int) (out T, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("batch: job %d panicked: %v", i, r)
 		}
 	}()
-	out, err = job(ctx)
+	out, err = job(ctx, i)
 	if err != nil {
 		err = fmt.Errorf("batch: job %d: %w", i, err)
 	}
@@ -123,15 +127,10 @@ func runJob[T any](ctx context.Context, job Func[T], i int) (out T, err error) {
 }
 
 // Map runs fn over items on a worker pool, returning out[i] = fn(items[i])
-// in input order. It is Run with the job list built for you. Each job
-// indexes into items rather than capturing a copy of its item, so a
-// large In costs no per-job heap copy.
+// in input order, with Run's guarantees. Workers index into items, so
+// Map allocates no per-item job and copies no item to the heap.
 func Map[In, Out any](ctx context.Context, items []In, fn func(ctx context.Context, item In) (Out, error), opts Options) ([]Out, error) {
-	jobs := make([]Func[Out], len(items))
-	for i := range items {
-		jobs[i] = func(ctx context.Context) (Out, error) { return fn(ctx, items[i]) }
-	}
-	return Run(ctx, jobs, opts)
+	return run(ctx, len(items), func(ctx context.Context, i int) (Out, error) { return fn(ctx, items[i]) }, opts)
 }
 
 // Seed derives a deterministic per-job seed from a base seed and a job

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 )
 
 // Profile yields irradiance in W/m² as a function of time in seconds.
@@ -193,6 +194,14 @@ func Hailstorm(span float64) CloudParams {
 		MinTransmission: 0.05, MaxTransmission: 0.3, EdgeSeconds: 3}
 }
 
+// cloudRands recycles NewClouds' generators. A math/rand source is a
+// 4.9 KB table, and a study realises all of its tasks' profiles in one
+// burst before it simulates any, so fresh sources would churn the heap
+// (about 30 MB per 6 144-task study). Seed puts a recycled generator in
+// exactly the state rand.New(rand.NewSource(seed)) starts in, so every
+// realisation keeps its bits.
+var cloudRands = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
 // NewClouds overlays a cloud process on base using the given params and
 // seed. A MeanGap of +Inf produces a cloud-free overlay.
 func NewClouds(base Profile, p CloudParams, seed int64) *Clouds {
@@ -200,7 +209,9 @@ func NewClouds(base Profile, p CloudParams, seed int64) *Clouds {
 	if math.IsInf(p.MeanGap, 1) || p.MeanGap <= 0 || p.Span <= 0 {
 		return c
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := cloudRands.Get().(*rand.Rand)
+	defer cloudRands.Put(rng)
+	rng.Seed(seed)
 	t := rng.ExpFloat64() * p.MeanGap
 	for t < p.Span {
 		dur := rng.ExpFloat64() * p.MeanDuration

@@ -2,6 +2,7 @@ package pv
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -188,5 +189,23 @@ func TestQuickProfilesNonNegative(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCloudsRecycledGeneratorKeepsDraws checks NewClouds' recycled
+// generators against fresh ones: after another seed has used the pool,
+// a realisation's first cloud event still holds exactly the draws of
+// rand.New(rand.NewSource(seed)).
+func TestCloudsRecycledGeneratorKeepsDraws(t *testing.T) {
+	p := CloudParams{Span: 1e3, MeanGap: 1, MeanDuration: 1, MaxTransmission: 1, EdgeSeconds: 1}
+	for seed := int64(1); seed <= 20; seed++ {
+		NewClouds(Constant(1000), p, -seed) // leaves a used generator in the pool
+		ev := NewClouds(Constant(1000), p, seed).events[0]
+		ref := rand.New(rand.NewSource(seed))
+		want := cloudEvent{start: ref.ExpFloat64(), duration: ref.ExpFloat64(), edge: 0.5 + ref.Float64()}
+		want.transmission = ref.Float64()
+		if ev != want {
+			t.Fatalf("seed %d: first event %+v, fresh generator draws %+v", seed, ev, want)
+		}
 	}
 }

@@ -11,6 +11,14 @@
 // studies (see internal/study): every stochastic element of a run derives
 // from the explicit seed passed to Assemble/Run, never from global
 // state, so campaigns stay bit-reproducible at any worker count.
+//
+// Assemble is two steps. Realise draws the seeded part of a run, its
+// irradiance profile (or bench source), and Build puts the array,
+// storage, platform and controller around it. The seed enters nowhere
+// else, so two realisations of one spec with equal identities
+// (Realisation.AppendIdentity) build runs that are the same bit for
+// bit. Studies use this to simulate each distinct realisation of a
+// cell once: a 2 s stress-clouds run is cloud-free for most seeds.
 package scenario
 
 import (
@@ -181,14 +189,48 @@ func (s Spec) boot() soc.OPP {
 	return soc.MinOPP()
 }
 
-// Assemble builds a runnable sim.Config from the spec: a fresh platform
-// and controller, the profile realised from seed. Each call returns an
-// independent configuration, so assembled runs can execute concurrently.
-func (s Spec) Assemble(seed int64) (sim.Config, error) {
-	if err := s.validate(); err != nil {
-		return sim.Config{}, err
-	}
+// Realisation is the seeded part of one run: the irradiance profile a
+// PV spec draws from its seed, or the supply a bench spec builds from
+// it. The seed reaches a run through nothing else, so two realisations
+// of one spec with equal identities (AppendIdentity) build the same
+// run, bit for bit.
+type Realisation struct {
+	profile pv.Profile
+	source  sim.Source
+}
 
+// AppendIdentity appends the realisation's exact identity to dst and
+// reports whether it has one: a realised profile's pv.AppendIdentity.
+// A bench source has no identity.
+func (r Realisation) AppendIdentity(dst []byte) ([]byte, bool) {
+	if r.profile == nil {
+		return dst, false
+	}
+	return pv.AppendIdentity(dst, r.profile)
+}
+
+// Realise validates the spec and draws its seeded part, the first half
+// of Assemble.
+func (s Spec) Realise(seed int64) (Realisation, error) {
+	if err := s.validate(); err != nil {
+		return Realisation{}, err
+	}
+	if s.Profile != nil {
+		return Realisation{profile: s.Profile(seed, s.Duration)}, nil
+	}
+	src, err := s.Source(seed, s.Duration)
+	if err != nil {
+		return Realisation{}, err
+	}
+	return Realisation{source: src}, nil
+}
+
+// Build turns a realisation of the spec, which must come from
+// s.Realise, into a runnable sim.Config: the array, storage, a fresh
+// platform and controller around the realised profile or source. It is
+// the second half of Assemble, and each call returns an independent
+// configuration.
+func (s Spec) Build(r Realisation) (sim.Config, error) {
 	arr := s.Array
 	if arr == nil && s.Profile != nil {
 		arr = pv.SouthamptonArray()
@@ -211,13 +253,9 @@ func (s Spec) Assemble(seed int64) (sim.Config, error) {
 	}
 	if s.Profile != nil {
 		cfg.Array = arr
-		cfg.Profile = s.Profile(seed, s.Duration)
+		cfg.Profile = r.profile
 	} else {
-		src, err := s.Source(seed, s.Duration)
-		if err != nil {
-			return sim.Config{}, err
-		}
-		cfg.Source = src
+		cfg.Source = r.source
 	}
 	if s.Storage != nil {
 		cfg.Storage = s.Storage
@@ -260,6 +298,18 @@ func (s Spec) Assemble(seed int64) (sim.Config, error) {
 		cfg.RestartCooldown = s.Restart.Cooldown
 	}
 	return cfg, nil
+}
+
+// Assemble builds a runnable sim.Config from the spec: the profile
+// realised from seed (Realise), then a fresh platform and controller
+// around it (Build). Each call returns an independent configuration,
+// so assembled runs can execute concurrently.
+func (s Spec) Assemble(seed int64) (sim.Config, error) {
+	r, err := s.Realise(seed)
+	if err != nil {
+		return sim.Config{}, err
+	}
+	return s.Build(r)
 }
 
 // Run assembles the spec with the given seed and executes it.

@@ -261,3 +261,17 @@ func TestMinCapacitanceGeneralises(t *testing.T) {
 		t.Errorf("lossy supercap min %.2f mF beat ideal %.2f mF", lossy*1e3, ideal*1e3)
 	}
 }
+
+// TestRealisationIdentity: a realised profile has an identity and a
+// bench source has none, so bench tasks never share a run.
+func TestRealisationIdentity(t *testing.T) {
+	for name, want := range map[string]bool{"stress-clouds": true, "fig12-fullsun": true, "fig11-bench": false} {
+		r, err := MustLookup(name).Realise(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := r.AppendIdentity(nil); ok != want {
+			t.Errorf("%s: has identity %v, want %v", name, ok, want)
+		}
+	}
+}

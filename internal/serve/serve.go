@@ -80,8 +80,10 @@ type JobStatus struct {
 	FoldedTasks int `json:"folded_tasks"`
 	// CachedCells counts matrix cells answered from the cell cache.
 	CachedCells int `json:"cached_cells"`
-	// SimulatedRuns counts runs this job actually executed. A repeat
-	// submission of a cached study reports zero.
+	// SimulatedRuns counts the tasks this job computed rather than
+	// restored from the cache; tasks of a cell that shared one
+	// simulation count one each. A repeat submission of a cached study
+	// reports zero.
 	SimulatedRuns int `json:"simulated_runs"`
 	// CacheHit marks a whole-study hit: the response bytes were served
 	// from the store without touching the engine or the folder.
@@ -469,10 +471,10 @@ func (s *Server) runJob(j *Job) error {
 }
 
 // simulateCell runs one cell's repetitions under the server's context,
-// counting every completed run on the job. The count hangs off
-// OnProgress — the run-completion callback — so it measures work
-// actually done, which is what the zero-work-on-repeat guarantee is
-// stated against.
+// counting every completed task on the job. The count hangs off
+// OnProgress — the completion callback, which advances by every task a
+// finished simulation stands for — so it measures work actually done,
+// which is what the zero-work-on-repeat guarantee is stated against.
 func (s *Server) simulateCell(j *Job, r study.TaskRange) (*study.Checkpoint, error) {
 	run := j.st
 	var mu sync.Mutex

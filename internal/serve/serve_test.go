@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"pnps/internal/sim"
 	"pnps/internal/studycli"
 )
 
@@ -397,14 +398,10 @@ func TestServeTenantNamespacing(t *testing.T) {
 	}
 }
 
-// TestServeEvents pins the NDJSON progress stream: one status per
-// visible change, ending with the final done status at the full fold
-// frontier.
-func TestServeEvents(t *testing.T) {
-	e := newEnv(t, Config{})
-	j := e.submit(t, "", testRecipe(5), http.StatusAccepted)
-
-	resp, err := http.Get(e.srv.URL + "/v1/jobs/" + j.ID + "/events")
+// events reads a job's NDJSON progress stream to its end.
+func (e *env) events(t *testing.T, id string) []JobStatus {
+	t.Helper()
+	resp, err := http.Get(e.srv.URL + "/v1/jobs/" + id + "/events")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,14 +416,68 @@ func TestServeEvents(t *testing.T) {
 		if err := json.Unmarshal(sc.Bytes(), &js); err != nil {
 			t.Fatalf("event line %q: %v", sc.Text(), err)
 		}
-		if js.ID != j.ID {
-			t.Fatalf("event for job %s on job %s's stream", js.ID, j.ID)
+		if js.ID != id {
+			t.Fatalf("event for job %s on job %s's stream", js.ID, id)
 		}
 		events = append(events, js)
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
+	return events
+}
+
+// TestServeCountsTasksNotSimulations pins serve's accounting under run
+// sharing. In a fresh job of 2 s runs most tasks of a cell are
+// cloud-free and share one simulation, yet SimulatedRuns counts every
+// task the job computed, and the final event reports all of them
+// folded.
+func TestServeCountsTasksNotSimulations(t *testing.T) {
+	recipe := studycli.Config{
+		Scenario: "stress-clouds", Duration: 2,
+		Storage: "ideal:0.047,supercap:0.047", Util: "1,0.5",
+		Reps: 4, Seed: 23, Bins: 16, HistLo: 3, HistHi: 7,
+	}
+	st, err := recipe.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := st.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sims := map[*sim.Result]bool{}
+	for _, r := range out.Results {
+		sims[r.Result] = true
+	}
+	if len(sims) >= len(out.Results) {
+		t.Fatalf("%d tasks ran %d simulations: the recipe shares none", len(out.Results), len(sims))
+	}
+
+	e := newEnv(t, Config{})
+	events := e.events(t, e.submit(t, "", recipe, http.StatusAccepted).ID)
+	last := events[len(events)-1]
+	if last.State != JobDone || last.CachedCells != 0 || last.TotalTasks != len(out.Results) {
+		t.Fatalf("final event: state %s, %d cached cells, %d tasks", last.State, last.CachedCells, last.TotalTasks)
+	}
+	if last.SimulatedRuns != last.TotalTasks || last.FoldedTasks != last.TotalTasks {
+		t.Fatalf("final event: %d simulated and %d folded of %d tasks (%d distinct simulations)",
+			last.SimulatedRuns, last.FoldedTasks, last.TotalTasks, len(sims))
+	}
+	for i := 1; i < len(events); i++ {
+		if events[i].SimulatedRuns < events[i-1].SimulatedRuns {
+			t.Fatalf("simulated runs went backwards: %d after %d", events[i].SimulatedRuns, events[i-1].SimulatedRuns)
+		}
+	}
+}
+
+// TestServeEvents pins the NDJSON progress stream: one status per
+// visible change, ending with the final done status at the full fold
+// frontier.
+func TestServeEvents(t *testing.T) {
+	e := newEnv(t, Config{})
+	j := e.submit(t, "", testRecipe(5), http.StatusAccepted)
+	events := e.events(t, j.ID)
 	if len(events) < 2 {
 		t.Fatalf("stream delivered %d events, want at least initial + final", len(events))
 	}

@@ -22,8 +22,10 @@ import (
 // per run, after a full collection (what a study retaining thousands
 // of runs pays).
 // The work metrics (segments/op ... exact/op) sum the study's solver
-// counters; every iteration runs the same deterministic study, so the
-// last one stands for all.
+// counters per task, shared runs counted once per task; sims/op counts
+// the distinct simulations behind the study's tasks (cloud-free tasks
+// share one run). Every iteration runs the same deterministic study,
+// so the last one stands for all.
 func BenchmarkCampaignTraceFree(b *testing.B) {
 	base := scenario.MustLookup("stress-clouds")
 	base.Duration = 10
@@ -53,10 +55,13 @@ func BenchmarkCampaignTraceFree(b *testing.B) {
 					b.ReportMetric(out.Summary.Stability.Mean*100, "meanPct5")
 					b.ReportMetric((float64(held)-float64(before))/runs, "retainedB/run")
 					var work sim.SolverCounters
+					sims := map[*sim.Result]bool{}
 					for _, r := range out.Results {
 						work.Add(r.Result.Solver)
+						sims[r.Result] = true
 					}
 					testutil.ReportSolverWork(b, work, 1)
+					b.ReportMetric(float64(len(sims)), "sims/op")
 				}
 			}
 		})

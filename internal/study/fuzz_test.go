@@ -119,13 +119,18 @@ func FuzzCellRecords(f *testing.F) {
 	})
 }
 
+// splitDurations are FuzzSplitEquivalence's run lengths. At 0.05–0.2 s
+// nearly every stress-clouds realisation is cloud-free, so a cell's
+// tasks share one run; at 2 s one in 15 holds a cloud and runs alone.
+var splitDurations = [...]float64{0.05, 0.1, 0.15, 0.2, 2}
+
 // splitStudy builds FuzzSplitEquivalence's recipe: a hook-free
 // stress-clouds study of 1–3 load cells × 1–4 repetitions of
-// 0.05–0.2 s runs under any seed mode, optionally with a dwell
+// splitDurations runs under any seed mode, optionally with a dwell
 // histogram.
 func splitStudy(cells, reps, dur, mode uint8, hist bool, seed int64) Study {
 	base := scenario.MustLookup("stress-clouds")
-	base.Duration = 0.05 * float64(1+dur%4)
+	base.Duration = splitDurations[int(dur)%len(splitDurations)]
 	st := Study{
 		Name: "split", Base: base, Reps: 1 + int(reps%4),
 		Seed: seed, SeedMode: SeedMode(mode % 3),
@@ -162,6 +167,13 @@ func FuzzSplitEquivalence(f *testing.F) {
 	f.Add(uint8(2), uint8(3), uint8(3), uint8(1), false, int64(11), uint8(4), uint8(4), []byte{9, 0, 4}, uint8(5), uint8(2), uint16(0xffff))
 	f.Add(uint8(0), uint8(2), uint8(1), uint8(2), true, int64(-3), uint8(0), uint8(7), []byte{}, uint8(1), uint8(5), uint16(0))
 	f.Add(uint8(2), uint8(0), uint8(2), uint8(0), true, int64(2017), uint8(1), uint8(1), []byte{200}, uint8(6), uint8(0), uint16(0x00f0))
+	// 2 s runs, 3 cells × 4 reps, where chunk and shard edges cut
+	// through share groups: at seed 2 cell 2's tasks run as {8, 10},
+	// {9} and {11}; at seed 4 cell 1's as {4, 6, 7} and {5}; at seed 17
+	// under SeedPerRep every cell's as {0, 1, 2} and {3}.
+	f.Add(uint8(2), uint8(3), uint8(4), uint8(0), true, int64(2), uint8(2), uint8(4), []byte{3, 1}, uint8(5), uint8(1), uint16(0x0f0f))
+	f.Add(uint8(2), uint8(3), uint8(4), uint8(0), false, int64(4), uint8(1), uint8(6), []byte{7}, uint8(2), uint8(3), uint16(0x3333))
+	f.Add(uint8(2), uint8(3), uint8(4), uint8(1), true, int64(17), uint8(4), uint8(1), []byte{}, uint8(7), uint8(0), uint16(0xaaaa))
 
 	f.Fuzz(func(t *testing.T, cells, reps, dur, mode uint8, hist bool, seed int64,
 		chunk, shards uint8, perm []byte, restore, resume uint8, trips uint16) {

@@ -2,7 +2,9 @@ package study
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"sync"
 
 	"pnps/internal/batch"
 	"pnps/internal/scenario"
@@ -62,17 +64,26 @@ type TaskResult struct {
 	// Metrics are the scalar outcomes aggregation runs on.
 	Metrics RunMetrics
 	// Result is the full simulation outcome (nil for checkpoint-restored
-	// results).
+	// results). Tasks of one cell whose realisations have equal
+	// identities share one Result (see runTasks), so it is read-only.
 	Result *sim.Result
-	// Hist is the per-run dwell-time supply histogram (VCHistBins > 0).
+	// Hist is the per-run dwell-time supply histogram (VCHistBins > 0),
+	// shared and read-only like Result.
 	Hist *stats.Histogram
 }
 
-// runOutput is what one executed task contributes back: the full run
+// runOutput is what one simulation contributes back: the full run
 // result plus its dwell histogram.
 type runOutput struct {
 	res  *sim.Result
 	hist *stats.Histogram
+}
+
+// realised is one task's seeded part, or the error drawing it failed
+// with.
+type realised struct {
+	r   scenario.Realisation
+	err error
 }
 
 // failTask wraps a task failure with its ledger identity and, under
@@ -108,10 +119,20 @@ func (st Study) instrument(cfg *sim.Config, bands []float64) (*stats.Histogram, 
 	return tis.Hist, nil
 }
 
-// runTasks executes the given ledger tasks, one sim.Run per task fanned
-// over the worker pool. Specs and seeds are derived up front in task
-// order, deterministically, and results come back in task order, so
-// everything downstream is bit-identical for any Workers value.
+// runTasks executes the given ledger tasks. A task's seed reaches its
+// run only through its realisation (scenario.Spec.Realise), and a
+// cell fixes everything else, so the tasks of one cell whose
+// realisations have equal identities run the same simulation, bit for
+// bit. runTasks therefore realises every task on the worker pool,
+// groups the tasks by (cell, identity) in ledger order, and simulates
+// each group once, from its lowest-index task: Build, instrument,
+// sim.Run. Every task of the group gets that run's *sim.Result and
+// dwell histogram, both read-only, and derives its own metrics. A
+// realisation without an identity is a group of its own.
+//
+// Groups never outlive one call, and results come back in task order,
+// so everything downstream is bit-identical for any Workers value and
+// any split of the ledger.
 func (st Study) runTasks(ctx context.Context, p *plan, tasks []Task) ([]TaskResult, error) {
 	bands := st.stabilityBands()
 	results := make([]TaskResult, len(tasks))
@@ -120,11 +141,44 @@ func (st Study) runTasks(ctx context.Context, p *plan, tasks []Task) ([]TaskResu
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	outs, err := batch.Map(ctx, results, func(_ context.Context, r TaskResult) (runOutput, error) {
+	opts := batch.Options{Workers: st.Workers}
+	reals, err := batch.Map(ctx, results, func(_ context.Context, r TaskResult) (realised, error) {
+		rl, err := r.Spec.Realise(r.Task.Seed)
+		return realised{rl, err}, nil
+	}, opts)
+	if err != nil {
+		return nil, err
+	}
+	groups := shareGroups(tasks, reals)
+
+	// Progress counts tasks: a finished group completes all of its
+	// members. The mutex serialises the callback, as batch does, so
+	// counts are monotone and the completed == total call is last.
+	var progress struct {
+		sync.Mutex
+		completed int
+	}
+	outs, err := batch.Map(ctx, groups, func(_ context.Context, g []int) (runOutput, error) {
+		defer func() {
+			if st.OnProgress != nil {
+				progress.Lock()
+				progress.completed += len(g)
+				st.OnProgress(progress.completed, len(tasks))
+				progress.Unlock()
+			}
+		}()
 		fail := func(err error) (runOutput, error) {
-			return runOutput{}, st.failTask(cancel, r.Task, err)
+			errs := make([]error, len(g))
+			for k, i := range g {
+				errs[k] = st.failTask(cancel, tasks[i], err)
+			}
+			return runOutput{}, errors.Join(errs...)
 		}
-		cfg, err := r.Spec.Assemble(r.Task.Seed)
+		lead := reals[g[0]]
+		if lead.err != nil {
+			return fail(lead.err)
+		}
+		cfg, err := results[g[0]].Spec.Build(lead.r)
 		if err != nil {
 			return fail(err)
 		}
@@ -132,22 +186,59 @@ func (st Study) runTasks(ctx context.Context, p *plan, tasks []Task) ([]TaskResu
 		if out.hist, err = st.instrument(&cfg, bands); err != nil {
 			return fail(err)
 		}
-		res, err := sim.Run(cfg)
-		if err != nil {
+		if out.res, err = sim.Run(cfg); err != nil {
 			return fail(err)
 		}
-		out.res = res
 		return out, nil
-	}, batch.Options{Workers: st.Workers, OnProgress: st.OnProgress})
+	}, opts)
 	if err != nil {
 		return nil, err
 	}
-	for i := range results {
-		results[i].Result = outs[i].res
-		results[i].Metrics = metricsFrom(outs[i].res)
-		results[i].Hist = outs[i].hist
+	for k, g := range groups {
+		m := metricsFrom(outs[k].res)
+		for _, i := range g {
+			results[i].Result = outs[k].res
+			results[i].Metrics = m
+			results[i].Hist = outs[k].hist
+		}
 	}
 	return results, nil
+}
+
+// shareGroups partitions task positions into the groups that run one
+// simulation: tasks of one cell whose realisations have equal
+// identities, in ledger order, so each group's first member is its
+// lowest-index task. A task whose realisation failed or has no
+// identity is a group of its own. Tasks arrive in ledger order, so a
+// cell's tasks are contiguous and the identity map holds one cell at a
+// time.
+func shareGroups(tasks []Task, reals []realised) [][]int {
+	var (
+		groups [][]int
+		byID   = map[string]int{}
+		buf    [64]byte // room for the identity of a profile with one cloud
+		id     = buf[:0]
+		cell   = -1
+	)
+	for i, t := range tasks {
+		if t.Cell != cell {
+			clear(byID)
+			cell = t.Cell
+		}
+		ok := false
+		if reals[i].err == nil {
+			id, ok = reals[i].r.AppendIdentity(id[:0])
+		}
+		if ok {
+			if g, seen := byID[string(id)]; seen {
+				groups[g] = append(groups[g], i)
+				continue
+			}
+			byID[string(id)] = len(groups)
+		}
+		groups = append(groups, []int{i})
+	}
+	return groups
 }
 
 // runRanges executes the tasks of the given ledger ranges, which must

@@ -38,6 +38,16 @@
 // checkpoint. A hostile checkpoint produces a diagnostic error, never a
 // silently wrong aggregate.
 //
+// Tasks with bit-identical inputs share one run. A task's seed reaches
+// its simulation only through the realised irradiance profile
+// (scenario.Spec.Realise), so tasks of one cell whose realisations have
+// equal identities would simulate the same run. Each execution call
+// simulates such a group once, from its lowest-index task, and hands
+// the read-only *sim.Result and dwell histogram to every task of the
+// group; metrics, checkpoints and progress still count tasks. Groups
+// never span two calls, so every split of the ledger reproduces Run's
+// bytes.
+//
 // A plain Monte-Carlo run of one scenario is a Study without axes
 // (pnsim -mc), and the experiments-package parameter sweep is a Study
 // too: there is one execution and aggregation engine.
@@ -126,8 +136,10 @@ type Study struct {
 
 	// Workers bounds concurrency; <= 0 selects GOMAXPROCS.
 	Workers int
-	// OnProgress, when non-nil, is called after each completed run with
-	// (completed, total) for the executed task set.
+	// OnProgress, when non-nil, is called after each finished
+	// simulation with (completed, total) tasks of the executed task set;
+	// a simulation shared by k tasks advances completed by k. Calls are
+	// serialised and completed is monotone.
 	OnProgress func(completed, total int)
 	// FailFast cancels the remaining tasks after the first failure
 	// (parameter-sweep semantics); by default every task is attempted.
