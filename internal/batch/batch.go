@@ -25,7 +25,8 @@ type Func[T any] func(ctx context.Context) (T, error)
 // Options tunes a batch run.
 type Options struct {
 	// Workers is the number of concurrent goroutines; <= 0 selects
-	// runtime.GOMAXPROCS(0).
+	// runtime.GOMAXPROCS(0). A pool of one runs its jobs in order on
+	// the caller's goroutine.
 	Workers int
 	// OnProgress, when non-nil, is called after every executed job with
 	// the number of completed jobs and the total; jobs skipped because
@@ -86,25 +87,35 @@ func run[T any](ctx context.Context, n int, job func(ctx context.Context, i int)
 		progressMu.Unlock()
 	}
 
+	work := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			if err := ctx.Err(); err != nil {
+				// Skipped, not completed: no progress report — a
+				// cancelled batch must not claim to reach total.
+				errs[i] = fmt.Errorf("batch: job %d not started: %w", i, err)
+				continue
+			}
+			out[i], errs[i] = runJob(ctx, job, i)
+			report()
+		}
+	}
+	if workers == 1 {
+		// A pool of one runs on the caller's goroutine: starting a
+		// goroutine wakes an idle OS thread, a hand-off whose cost
+		// depends on how busy the host is.
+		work()
+		return out, errors.Join(errs...)
+	}
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					// Skipped, not completed: no progress report — a
-					// cancelled batch must not claim to reach total.
-					errs[i] = fmt.Errorf("batch: job %d not started: %w", i, err)
-					continue
-				}
-				out[i], errs[i] = runJob(ctx, job, i)
-				report()
-			}
+			work()
 		}()
 	}
 	wg.Wait()

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -94,6 +95,34 @@ func TestRunRecoversPanics(t *testing.T) {
 	}
 	if out[0] != 1 {
 		t.Fatal("healthy job result lost")
+	}
+}
+
+// A pool of one starts no goroutine: it runs its jobs in index order on
+// the caller's, still recovering panics and reporting progress. Not
+// parallel, so no other test's goroutines come or go while it counts.
+func TestRunOneWorkerRunsOnCaller(t *testing.T) {
+	before := runtime.NumGoroutine()
+	var order []int
+	progress := 0
+	out, err := Map(context.Background(), []int{0, 1, 2, 3}, func(_ context.Context, i int) (int, error) {
+		if n := runtime.NumGoroutine(); n != before {
+			t.Errorf("job %d saw %d goroutines, %d before the batch", i, n, before)
+		}
+		order = append(order, i)
+		if i == 2 {
+			panic("kaboom")
+		}
+		return i * i, nil
+	}, Options{Workers: 1, OnProgress: func(done, _ int) { progress = done }})
+	if err == nil || !strings.Contains(err.Error(), "job 2 panicked: kaboom") {
+		t.Fatalf("panic not converted to error: %v", err)
+	}
+	if !reflect.DeepEqual(order, []int{0, 1, 2, 3}) || !reflect.DeepEqual(out, []int{0, 1, 0, 9}) {
+		t.Fatalf("ran %v, returned %v; want jobs in order and results 0 1 0 9", order, out)
+	}
+	if progress != 4 {
+		t.Fatalf("progress reached %d of 4", progress)
 	}
 }
 
