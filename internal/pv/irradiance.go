@@ -194,13 +194,17 @@ func Hailstorm(span float64) CloudParams {
 		MinTransmission: 0.05, MaxTransmission: 0.3, EdgeSeconds: 3}
 }
 
-// cloudRands recycles NewClouds' generators. A math/rand source is a
-// 4.9 KB table, and a study realises all of its tasks' profiles in one
-// burst before it simulates any, so fresh sources would churn the heap
-// (about 30 MB per 6 144-task study). Seed puts a recycled generator in
-// exactly the state rand.New(rand.NewSource(seed)) starts in, so every
-// realisation keeps its bits.
-var cloudRands = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+// cloudRands recycles NewClouds' generators. Each wraps a go1Source,
+// math/rand's Go 1 source with a lazily filled table: Seed only
+// normalises the seed, and a draw computes a table word the first time
+// it reads it, so a cloud-free realisation that draws one number pays
+// for two words instead of math/rand's 1 841-step table fill. Every
+// draw is the one rand.New(rand.NewSource(seed)) makes, so realisations
+// keep their bits. The source still holds a 4.9 KB ring, and a study
+// realises all of its tasks' profiles in one burst before it simulates
+// any, so fresh sources would churn the heap (about 30 MB per 6 144-task
+// study); hence the pool.
+var cloudRands = sync.Pool{New: func() any { return rand.New(new(go1Source)) }}
 
 // NewClouds overlays a cloud process on base using the given params and
 // seed. A MeanGap of +Inf produces a cloud-free overlay.

@@ -192,20 +192,99 @@ func TestQuickProfilesNonNegative(t *testing.T) {
 	}
 }
 
-// TestCloudsRecycledGeneratorKeepsDraws checks NewClouds' recycled
-// generators against fresh ones: after another seed has used the pool,
-// a realisation's first cloud event still holds exactly the draws of
-// rand.New(rand.NewSource(seed)).
+// refClouds realises p with NewClouds' draw sequence from a fresh
+// rand.New(rand.NewSource(seed)), and reports how many numbers it drew
+// from the source.
+func refClouds(p CloudParams, seed int64) (events []cloudEvent, draws int) {
+	src := &countingSource{Source64: rand.NewSource(seed).(rand.Source64)}
+	rng := rand.New(src)
+	t := rng.ExpFloat64() * p.MeanGap
+	for t < p.Span {
+		dur := rng.ExpFloat64() * p.MeanDuration
+		edge := p.EdgeSeconds * (0.5 + rng.Float64())
+		tr := p.MinTransmission + rng.Float64()*(p.MaxTransmission-p.MinTransmission)
+		events = append(events, cloudEvent{start: t, duration: dur, edge: edge, transmission: tr})
+		t += dur + 2*edge + rng.ExpFloat64()*p.MeanGap
+	}
+	return events, src.n
+}
+
+// stress2s is StressClouds' process over a 2 s span: usually cloud-free,
+// one draw.
+var stress2s = CloudParams{Span: 2, MeanGap: 30, MeanDuration: 12, MinTransmission: 0.25, MaxTransmission: 0.6, EdgeSeconds: 2}
+
+// countingSource counts the numbers drawn from a source.
+type countingSource struct {
+	rand.Source64
+	n int
+}
+
+func (s *countingSource) Int63() int64 { s.n++; return s.Source64.Int63() }
+
+func (s *countingSource) Uint64() uint64 { s.n++; return s.Source64.Uint64() }
+
+// TestCloudsRecycledGeneratorKeepsDraws checks every event of NewClouds'
+// realisations against a reference drawn from a fresh math/rand
+// generator. Before each realisation the pool is handed a generator
+// left mid-stream by another seed, at points before, inside and past
+// the first wrap of its 607-word ring. The day-long Hailstorm and
+// Overcast realisations read more than 607 numbers.
 func TestCloudsRecycledGeneratorKeepsDraws(t *testing.T) {
-	p := CloudParams{Span: 1e3, MeanGap: 1, MeanDuration: 1, MaxTransmission: 1, EdgeSeconds: 1}
-	for seed := int64(1); seed <= 20; seed++ {
-		NewClouds(Constant(1000), p, -seed) // leaves a used generator in the pool
-		ev := NewClouds(Constant(1000), p, seed).events[0]
-		ref := rand.New(rand.NewSource(seed))
-		want := cloudEvent{start: ref.ExpFloat64(), duration: ref.ExpFloat64(), edge: 0.5 + ref.Float64()}
-		want.transmission = ref.Float64()
-		if ev != want {
-			t.Fatalf("seed %d: first event %+v, fresh generator draws %+v", seed, ev, want)
+	cases := []struct {
+		name string
+		p    CloudParams
+		long bool
+	}{
+		{"dense-1000s", CloudParams{Span: 1e3, MeanGap: 1, MeanDuration: 1, MaxTransmission: 1, EdgeSeconds: 1}, true},
+		{"stress-2s", stress2s, false},
+		{"hailstorm-24h", Hailstorm(86400), true},
+		{"overcast-24h", Overcast(86400), true},
+	}
+	seeds := append([]int64{3, 4, 5, 6, 7, 8, 9, 10}, go1EdgeSeeds...)
+	for _, tc := range cases {
+		for k, seed := range seeds {
+			left := rand.New(new(go1Source))
+			left.Seed(^seed)
+			for i := 0; i < []int{0, 5, 300, 700}[k%4]; i++ {
+				left.Float64()
+			}
+			cloudRands.Put(left)
+			got := NewClouds(Constant(1000), tc.p, seed).events
+			want, draws := refClouds(tc.p, seed)
+			if tc.long && draws <= rngLen {
+				t.Fatalf("%s seed %d: the reference drew %d numbers, want more than %d", tc.name, seed, draws, rngLen)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s seed %d: %d events, fresh generator draws %d", tc.name, seed, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%s seed %d: event %d is %+v, fresh generator draws %+v", tc.name, seed, i, got[i], want[i])
+				}
+			}
 		}
+	}
+}
+
+var cloudsSink *Clouds
+
+// BenchmarkNewClouds is one cloud realisation per op, on a new seed each
+// op as in a study: a 2 s stress-clouds span (usually cloud-free, one
+// draw) and a 24 h hailstorm day (thousands of draws, so every word of
+// the generator's ring is filled and the ring wraps).
+func BenchmarkNewClouds(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		p    CloudParams
+	}{
+		{"stress-2s", stress2s},
+		{"hailstorm-24h", Hailstorm(86400)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				cloudsSink = NewClouds(Constant(1000), bc.p, int64(i))
+			}
+		})
 	}
 }
