@@ -60,14 +60,25 @@ func (o Options) workers(jobs int) int {
 // error is deterministic too. On error the result slice is still
 // returned; slots whose job failed hold the zero value.
 func Run[T any](ctx context.Context, jobs []Func[T], opts Options) ([]T, error) {
-	return run(ctx, len(jobs), func(ctx context.Context, i int) (T, error) { return jobs[i](ctx) }, opts)
+	out, errs := run(ctx, len(jobs), func(ctx context.Context, i int) (T, error) { return jobs[i](ctx) }, opts)
+	return out, join(ctx, errs)
 }
 
-// run is Run over n jobs given as one indexed function.
-func run[T any](ctx context.Context, n int, job func(ctx context.Context, i int) (T, error), opts Options) ([]T, error) {
+// join aggregates per-job errors in index order; an empty batch fails
+// only on a cancelled context.
+func join(ctx context.Context, errs []error) error {
+	if len(errs) == 0 {
+		return ctx.Err()
+	}
+	return errors.Join(errs...)
+}
+
+// run is Run over n jobs given as one indexed function, returning each
+// job's error in its slot.
+func run[T any](ctx context.Context, n int, job func(ctx context.Context, i int) (T, error), opts Options) ([]T, []error) {
 	out := make([]T, n)
 	if n == 0 {
-		return out, ctx.Err()
+		return out, nil
 	}
 	errs := make([]error, n)
 	workers := opts.workers(n)
@@ -108,7 +119,7 @@ func run[T any](ctx context.Context, n int, job func(ctx context.Context, i int)
 		// goroutine wakes an idle OS thread, a hand-off whose cost
 		// depends on how busy the host is.
 		work()
-		return out, errors.Join(errs...)
+		return out, errs
 	}
 	var wg sync.WaitGroup
 	wg.Add(workers)
@@ -119,7 +130,7 @@ func run[T any](ctx context.Context, n int, job func(ctx context.Context, i int)
 		}()
 	}
 	wg.Wait()
-	return out, errors.Join(errs...)
+	return out, errs
 }
 
 // runJob executes one job, converting a panic into an error so a single
@@ -141,6 +152,15 @@ func runJob[T any](ctx context.Context, job func(ctx context.Context, i int) (T,
 // in input order, with Run's guarantees. Workers index into items, so
 // Map allocates no per-item job and copies no item to the heap.
 func Map[In, Out any](ctx context.Context, items []In, fn func(ctx context.Context, item In) (Out, error), opts Options) ([]Out, error) {
+	out, errs := MapEach(ctx, items, fn, opts)
+	return out, join(ctx, errs)
+}
+
+// MapEach is Map returning each item's error in its slot (errs[i] is
+// the error Map would join in place i, nil for a success) rather than
+// joined, for callers that merge several batches in an order of their
+// own. An empty items returns nil errs.
+func MapEach[In, Out any](ctx context.Context, items []In, fn func(ctx context.Context, item In) (Out, error), opts Options) (out []Out, errs []error) {
 	return run(ctx, len(items), func(ctx context.Context, i int) (Out, error) { return fn(ctx, items[i]) }, opts)
 }
 

@@ -152,6 +152,21 @@ func NewHardware(cfg Config, vhigh, vlow float64) (*Hardware, error) {
 	return &Hardware{High: hi, Low: lo, cfg: cfg}, nil
 }
 
+// CopyState makes h an exact copy of src — configuration, both
+// channels' thresholds and update counts, interrupt and CPU-time
+// counters — that shares no memory with it. h keeps its own channel
+// values, so copying into one Hardware again and again does not
+// allocate.
+func (h *Hardware) CopyState(src *Hardware) {
+	hi, lo := h.High, h.Low
+	if hi == nil {
+		hi, lo = new(Channel), new(Channel)
+	}
+	*h = *src
+	*hi, *lo = *src.High, *src.Low
+	h.High, h.Low = hi, lo
+}
+
 // PowerWatts returns the static power of both channels (the paper measured
 // 1.61 mW total).
 func (h *Hardware) PowerWatts() float64 { return 2 * h.cfg.PowerWatts }

@@ -260,3 +260,35 @@ func (s *Solver) AvailablePower(g float64) (float64, error) {
 	}
 	return m.P, nil
 }
+
+// CopyState makes s's run state equal to src's: the warm start, the
+// light-current cache, the work counters and both memos, copied entry
+// for entry (a memo hit skips a solve, which changes the warm start the
+// next solve sees). s keeps its own array and the invariants derived
+// from it, which must equal src's for s to go on solving as src would.
+// s reuses its own memo maps, so copying into one solver again and
+// again does not allocate once the maps have grown.
+func (s *Solver) CopyState(src *Solver) {
+	s.lastG, s.lastIl = src.lastG, src.lastIl
+	s.warm = src.warm
+	s.prevI, s.prevV, s.prevIl, s.prevDf = src.prevI, src.prevV, src.prevIl, src.prevDf
+	s.newtonIters, s.exactSolves = src.newtonIters, src.exactSolves
+	s.voc = copyMemo(s.voc, src.voc)
+	s.mpp = copyMemo(s.mpp, src.mpp)
+}
+
+// copyMemo makes dst hold exactly src's entries, reusing dst's map; a
+// nil src gives an empty (or nil) dst, which memoises the same way.
+func copyMemo[V any](dst, src map[float64]V) map[float64]V {
+	clear(dst)
+	if len(src) == 0 {
+		return dst
+	}
+	if dst == nil {
+		dst = make(map[float64]V, len(src))
+	}
+	for k, v := range src {
+		dst[k] = v
+	}
+	return dst
+}

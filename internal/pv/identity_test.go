@@ -2,6 +2,7 @@ package pv
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -279,5 +280,166 @@ func FuzzProfileIdentity(f *testing.F) {
 			return
 		}
 		requireSameIrradiance(t, "fuzzed clouds", a, b, append(edges(a), at))
+	})
+}
+
+// requireAgreeUntil fails unless a and b agree, bit for bit, at every
+// probe time of either profile up to tc: a dense grid over [-1, tc]
+// (over [-1, horizon] when tc is beyond it) plus every edge at or
+// before tc, its neighbouring floats, and tc itself.
+func requireAgreeUntil(t *testing.T, label string, a, b Profile, tc, horizon float64) {
+	t.Helper()
+	end := math.Min(tc, horizon)
+	ts := []float64{end}
+	for i := 0; i <= 2000; i++ {
+		ts = append(ts, -1+(end+1)*float64(i)/2000)
+	}
+	for _, e := range append(edges(a), edges(b)...) {
+		ts = append(ts, math.Nextafter(e, math.Inf(-1)), e, math.Nextafter(e, math.Inf(1)))
+	}
+	for _, tt := range ts {
+		if tt > tc {
+			continue
+		}
+		if ga, gb := a.Irradiance(tt), b.Irradiance(tt); math.Float64bits(ga) != math.Float64bits(gb) {
+			t.Fatalf("%s: SharedUntil %v, but irradiance %v vs %v at t=%v", label, tc, ga, gb, tt)
+		}
+	}
+}
+
+// TestSharedUntil pins the agreement time prefix forking rests on: two
+// stress-cloud realisations agree exactly up to SharedUntil — at the
+// start of the first differing cloud too, where the smoothstep
+// attenuation is exactly 0 — and, their clouds being deep, differ a
+// microsecond later. ClearUntil bounds it from below. Equal identities
+// agree for ever; anything the function cannot prove gives 0.
+func TestSharedUntil(t *testing.T) {
+	const span = 240
+	clouds := make([]*Clouds, 24)
+	for i := range clouds {
+		clouds[i] = StressClouds(int64(i+1), span)
+	}
+	for i, a := range clouds {
+		for j, b := range clouds {
+			if i == j {
+				continue
+			}
+			label := fmt.Sprintf("seeds %d and %d", i+1, j+1)
+			tc := SharedUntil(a, b)
+			if tc != SharedUntil(b, a) {
+				t.Fatalf("%s: SharedUntil is not symmetric", label)
+			}
+			if lo := math.Min(ClearUntil(a), ClearUntil(b)); !(tc >= lo) || !(tc > 0) {
+				t.Fatalf("%s: SharedUntil %v, ClearUntil bound %v", label, tc, lo)
+			}
+			requireAgreeUntil(t, label, a, b, tc, span)
+			if past := tc + 1e-6; tc < span && a.Irradiance(past) == b.Irradiance(past) {
+				t.Fatalf("%s: deep clouds still agree at %v, past SharedUntil %v", label, past, tc)
+			}
+		}
+		requireAgreeUntil(t, fmt.Sprintf("seed %d and its base", i+1), a, Constant(1000), ClearUntil(a), span)
+	}
+
+	free1, free2 := StressClouds(cloudFreeSeeds[0], 2), StressClouds(cloudFreeSeeds[1], 2)
+	for name, pair := range map[string][2]Profile{
+		"cloud-free seeds":   {free1, free2},
+		"one construction":   {clouds[3], StressClouds(4, span)},
+		"offset, same clock": {Offset{Base: clouds[0], T0: 5}, Offset{Base: StressClouds(1, span), T0: 5}},
+		"a constant":         {Constant(620), Constant(620)},
+	} {
+		if got := SharedUntil(pair[0], pair[1]); !math.IsInf(got, 1) {
+			t.Errorf("%s: equal identities, SharedUntil %v", name, got)
+		}
+	}
+	if got := ClearUntil(free1); !math.IsInf(got, 1) {
+		t.Errorf("cloud-free overlay: ClearUntil %v", got)
+	}
+
+	other := NewClouds(Constant(999), CloudParams{Span: span, MeanGap: 30, MeanDuration: 12,
+		MinTransmission: 0.25, MaxTransmission: 0.6, EdgeSeconds: 2}, 1)
+	for name, pair := range map[string][2]Profile{
+		"offset":          {Offset{Base: clouds[0], T0: 5}, Offset{Base: clouds[1], T0: 5}},
+		"scaled":          {Scaled{Base: clouds[0], Factor: 0.8}, Scaled{Base: clouds[1], Factor: 0.8}},
+		"mismatched base": {clouds[0], other},
+		"clouds and base": {clouds[0], Constant(1000)},
+		"unknown type":    {ramp{}, ramp{}},
+		"nil":             {nil, clouds[0]},
+		"nil clouds":      {(*Clouds)(nil), clouds[0]},
+		"sinusoids":       {Sinusoid{Mean: 1}, Sinusoid{Mean: 2}},
+	} {
+		if got := SharedUntil(pair[0], pair[1]); got != 0 {
+			t.Errorf("%s: SharedUntil %v, want 0", name, got)
+		}
+	}
+	for name, p := range map[string]Profile{
+		"constant": Constant(1000), "offset clouds": Offset{Base: clouds[0]},
+		"clouds over unknown": NewClouds(ramp{}, PartialSun(span), 1), "nil": nil,
+	} {
+		if got := ClearUntil(p); got != 0 {
+			t.Errorf("%s: ClearUntil %v, want 0", name, got)
+		}
+	}
+}
+
+// TestSharedUntilZeroEdge covers clouds whose edges have zero length:
+// such a cloud is at full depth from its very start, so agreement ends
+// one float before it.
+func TestSharedUntilZeroEdge(t *testing.T) {
+	p := CloudParams{Span: 600, MeanGap: 30, MeanDuration: 12, MinTransmission: 0.1, MaxTransmission: 0.2}
+	a, b := NewClouds(Constant(800), p, 1), NewClouds(Constant(800), p, 2)
+	tc := SharedUntil(a, b)
+	first := math.Min(a.events[0].start, b.events[0].start)
+	if tc != math.Nextafter(first, math.Inf(-1)) {
+		t.Fatalf("SharedUntil %v, want the float before the first cloud at %v", tc, first)
+	}
+	requireAgreeUntil(t, "zero edges", a, b, tc, 600)
+	if a.Irradiance(first) == b.Irradiance(first) {
+		t.Fatalf("zero-edge clouds agree at the first cloud's start %v", first)
+	}
+}
+
+// FuzzSharedUntil checks the agreement contract on fuzzed cloud
+// overlays: two overlays agree, bit for bit, on a dense grid and at
+// every event edge up to SharedUntil (and at the fuzzed time when it is
+// no later), and SharedUntil is at least the earlier ClearUntil when
+// the bases agree.
+func FuzzSharedUntil(f *testing.F) {
+	f.Add(1000.0, 240.0, 30.0, 12.0, 0.25, 0.6, 2.0, int64(5),
+		1000.0, 240.0, 30.0, 12.0, 0.25, 0.6, 2.0, int64(6), 33.3)
+	f.Add(800.0, 600.0, 30.0, 12.0, 0.1, 0.2, 0.0, int64(1),
+		800.0, 600.0, 30.0, 12.0, 0.1, 0.2, 0.0, int64(2), 20.0)
+	f.Add(620.0, 100.0, 60.0, 30.0, 0.72, 0.92, 8.0, int64(1),
+		620.0, 50.0, 60.0, 30.0, 0.72, 0.92, 8.0, int64(1), 60.0)
+	f.Add(1000.0, 2.0, 30.0, 12.0, 0.25, 0.6, 2.0, cloudFreeSeeds[0],
+		1000.0, 240.0, 30.0, 12.0, 0.25, 0.6, 2.0, int64(3), 1.0)
+
+	f.Fuzz(func(t *testing.T, g1, span1, gap1, dur1, minT1, maxT1, edge1 float64, seed1 int64,
+		g2, span2, gap2, dur2, minT2, maxT2, edge2 float64, seed2 int64, at float64) {
+		a, ok := fuzzClouds(g1, span1, gap1, dur1, minT1, maxT1, edge1, seed1)
+		if !ok {
+			return
+		}
+		b, ok := fuzzClouds(g2, span2, gap2, dur2, minT2, maxT2, edge2, seed2)
+		if !ok {
+			return
+		}
+		tc := SharedUntil(a, b)
+		if !(tc >= 0) {
+			t.Fatalf("SharedUntil %v", tc)
+		}
+		if g1 == g2 {
+			if lo := math.Min(ClearUntil(a), ClearUntil(b)); !(tc >= lo) {
+				t.Fatalf("SharedUntil %v below the earlier ClearUntil %v", tc, lo)
+			}
+		}
+		if tc == 0 {
+			return
+		}
+		requireAgreeUntil(t, "fuzzed clouds", a, b, tc, 600)
+		if at <= tc {
+			if ga, gb := a.Irradiance(at), b.Irradiance(at); math.Float64bits(ga) != math.Float64bits(gb) {
+				t.Fatalf("SharedUntil %v, but irradiance %v vs %v at t=%v", tc, ga, gb, at)
+			}
+		}
 	})
 }

@@ -209,6 +209,26 @@ func (r Realisation) AppendIdentity(dst []byte) ([]byte, bool) {
 	return pv.AppendIdentity(dst, r.profile)
 }
 
+// SharedUntil reports how long the runs of two realisations of one
+// spec compute the same thing: pv.SharedUntil of their profiles, the
+// time up to which they agree exactly (+Inf for equal identities, 0
+// when nothing is proven). A bench source shares nothing.
+func (r Realisation) SharedUntil(o Realisation) float64 {
+	if r.profile == nil || o.profile == nil {
+		return 0
+	}
+	return pv.SharedUntil(r.profile, o.profile)
+}
+
+// ClearUntil reports how long the realisation agrees exactly with its
+// own cloud-free sky (pv.ClearUntil), 0 when that is unknown. Two
+// realisations of one spec agree at least up to the earlier of their
+// ClearUntil times, so the one with the latest ClearUntil agrees with
+// every other one at least up to that one's own.
+func (r Realisation) ClearUntil() float64 {
+	return pv.ClearUntil(r.profile)
+}
+
 // Realise validates the spec and draws its seeded part, the first half
 // of Assemble.
 func (s Spec) Realise(seed int64) (Realisation, error) {

@@ -68,6 +68,16 @@ type SupplyOnly interface {
 	SupplyOnly() bool
 }
 
+// forkObserver is implemented by sim's own stateful observers, the
+// ones a Snapshot can copy: a run with any other observer cannot fork.
+type forkObserver interface {
+	Observer
+	// copyState copies o's whole state into dst, an observer of o's
+	// type, and returns dst; for a dst of another type (or nil) it
+	// returns a new copy instead.
+	copyState(dst Observer) Observer
+}
+
 // Envelope is an online min/max/time-mean accumulator over a sampled
 // signal, assuming zero-order hold between samples. It reproduces
 // trace.Series Min/Max/TimeMean bit for bit when fed the same stream,
@@ -218,6 +228,15 @@ func (o *EnvelopeObserver) NeedsAvailablePower() bool { return o.Channel == Chan
 // reads the supply voltage.
 func (o *EnvelopeObserver) SupplyOnly() bool { return o.Channel == ChanVC }
 
+func (o *EnvelopeObserver) copyState(dst Observer) Observer {
+	d, ok := dst.(*EnvelopeObserver)
+	if !ok || d == nil {
+		d = new(EnvelopeObserver)
+	}
+	*d = *o
+	return d
+}
+
 // TimeInStateObserver accumulates a dwell-time histogram of one channel:
 // each inter-sample interval's duration is credited to the bin of the
 // value holding over it (zero-order hold). This is the trace-free form
@@ -266,6 +285,28 @@ func (o *TimeInStateObserver) NeedsAvailablePower() bool { return o.Channel == C
 // SupplyOnly implements the optional refinement: a ChanVC histogram
 // only reads the supply voltage.
 func (o *TimeInStateObserver) SupplyOnly() bool { return o.Channel == ChanVC }
+
+// copyState copies into dst's own histogram, so a holder of dst.Hist
+// sees the copied bins.
+func (o *TimeInStateObserver) copyState(dst Observer) Observer {
+	d, ok := dst.(*TimeInStateObserver)
+	if !ok || d == nil {
+		d = new(TimeInStateObserver)
+	}
+	hist := d.Hist
+	*d = *o
+	switch {
+	case o.Hist == nil:
+		hist = nil
+	case hist == nil:
+		hist = new(stats.Histogram)
+		fallthrough
+	default:
+		hist.CopyFrom(o.Hist)
+	}
+	d.Hist = hist
+	return d
+}
 
 // seriesObserver is trace capture expressed as an observer: it appends
 // every sample to the Result's series exactly as the engine's historical

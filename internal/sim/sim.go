@@ -154,6 +154,11 @@ type Result struct {
 	VCEnvelope Envelope
 	// Solver counts the numerical work the run took.
 	Solver SolverCounters
+	// SharedPrefixSeconds is the simulated time this run took from a
+	// lead run's Snapshot instead of simulating it (see Resume), 0 for
+	// a run from scratch. It says how the run was executed, not what
+	// it computed: every other field is bit-identical either way.
+	SharedPrefixSeconds float64
 
 	// stability holds the online within-band accumulators configured via
 	// Config.StabilityBands.
@@ -218,18 +223,9 @@ func (r *Result) StabilityBands() []float64 {
 	return bands
 }
 
-// engine is the per-run mutable state.
-type engine struct {
-	cfg      Config
-	src      Source
-	pvSrc    *PVSource // non-nil when the source is photovoltaic
-	fast     *pv.Solver
-	storage  Storage
-	platform *soc.Platform
-	ctrl     *core.Controller
-	gov      governor.Governor
-	hw       *monitor.Hardware
-
+// runState is the engine's mutable value state: plain values only, so
+// one assignment copies it.
+type runState struct {
 	vc        float64
 	now       float64
 	alive     bool
@@ -239,23 +235,77 @@ type engine struct {
 	// restart (platform.Reset zeroes the platform's own counters).
 	instrBase  float64
 	framesBase float64
+	// nextTick is the governor's next sampling time; rebootAt is the
+	// pending restart time, −1 when none is armed.
+	nextTick float64
+	rebootAt float64
 
-	// Per-run integration hot-path state, allocated once: a reusable
-	// stepper, the storage state buffer, the event scratch slice and the
-	// hoisted RHS/OnStep/event closures (rebuilding them per segment cost
-	// an allocation each across tens of thousands of segments).
-	integ ode.Integrator
-	// ybuf backs the storage state vector; y is ybuf[:Storage.Dim()].
+	// ybuf backs the storage state vector.
 	// State 0 is the sensed supply voltage (events, traces, brownout);
 	// further states are storage-internal (e.g. a hybrid reservoir).
 	ybuf  [MaxStorageStates]float64
-	y     []float64
 	lastH float64 // step-size carry across segments
 	// drawW is the board's power draw for the segment being integrated,
 	// read once per segment just before Integrate. It is constant within
 	// one: the platform only mutates between integrations (Advance,
 	// RequestOPP, Kill and Reset all run in the discrete-event code).
 	drawW float64
+	// readUntil is the latest time at which the run has read the
+	// irradiance, −Inf before the first read: a run whose profile agrees
+	// with this one's up to readUntil has reached this very state.
+	readUntil float64
+
+	// The engine-owned reusable sample, the always-on supply-voltage
+	// envelope and the available-power sampling clock.
+	sample       Sample
+	env          Envelope
+	availStarted bool
+	lastAvailT   float64
+}
+
+// runParts is everything that changes as a run advances: the engine's
+// own values and the objects holding the rest of its state. It is what
+// a Snapshot copies (see fork.go).
+type runParts struct {
+	runState
+
+	fast     *pv.Solver // nil for a non-PV source
+	platform *soc.Platform
+	ctrl     *core.Controller
+	hw       *monitor.Hardware
+
+	// Observer pipeline (see observer.go): the dispatch list (series
+	// observer first, then Config.Observers) and the always-on stability
+	// accumulators. All fixed at run start so the per-step dispatch is
+	// allocation-free.
+	observers []Observer
+	stab      []stabAccum
+
+	// res is the run's Result, allocated apart from the engine so that a
+	// caller holding the Result does not keep the engine alive. Invariant:
+	// nothing reachable from res points back into the engine — res holds
+	// only values, its own series and the stability accumulators, never
+	// the platform, solver, monitor, observers or closures.
+	res *Result
+}
+
+// engine is the per-run mutable state.
+type engine struct {
+	cfg     Config
+	src     Source
+	pvSrc   *PVSource // non-nil when the source is photovoltaic
+	storage Storage
+	gov     governor.Governor
+
+	runParts
+
+	// Per-run integration hot-path state, allocated once: a reusable
+	// stepper, the storage state view, the event scratch slice and the
+	// hoisted RHS/OnStep/event closures (rebuilding them per segment cost
+	// an allocation each across tens of thousands of segments).
+	integ ode.Integrator
+	// y is the storage state vector, runState.ybuf[:Storage.Dim()].
+	y []float64
 	// evbuf backs the event scratch slice events: a segment arms at most
 	// three events (brownout, Vlow, Vhigh), so the set never reallocates.
 	evbuf                              [3]ode.Event
@@ -264,25 +314,13 @@ type engine struct {
 	onStepFn                           func(t float64, y []float64)
 	evBrownout, evVlow, evVhigh, evRec ode.Event
 
-	// Observer pipeline state (see observer.go): the engine-owned
-	// reusable sample, the dispatch list (series observer first, then
-	// Config.Observers) and the always-on online accumulators. All fixed
-	// at run start so the per-step dispatch is allocation-free.
-	sample       Sample
-	observers    []Observer
-	env          Envelope // supply-voltage envelope, always accumulated
-	stab         []stabAccum
-	wantAvail    bool
-	supplyOnly   bool // every observer reads only T/VC/Alive
-	availStarted bool
-	lastAvailT   float64
+	// What the observers read, fixed at run start.
+	wantAvail  bool
+	supplyOnly bool // every observer reads only T/VC/Alive
 
-	// res is the run's Result, allocated apart from the engine so that a
-	// caller holding the Result does not keep the engine alive. Invariant:
-	// nothing reachable from res points back into the engine — res holds
-	// only values, its own series and the stability accumulators, never
-	// the platform, solver, monitor, observers or closures.
-	res *Result
+	// forks is the pending snapshot work of a lead run (RunLead), nil
+	// otherwise and once every snapshot is taken.
+	forks *forker
 }
 
 // Run executes the configured simulation to completion.
@@ -305,15 +343,21 @@ func Run(cfg Config) (*Result, error) {
 // integration closures.
 func newEngine(cfg Config) (*engine, error) {
 	e := &engine{
-		cfg:      cfg,
-		src:      cfg.Source,
-		storage:  cfg.Storage,
-		platform: cfg.Platform,
-		ctrl:     cfg.Controller,
-		gov:      cfg.Governor,
-		vc:       cfg.InitialVC,
-		alive:    true,
-		res:      new(Result),
+		cfg:     cfg,
+		src:     cfg.Source,
+		storage: cfg.Storage,
+		gov:     cfg.Governor,
+		runParts: runParts{
+			runState: runState{
+				vc:        cfg.InitialVC,
+				alive:     true,
+				rebootAt:  -1,
+				readUntil: math.Inf(-1),
+			},
+			platform: cfg.Platform,
+			ctrl:     cfg.Controller,
+			res:      new(Result),
+		},
 	}
 	e.events = e.evbuf[:0]
 	e.y = e.ybuf[:e.storage.Dim()]
@@ -533,6 +577,9 @@ func validate(cfg *Config) error {
 // pass and reproduces the historical capacitor maths bit for bit.
 func (e *engine) rhs(t float64, y, dydt []float64) {
 	e.res.Solver.RHSEvals++
+	if t > e.readUntil {
+		e.readUntil = t
+	}
 	v := y[0]
 	if v < 0 {
 		v = 0
@@ -642,6 +689,9 @@ func (e *engine) record(t, vc float64) {
 // pending sample. The refresh clock only advances on a successful solve,
 // matching the historical retry-next-step behaviour.
 func (e *engine) sampleAvailable(t float64) {
+	if t > e.readUntil {
+		e.readUntil = t
+	}
 	g := e.pvSrc.Profile.Irradiance(t)
 	p, err := e.fast.AvailablePower(g)
 	if err == nil {
@@ -654,27 +704,32 @@ func (e *engine) sampleAvailable(t float64) {
 // tick and reboot, integrates the supply to the next forced stop or
 // terminal event, dispatches that event, and then level-checks the node:
 // a brownout missed by an unmonitored interval, or a crossing latched
-// while the platform was busy.
+// while the platform was busy. All of the loop's state lives in the
+// engine, so a run resumed from a snapshot taken at the top of a pass
+// goes on exactly as the run it was taken from.
 func (e *engine) run() error {
 	tEnd := e.cfg.Duration
-	nextTick := 0.0 // governor tick time (governor mode only)
-	rebootAt := -1.0
-
-	for e.now < tEnd {
+	for {
+		if e.forks != nil {
+			e.forkPoint()
+		}
+		if !(e.now < tEnd) {
+			break
+		}
 		// Governor tick due exactly now.
-		if e.gov != nil && e.alive && e.now >= nextTick {
+		if e.gov != nil && e.alive && e.now >= e.nextTick {
 			e.governorTick()
-			nextTick = e.now + e.gov.SamplingPeriod()
+			e.nextTick = e.now + e.gov.SamplingPeriod()
 		}
 		// Reboot due now — but only if the supply is still healthy; the
 		// harvest may have collapsed again during the cooldown, in which
 		// case we disarm and wait for the next recovery crossing.
-		if !e.alive && rebootAt >= 0 && e.now >= rebootAt {
-			rebootAt = -1
+		if !e.alive && e.rebootAt >= 0 && e.now >= e.rebootAt {
+			e.rebootAt = -1
 			if e.vc >= e.cfg.RestartVolts {
 				e.reboot()
 				if e.gov != nil {
-					nextTick = e.now
+					e.nextTick = e.now
 					continue
 				}
 			}
@@ -682,14 +737,14 @@ func (e *engine) run() error {
 
 		// Choose the next forced stop.
 		segEnd := tEnd
-		if e.gov != nil && e.alive && nextTick < segEnd {
-			segEnd = nextTick
+		if e.gov != nil && e.alive && e.nextTick < segEnd {
+			segEnd = e.nextTick
 		}
 		if c, ok := e.platform.NextCompletion(); ok && e.alive && c < segEnd {
 			segEnd = c
 		}
-		if !e.alive && rebootAt >= 0 && rebootAt < segEnd {
-			segEnd = rebootAt
+		if !e.alive && e.rebootAt >= 0 && e.rebootAt < segEnd {
+			segEnd = e.rebootAt
 		}
 		if segEnd <= e.now {
 			segEnd = math.Nextafter(e.now, math.Inf(1))
@@ -713,9 +768,9 @@ func (e *engine) run() error {
 			case "brownout":
 				e.brownout()
 			case "recover":
-				rebootAt = e.now + e.cfg.RebootSeconds
-				if earliest := e.deadSince + e.cfg.RestartCooldown; rebootAt < earliest {
-					rebootAt = earliest
+				e.rebootAt = e.now + e.cfg.RebootSeconds
+				if earliest := e.deadSince + e.cfg.RestartCooldown; e.rebootAt < earliest {
+					e.rebootAt = earliest
 				}
 			case "vlow":
 				err = e.service(core.CrossLow)
@@ -761,6 +816,9 @@ func (e *engine) run() error {
 				return err
 			}
 		}
+	}
+	if e.forks != nil {
+		e.forks.finish()
 	}
 	// Final bookkeeping sample.
 	e.record(e.now, e.vc)

@@ -134,6 +134,22 @@ func (p *Platform) Reset(t float64, boot OPP) {
 	p.utilisation = 1
 }
 
+// CopyState makes p's run state equal to src's: the current and
+// committed OPPs, the pending transition queue, liveness, clock,
+// utilisation and work counters. p keeps its own power, performance
+// and latency models, which must equal src's for p to go on as src
+// would, and its own queue storage, so copying into one platform again
+// and again does not allocate once its queue has grown.
+func (p *Platform) CopyState(src *Platform) {
+	pm, pf, lm := p.Power, p.Perf, p.Latency
+	queue, plan := p.queue, p.planBuf
+	*p = *src
+	p.Power, p.Perf, p.Latency = pm, pf, lm
+	p.queue = append(queue[:0], src.pending()...)
+	p.qhead = 0
+	p.planBuf = plan[:0]
+}
+
 // Advance moves simulation time forward to now, completing any transitions
 // that finish on the way and accruing workload progress. Calling with a
 // time before the current time is an error.

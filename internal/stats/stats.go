@@ -185,6 +185,14 @@ func (h *Histogram) Merge(other *Histogram) error {
 	return nil
 }
 
+// CopyFrom makes h an exact copy of src — bounds, bins, under/overflow
+// and total — reusing h's bin storage when it is large enough.
+func (h *Histogram) CopyFrom(src *Histogram) {
+	bins := append(h.Bins[:0], src.Bins...)
+	*h = *src
+	h.Bins = bins
+}
+
 // Total returns the accumulated weight including under/overflow.
 func (h *Histogram) Total() float64 { return h.total }
 

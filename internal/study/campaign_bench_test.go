@@ -24,8 +24,10 @@ import (
 // The work metrics (segments/op ... exact/op) sum the study's solver
 // counters per task, shared runs counted once per task; sims/op counts
 // the distinct simulations behind the study's tasks (cloud-free tasks
-// share one run). Every iteration runs the same deterministic study,
-// so the last one stands for all.
+// share one run). Of those, forks/op counts the ones resumed from their
+// cell lead's state past t = 0, and shared_s/op sums the simulated
+// seconds they took from it instead of simulating. Every iteration runs
+// the same deterministic study, so the last one stands for all.
 func BenchmarkCampaignTraceFree(b *testing.B) {
 	base := scenario.MustLookup("stress-clouds")
 	base.Duration = 10
@@ -55,13 +57,20 @@ func BenchmarkCampaignTraceFree(b *testing.B) {
 					b.ReportMetric(out.Summary.Stability.Mean*100, "meanPct5")
 					b.ReportMetric((float64(held)-float64(before))/runs, "retainedB/run")
 					var work sim.SolverCounters
+					var forks, shared float64
 					sims := map[*sim.Result]bool{}
 					for _, r := range out.Results {
 						work.Add(r.Result.Solver)
+						if !sims[r.Result] && r.Result.SharedPrefixSeconds > 0 {
+							forks++
+							shared += r.Result.SharedPrefixSeconds
+						}
 						sims[r.Result] = true
 					}
 					testutil.ReportSolverWork(b, work, 1)
 					b.ReportMetric(float64(len(sims)), "sims/op")
+					b.ReportMetric(forks, "forks/op")
+					b.ReportMetric(shared, "shared_s/op")
 				}
 			}
 		})

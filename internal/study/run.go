@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 
 	"pnps/internal/batch"
@@ -130,9 +131,20 @@ func (st Study) instrument(cfg *sim.Config, bands []float64) (*stats.Histogram, 
 // dwell histogram, both read-only, and derives its own metrics. A
 // realisation without an identity is a group of its own.
 //
-// Groups never outlive one call, and results come back in task order,
-// so everything downstream is bit-identical for any Workers value and
-// any split of the ledger.
+// Groups of one cell whose realisations differ may still agree on a
+// prefix of the run: a cloudy realisation computes its cell's
+// clear-sky run until its first cloud. planForks makes one group per
+// cell the lead and the groups sharing a prefix with it its followers.
+// A lead runs with sim.RunLead, which hands out a snapshot of its
+// engine at each follower's fork time, and each follower resumes from
+// its snapshot (sim.Resume), bit for bit what sim.Run would return.
+// The pool takes the groups cell by cell, each cell's lead first and
+// its followers last in fork-time order, so a follower waits only for
+// a lead that has started to reach its fork time.
+//
+// Groups never outlive one call, and results and errors come back in
+// task and group order, so everything downstream is bit-identical for
+// any Workers value and any split of the ledger.
 func (st Study) runTasks(ctx context.Context, p *plan, tasks []Task) ([]TaskResult, error) {
 	bands := st.stabilityBands()
 	results := make([]TaskResult, len(tasks))
@@ -149,7 +161,11 @@ func (st Study) runTasks(ctx context.Context, p *plan, tasks []Task) ([]TaskResu
 	if err != nil {
 		return nil, err
 	}
+	// Only the groups' first realisations are simulated; the rest
+	// become garbage here, before any simulation starts.
 	groups := shareGroups(tasks, reals)
+	reals = nil
+	order := planForks(tasks, groups)
 
 	// Progress counts tasks: a finished group completes all of its
 	// members. The mutex serialises the callback, as batch does, so
@@ -158,27 +174,46 @@ func (st Study) runTasks(ctx context.Context, p *plan, tasks []Task) ([]TaskResu
 		sync.Mutex
 		completed int
 	}
-	outs, err := batch.Map(ctx, groups, func(_ context.Context, g []int) (runOutput, error) {
+	simulate := func(ctx context.Context, g *groupRun) (runOutput, error) {
 		defer func() {
 			if st.OnProgress != nil {
 				progress.Lock()
-				progress.completed += len(g)
+				progress.completed += len(g.tasks)
 				st.OnProgress(progress.completed, len(tasks))
 				progress.Unlock()
 			}
 		}()
 		fail := func(err error) (runOutput, error) {
-			errs := make([]error, len(g))
-			for k, i := range g {
+			errs := make([]error, len(g.tasks))
+			for k, i := range g.tasks {
 				errs[k] = st.failTask(cancel, tasks[i], err)
 			}
 			return runOutput{}, errors.Join(errs...)
 		}
-		lead := reals[g[0]]
-		if lead.err != nil {
-			return fail(lead.err)
+		if g.follows {
+			// A lead skipped by a cancelled pool never hands out.
+			select {
+			case <-g.ready:
+			case <-ctx.Done():
+				return fail(ctx.Err())
+			}
+		} else {
+			// A failed lead leaves the followers it did not reach
+			// without a snapshot: they run from scratch.
+			defer func() {
+				for _, f := range g.followers {
+					if !f.handed {
+						close(f.ready)
+					}
+				}
+			}()
 		}
-		cfg, err := results[g[0]].Spec.Build(lead.r)
+		rl, snap := g.real, g.snap
+		g.real, g.snap = realised{}, nil
+		if rl.err != nil {
+			return fail(rl.err)
+		}
+		cfg, err := results[g.tasks[0]].Spec.Build(rl.r)
 		if err != nil {
 			return fail(err)
 		}
@@ -186,17 +221,35 @@ func (st Study) runTasks(ctx context.Context, p *plan, tasks []Task) ([]TaskResu
 		if out.hist, err = st.instrument(&cfg, bands); err != nil {
 			return fail(err)
 		}
-		if out.res, err = sim.Run(cfg); err != nil {
+		if len(g.followers) == 0 {
+			out.res, err = sim.Resume(cfg, snap)
+		} else {
+			at := make([]float64, len(g.followers))
+			for k, f := range g.followers {
+				at[k] = f.forkAt
+			}
+			out.res, err = sim.RunLead(cfg, at, func(k int, s *sim.Snapshot) {
+				f := g.followers[k]
+				f.snap, f.handed = s, true
+				close(f.ready)
+			})
+		}
+		if err != nil {
 			return fail(err)
 		}
 		return out, nil
-	}, opts)
-	if err != nil {
-		return nil, err
 	}
-	for k, g := range groups {
+	outs, errs := batch.MapEach(ctx, order, simulate, opts)
+	if errors.Join(errs...) != nil {
+		byGroup := make([]error, len(groups))
+		for k, g := range order {
+			byGroup[g.index] = errs[k]
+		}
+		return nil, errors.Join(byGroup...)
+	}
+	for k, g := range order {
 		m := metricsFrom(outs[k].res)
-		for _, i := range g {
+		for _, i := range g.tasks {
 			results[i].Result = outs[k].res
 			results[i].Metrics = m
 			results[i].Hist = outs[k].hist
@@ -205,16 +258,89 @@ func (st Study) runTasks(ctx context.Context, p *plan, tasks []Task) ([]TaskResu
 	return results, nil
 }
 
+// groupRun is one simulation of runTasks: a share group and its part
+// in prefix forking.
+type groupRun struct {
+	// index is the group's place in ledger order; tasks are its task
+	// positions, lowest first.
+	index int
+	tasks []int
+	// real is the first task's realisation, which the group simulates.
+	real realised
+	// A lead's followers, by fork time.
+	followers []*groupRun
+	// follows marks a follower, and forkAt is the time up to which its
+	// realisation agrees with its lead's. The lead sets snap and
+	// handed, then closes ready; snap stays nil when the lead cannot
+	// fork or fails first, and the follower then runs from scratch.
+	follows bool
+	forkAt  float64
+	ready   chan struct{}
+	handed  bool
+	snap    *sim.Snapshot
+}
+
+// planForks picks the lead of each cell's groups: among the groups
+// with a known clear-sky prefix (scenario.Realisation.ClearUntil), the
+// one whose prefix is longest, the cloud-free group when there is one.
+// It agrees with every other group at least up to that group's own
+// clear-sky prefix, and every group that shares a positive prefix with
+// it follows it. It returns the order to run the groups in: cell by
+// cell, the lead, the groups that do not follow, then the followers by
+// fork time, the order in which the lead hands out their snapshots.
+// Groups arrive in ledger order, so a cell's groups are contiguous.
+func planForks(tasks []Task, groups []groupRun) []*groupRun {
+	order := make([]*groupRun, 0, len(groups))
+	for lo, hi := 0, 0; lo < len(groups); lo = hi {
+		cell := tasks[groups[lo].tasks[0]].Cell
+		var lead *groupRun
+		best := 0.0
+		for hi = lo; hi < len(groups) && tasks[groups[hi].tasks[0]].Cell == cell; hi++ {
+			if g := &groups[hi]; g.real.err == nil {
+				if c := g.real.r.ClearUntil(); c > best {
+					lead, best = g, c
+				}
+			}
+		}
+		if lead != nil {
+			order = append(order, lead)
+		}
+		for k := lo; k < hi; k++ {
+			g := &groups[k]
+			if g == lead {
+				continue
+			}
+			tc := 0.0
+			if lead != nil && g.real.err == nil {
+				tc = lead.real.r.SharedUntil(g.real.r)
+			}
+			if !(tc > 0) {
+				order = append(order, g)
+				continue
+			}
+			g.follows, g.forkAt, g.ready = true, tc, make(chan struct{})
+			lead.followers = append(lead.followers, g)
+		}
+		if lead != nil {
+			sort.SliceStable(lead.followers, func(i, j int) bool {
+				return lead.followers[i].forkAt < lead.followers[j].forkAt
+			})
+			order = append(order, lead.followers...)
+		}
+	}
+	return order
+}
+
 // shareGroups partitions task positions into the groups that run one
 // simulation: tasks of one cell whose realisations have equal
 // identities, in ledger order, so each group's first member is its
-// lowest-index task. A task whose realisation failed or has no
-// identity is a group of its own. Tasks arrive in ledger order, so a
-// cell's tasks are contiguous and the identity map holds one cell at a
-// time.
-func shareGroups(tasks []Task, reals []realised) [][]int {
+// lowest-index task and carries its realisation. A task whose
+// realisation failed or has no identity is a group of its own. Tasks
+// arrive in ledger order, so a cell's tasks are contiguous and the
+// identity map holds one cell at a time.
+func shareGroups(tasks []Task, reals []realised) []groupRun {
 	var (
-		groups [][]int
+		groups []groupRun
 		byID   = map[string]int{}
 		buf    [64]byte // room for the identity of a profile with one cloud
 		id     = buf[:0]
@@ -230,13 +356,13 @@ func shareGroups(tasks []Task, reals []realised) [][]int {
 			id, ok = reals[i].r.AppendIdentity(id[:0])
 		}
 		if ok {
-			if g, seen := byID[string(id)]; seen {
-				groups[g] = append(groups[g], i)
+			if k, seen := byID[string(id)]; seen {
+				groups[k].tasks = append(groups[k].tasks, i)
 				continue
 			}
 			byID[string(id)] = len(groups)
 		}
-		groups = append(groups, []int{i})
+		groups = append(groups, groupRun{index: len(groups), tasks: []int{i}, real: reals[i]})
 	}
 	return groups
 }
