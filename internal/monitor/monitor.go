@@ -154,14 +154,9 @@ func NewHardware(cfg Config, vhigh, vlow float64) (*Hardware, error) {
 
 // CopyState makes h an exact copy of src — configuration, both
 // channels' thresholds and update counts, interrupt and CPU-time
-// counters — that shares no memory with it. h keeps its own channel
-// values, so copying into one Hardware again and again does not
-// allocate.
+// counters — copying the channels into h's own, which must be set.
 func (h *Hardware) CopyState(src *Hardware) {
 	hi, lo := h.High, h.Low
-	if hi == nil {
-		hi, lo = new(Channel), new(Channel)
-	}
 	*h = *src
 	*hi, *lo = *src.High, *src.Low
 	h.High, h.Low = hi, lo

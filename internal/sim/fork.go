@@ -31,20 +31,18 @@ type Snapshot struct {
 	profile pv.Profile
 	shape   runShape
 
-	// runParts is the state, pointing at the values after it, so that
-	// one allocation holds them all.
-	runParts
-	res       Result
-	platform  soc.Platform
-	ctrl      core.Controller
-	hw        monitor.Hardware
-	high, low monitor.Channel
-	solver    pv.Solver
+	// state is the run state; its objects are the values in own, so
+	// that one allocation holds them all.
+	state runParts
+	own   struct {
+		res       Result
+		platform  soc.Platform
+		ctrl      core.Controller
+		hw        monitor.Hardware
+		high, low monitor.Channel
+		solver    pv.Solver
+	}
 }
-
-// Time returns the simulated time at which the snapshot was taken: the
-// prefix a run resumed from it does not simulate.
-func (s *Snapshot) Time() float64 { return s.now }
 
 // RunLead executes cfg like Run and hands out, for each time in
 // forkAt, the snapshot a follower whose profile agrees with cfg's up
@@ -147,7 +145,7 @@ func (e *engine) canFork() bool {
 // irradiance profile that agrees with the lead's at every time the
 // lead read before the snapshot.
 func (e *engine) resumeFrom(s *Snapshot) error {
-	l := &s.runParts
+	l := &s.state
 	switch {
 	case !e.canFork():
 		return errors.New("sim: Resume needs a run that can fork (no series, no governor, a PV source, sim's own observers)")
@@ -233,16 +231,16 @@ func (p *runParts) copyState(src *runParts) {
 // and none of e's configuration, closures or scratch.
 func (e *engine) snapshot() *Snapshot {
 	s := &Snapshot{profile: e.pvSrc.Profile, shape: e.shape()}
-	c := &s.runParts
-	c.res, c.platform = &s.res, &s.platform
+	c, own := &s.state, &s.own
+	c.res, c.platform = &own.res, &own.platform
 	c.stab = make([]stabAccum, len(e.stab))
 	c.observers = make([]Observer, len(e.observers))
 	if e.ctrl != nil {
-		c.ctrl, c.hw = &s.ctrl, &s.hw
-		s.hw.High, s.hw.Low = &s.high, &s.low
+		c.ctrl, c.hw = &own.ctrl, &own.hw
+		own.hw.High, own.hw.Low = &own.high, &own.low
 	}
 	if e.fast != nil {
-		c.fast = &s.solver
+		c.fast = &own.solver
 	}
 	for i, o := range e.observers {
 		c.observers[i] = o.(forkObserver).copyState(nil)
@@ -291,7 +289,7 @@ func (e *engine) forkPoint() {
 		f.last = e.snapshot()
 		return
 	}
-	f.last.copyState(&e.runParts)
+	f.last.state.copyState(&e.runParts)
 }
 
 // finish hands the last snapshot, taken at the loop's exit, to every

@@ -294,16 +294,11 @@ func (o *TimeInStateObserver) copyState(dst Observer) Observer {
 		d = new(TimeInStateObserver)
 	}
 	hist := d.Hist
-	*d = *o
-	switch {
-	case o.Hist == nil:
-		hist = nil
-	case hist == nil:
+	if hist == nil {
 		hist = new(stats.Histogram)
-		fallthrough
-	default:
-		hist.CopyFrom(o.Hist)
 	}
+	hist.CopyFrom(o.Hist)
+	*d = *o
 	d.Hist = hist
 	return d
 }
