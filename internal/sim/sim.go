@@ -291,11 +291,9 @@ type runParts struct {
 
 // engine is the per-run mutable state.
 type engine struct {
-	cfg     Config
-	src     Source
-	pvSrc   *PVSource // non-nil when the source is photovoltaic
-	storage Storage
-	gov     governor.Governor
+	cfg   Config    // validated: Source and Storage are set
+	pvSrc *PVSource // non-nil when the source is photovoltaic
+	gov   governor.Governor
 
 	runParts
 
@@ -343,10 +341,8 @@ func Run(cfg Config) (*Result, error) {
 // integration closures.
 func newEngine(cfg Config) (*engine, error) {
 	e := &engine{
-		cfg:     cfg,
-		src:     cfg.Source,
-		storage: cfg.Storage,
-		gov:     cfg.Governor,
+		cfg: cfg,
+		gov: cfg.Governor,
 		runParts: runParts{
 			runState: runState{
 				vc:        cfg.InitialVC,
@@ -360,12 +356,12 @@ func newEngine(cfg Config) (*engine, error) {
 		},
 	}
 	e.events = e.evbuf[:0]
-	e.y = e.ybuf[:e.storage.Dim()]
-	e.storage.Init(cfg.InitialVC, e.y)
-	e.res.StorageEnergyStartJ = e.storage.Energy(e.y)
-	if p, ok := e.src.(PVSource); ok {
+	e.y = e.ybuf[:cfg.Storage.Dim()]
+	cfg.Storage.Init(cfg.InitialVC, e.y)
+	e.res.StorageEnergyStartJ = cfg.Storage.Energy(e.y)
+	if p, ok := cfg.Source.(PVSource); ok {
 		e.pvSrc = &p
-	} else if p, ok := e.src.(*PVSource); ok {
+	} else if p, ok := cfg.Source.(*PVSource); ok {
 		e.pvSrc = p
 	}
 	if e.pvSrc != nil {
@@ -460,7 +456,7 @@ func (e *engine) finish() *Result {
 	e.res.Frames = e.framesBase + e.platform.Frames()
 	e.res.LifetimeSeconds = e.aliveFor
 	e.res.FinalVC = e.vc
-	e.res.StorageEnergyEndJ = e.storage.Energy(e.y)
+	e.res.StorageEnergyEndJ = e.cfg.Storage.Energy(e.y)
 	e.res.VCEnvelope = e.env
 	e.res.stability = e.stab
 	if e.fast != nil {
@@ -585,7 +581,7 @@ func (e *engine) rhs(t float64, y, dydt []float64) {
 		v = 0
 	}
 	inet := e.netCurrent(t, v)
-	if vt := e.storage.Terminal(y, inet); vt != y[0] {
+	if vt := e.cfg.Storage.Terminal(y, inet); vt != y[0] {
 		if vt < 0 {
 			vt = 0
 		}
@@ -604,7 +600,7 @@ func (e *engine) netCurrent(t, v float64) float64 {
 	if e.fast != nil {
 		isrc, err = e.fast.CurrentAt(v, e.pvSrc.Profile.Irradiance(t))
 	} else {
-		isrc, err = e.src.Current(t, v)
+		isrc, err = e.cfg.Source.Current(t, v)
 	}
 	if err != nil {
 		// Out-of-range solves should not occur with validated params;
@@ -633,7 +629,7 @@ func (e *engine) loadCurrent(v float64) float64 {
 // voltage can discharge below zero (the array blocks reverse current
 // physically; this guards numerical undershoot).
 func (e *engine) applyDerivative(y, dydt []float64, inet float64) {
-	e.storage.Derivative(y, inet, dydt)
+	e.cfg.Storage.Derivative(y, inet, dydt)
 	for i := range dydt {
 		if y[i] <= 0 && dydt[i] < 0 {
 			dydt[i] = 0
