@@ -11,8 +11,9 @@
 // iterations, ns/op, B/op, allocs/op and any custom metrics
 // (e.g. meanPct5 for campaign stability). The default benchmark set is
 // the perf-critical path: the storage-dispatch alloc guard, the
-// end-to-end controller minute, the trace-free campaign, the
-// integrator segment, scenario assembly and the serve cache.
+// end-to-end controller minute, the trace-free campaign, a coordinator
+// worker's chunked study, the integrator segment, scenario assembly and
+// the serve cache.
 //
 // -compare gates the fresh run against a previous report: any
 // allocs/op increase, any increase in a work-per-op count (the solver
@@ -39,7 +40,7 @@ import (
 )
 
 // defaultBench selects the benchmarks whose numbers the README quotes.
-const defaultBench = "BenchmarkStorageDispatch|BenchmarkSimControllerMinute|BenchmarkCampaignTraceFree|BenchmarkIntegratorSegment|BenchmarkServeCache|BenchmarkScenarioAssemble|BenchmarkPVCurrentAt|BenchmarkCheckpointCodec|BenchmarkNewClouds"
+const defaultBench = "BenchmarkStorageDispatch|BenchmarkSimControllerMinute|BenchmarkCampaignTraceFree|BenchmarkIntegratorSegment|BenchmarkServeCache|BenchmarkScenarioAssemble|BenchmarkPVCurrentAt|BenchmarkCheckpointCodec|BenchmarkNewClouds|BenchmarkStudyChunks"
 
 // defaultBenchtime is the default -benchtime. A fixed iteration count
 // (-Nx) keeps runs reproducible; 50 iterations keeps the short

@@ -20,8 +20,9 @@ import (
 // behind `pnstudy -worker <url>`. It fetches the coordinator's study
 // recipe, rebuilds the study locally, refuses to run if the local
 // fingerprint disagrees with the coordinator's (flag or code skew
-// between machines), then leases chunks, executes them with
-// Study.RunChunk and submits the checkpoints until the study is done.
+// between machines), then leases chunks, executes them with one
+// study.ChunkRunner (which shares each cell's cloud-free run across
+// the chunks) and submits the checkpoints until the study is done.
 type Worker struct {
 	// URL is the coordinator's base URL (e.g. http://host:9old77).
 	URL string
@@ -122,6 +123,7 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 	w.logf("worker %s: joined study %s (%d tasks in %d chunks)",
 		w.name(), info.Name, info.TotalTasks, info.NumChunks)
+	runner := st.NewChunkRunner()
 
 	accepted := 0
 	for {
@@ -152,7 +154,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		}
 
 		w.logf("worker %s: running chunk %d %v (attempt %d)", w.name(), lease.Chunk, lease.Range, lease.Attempt)
-		cp, err := st.RunChunk(ctx, lease.Range)
+		cp, err := runner.RunChunk(ctx, lease.Range)
 		if err != nil {
 			// A failing simulation is not retryable here — drop the lease
 			// (it expires server-side) and surface the error locally.

@@ -85,3 +85,55 @@ func liveHeap() uint64 {
 	runtime.ReadMemStats(&ms)
 	return ms.HeapAlloc
 }
+
+// BenchmarkStudyChunks is a coordinator worker's side of a study: the
+// 10 s stress matrix cut into 4-task chunks, run in ledger order
+// through one ChunkRunner on one worker, each chunk cut into its
+// checkpoint. sims/op counts the distinct simulations behind the
+// study's tasks, kept/op the tasks that took a run an earlier chunk
+// kept instead of simulating, forks/op the simulations resumed past
+// t = 0 and shared_s/op the simulated seconds those took from
+// snapshots. keptB is the heap the runner still holds after the study,
+// after a full collection. Every iteration runs the same deterministic
+// study, so the last one stands for all.
+func BenchmarkStudyChunks(b *testing.B) {
+	const size = 4
+	st := stressMatrix(10, 64, 17, 1)
+	chunks, err := st.Chunks(size)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		last := i == b.N-1
+		var before uint64
+		if last {
+			b.StopTimer()
+			before = liveHeap()
+			b.StartTimer()
+		}
+		kr := st.NewChunkRunner()
+		var stats runnerStats
+		for _, r := range chunks {
+			p, results, err := kr.st.runChunk(context.Background(), r, kr)
+			if err != nil {
+				b.Fatal(err)
+			}
+			st.checkpointFrom(p, results)
+			if last {
+				stats.add(results)
+			}
+		}
+		if last {
+			b.StopTimer()
+			stats.seen = nil
+			held := liveHeap()
+			runtime.KeepAlive(kr)
+			b.ReportMetric(float64(stats.sims), "sims/op")
+			b.ReportMetric(float64(stats.reused), "kept/op")
+			b.ReportMetric(stats.forks, "forks/op")
+			b.ReportMetric(stats.shared, "shared_s/op")
+			b.ReportMetric(float64(held)-float64(before), "keptB")
+		}
+	}
+}

@@ -3,6 +3,10 @@ package study
 import (
 	"context"
 	"fmt"
+	"sync"
+
+	"pnps/internal/scenario"
+	"pnps/internal/sim"
 )
 
 // Chunked execution: the distributed-coordination unit of a study.
@@ -54,20 +58,169 @@ func (st Study) Chunks(size int) ([]TaskRange, error) {
 // RunChunk executes the contiguous ledger block [r.Lo, r.Hi) and
 // returns its checkpoint — the worker-side unit of coordinated
 // execution. Like a shard's, the checkpoint merges and folds back into
-// an outcome bit-identical to an unsharded Run.
+// an outcome bit-identical to an unsharded Run. It runs the chunk as a
+// ChunkRunner does, with no later chunk to keep a run for; a worker
+// that runs many chunks of one study keeps a ChunkRunner instead.
 func (st Study) RunChunk(ctx context.Context, r TaskRange) (*Checkpoint, error) {
-	p, err := st.plan()
-	if err != nil {
-		return nil, err
-	}
-	if r.Lo < 0 || r.Hi > p.total || r.Lo >= r.Hi {
-		return nil, fmt.Errorf("study: chunk %v outside ledger [0,%d)", r, p.total)
-	}
-	results, err := st.runRanges(ctx, p, r)
+	p, results, err := st.runChunk(ctx, r, nil)
 	if err != nil {
 		return nil, err
 	}
 	return st.checkpointFrom(p, results), nil
+}
+
+// runChunk checks chunk r against the ledger and runs its tasks,
+// sharing cloud-free runs with kr's other chunks when kr is non-nil.
+func (st Study) runChunk(ctx context.Context, r TaskRange, kr *ChunkRunner) (*plan, []TaskResult, error) {
+	p, err := st.plan()
+	if err != nil {
+		return nil, nil, err
+	}
+	if r.Lo < 0 || r.Hi > p.total || r.Lo >= r.Hi {
+		return nil, nil, fmt.Errorf("study: chunk %v outside ledger [0,%d)", r, p.total)
+	}
+	results, err := st.runRanges(ctx, p, kr, r)
+	return p, results, err
+}
+
+// Chunk runners keep each cell's cloud-free run for the chunks after
+// the one that simulated it. The grid and the cell cap bound what a
+// runner holds: forkGrid snapshots per kept run, about 2.8 KB each,
+// fewer when a run has fewer discrete events than grid times, and at
+// most maxKeptCells kept runs.
+const (
+	forkGrid     = 16
+	maxKeptCells = 8
+)
+
+// ChunkRunner runs chunks of one study, as a coordinator worker leases
+// them, and shares each cell's cloud-free run across them. A chunk of
+// a long Monte-Carlo cell usually holds a cloud-free realisation, and
+// at short durations every cloud-free realisation of a cell is the same
+// run, so every chunk would simulate it again. Instead, when a
+// chunk's lead is cloud-free and its cell extends past the chunk, the
+// runner keeps the lead's Result, dwell histogram and realisation and
+// the snapshots sim.RunLead handed at forkGrid times spread over the
+// run. In later chunks of the cell, a group whose realisation identity
+// equals the kept one takes the kept run without simulating, and a
+// group that agrees with it for a while (scenario.Realisation.
+// SharedUntil) resumes from the latest grid snapshot at or before that
+// time; every other group runs as RunChunk runs it. A cell that lies
+// wholly inside one chunk keeps nothing.
+//
+// Kept runs are keyed by cell index within the runner's own Study and
+// matched on realisation identity, never on being cloud-free alone: a
+// base profile that depends on the seed gives cloud-free realisations
+// that differ. The checkpoints are bit-identical to RunChunk's in any
+// lease order. A ChunkRunner is safe for concurrent use.
+type ChunkRunner struct {
+	st Study
+
+	mu   sync.Mutex
+	runs []*keptRun // oldest first, at most maxKeptCells
+}
+
+// NewChunkRunner returns a runner for the study's chunks. The runner
+// works on a copy of st: later changes to st do not reach it.
+func (st Study) NewChunkRunner() *ChunkRunner { return &ChunkRunner{st: st} }
+
+// RunChunk executes the contiguous ledger block [r.Lo, r.Hi) and
+// returns its checkpoint, bit-identical to Study.RunChunk's.
+func (kr *ChunkRunner) RunChunk(ctx context.Context, r TaskRange) (*Checkpoint, error) {
+	p, results, err := kr.st.runChunk(ctx, r, kr)
+	if err != nil {
+		return nil, err
+	}
+	return kr.st.checkpointFrom(p, results), nil
+}
+
+// lookup returns the kept run of cell, nil when there is none or kr is
+// nil.
+func (kr *ChunkRunner) lookup(cell int) *keptRun {
+	if kr == nil {
+		return nil
+	}
+	kr.mu.Lock()
+	defer kr.mu.Unlock()
+	for _, k := range kr.runs {
+		if k.cell == cell {
+			return k
+		}
+	}
+	return nil
+}
+
+// keep adds a finished kept run, dropping the oldest beyond
+// maxKeptCells. A cell kept meanwhile by a concurrent chunk keeps its
+// first run.
+func (kr *ChunkRunner) keep(k *keptRun) {
+	kr.mu.Lock()
+	defer kr.mu.Unlock()
+	for _, o := range kr.runs {
+		if o.cell == k.cell {
+			return
+		}
+	}
+	if len(kr.runs) == maxKeptCells {
+		kr.runs = append(kr.runs[:0], kr.runs[1:]...)
+	}
+	kr.runs = append(kr.runs, k)
+}
+
+// keptRun is one cell's kept cloud-free run.
+type keptRun struct {
+	cell int
+	id   string // the realisation's identity
+	real scenario.Realisation
+	out  runOutput
+	// snaps[i] is the lead's snapshot for fork time at[i], nil when the
+	// run cannot fork.
+	at    [forkGrid]float64
+	snaps [forkGrid]*sim.Snapshot
+}
+
+// newKeptRun starts the kept run of a cell's cloud-free lead. A
+// cloud-free realisation has an identity: pv.ClearUntil is +Inf only
+// for a cloud overlay without events over a base that has one.
+func newKeptRun(cell int, r scenario.Realisation) *keptRun {
+	id, _ := r.AppendIdentity(nil)
+	return &keptRun{cell: cell, id: string(id), real: r}
+}
+
+// forkTimes sets the grid over a run of the given duration, forkGrid
+// times evenly spaced inside it, and appends them to at.
+func (k *keptRun) forkTimes(at []float64, duration float64) []float64 {
+	for i := range k.at {
+		k.at[i] = duration * float64(i+1) / (forkGrid + 1)
+	}
+	return append(at, k.at[:]...)
+}
+
+// serves reports whether the kept run serves group g, and prepares g
+// if so: a group of the kept realisation takes the kept output, and a
+// group that agrees with it up to a positive time resumes from the
+// latest grid snapshot at or before that time (from scratch when the
+// time precedes the grid). A nil k serves nothing.
+func (k *keptRun) serves(g *groupRun) bool {
+	if k == nil || g.real.err != nil {
+		return false
+	}
+	var buf [64]byte
+	if id, ok := g.real.r.AppendIdentity(buf[:0]); ok && string(id) == k.id {
+		g.kept = &k.out
+		return true
+	}
+	tc := k.real.SharedUntil(g.real.r)
+	if !(tc > 0) {
+		return false
+	}
+	for i := forkGrid - 1; i >= 0; i-- {
+		if k.at[i] <= tc {
+			g.snap = k.snaps[i]
+			break
+		}
+	}
+	return true
 }
 
 // Folder streams chunk checkpoints into a study outcome. Chunks may

@@ -81,7 +81,7 @@ func TestForkedStudyRunsMatchIndependentRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		results, err := st.runRanges(context.Background(), p, TaskRange{Lo: 0, Hi: p.total})
+		results, err := st.runRanges(context.Background(), p, nil, TaskRange{Lo: 0, Hi: p.total})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +126,7 @@ func FuzzForkEquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		results, err := st.runRanges(context.Background(), p, TaskRange{Lo: 0, Hi: p.total})
+		results, err := st.runRanges(context.Background(), p, nil, TaskRange{Lo: 0, Hi: p.total})
 		if err != nil {
 			t.Fatal(err)
 		}

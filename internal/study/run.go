@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -59,9 +60,10 @@ func metricsFrom(res *sim.Result) RunMetrics {
 type TaskResult struct {
 	// Task locates the run in the ledger.
 	Task Task
-	// Spec is the scenario the run executed (zero for
-	// checkpoint-restored results).
-	Spec scenario.Spec
+	// Spec is the scenario the run executed, built once per cell and
+	// shared read-only by every task of the cell that one call ran (nil
+	// for checkpoint-restored results).
+	Spec *scenario.Spec
 	// Metrics are the scalar outcomes aggregation runs on.
 	Metrics RunMetrics
 	// Result is the full simulation outcome (nil for checkpoint-restored
@@ -142,14 +144,23 @@ func (st Study) instrument(cfg *sim.Config, bands []float64) (*stats.Histogram, 
 // its followers last in fork-time order, so a follower waits only for
 // a lead that has started to reach its fork time.
 //
-// Groups never outlive one call, and results and errors come back in
-// task and group order, so everything downstream is bit-identical for
-// any Workers value and any split of the ledger.
-func (st Study) runTasks(ctx context.Context, p *plan, tasks []Task) ([]TaskResult, error) {
+// A non-nil kr carries cloud-free runs over from kr's earlier chunks
+// (see ChunkRunner): a group the kept run of its cell serves takes that
+// run whole or resumes from one of its snapshots, and a cloud-free lead
+// of a cell that extends past the tasks is kept for later chunks.
+// Without kr, groups never outlive one call. Results and errors come
+// back in task and group order, so everything downstream is
+// bit-identical for any Workers value and any split of the ledger.
+func (st Study) runTasks(ctx context.Context, p *plan, tasks []Task, kr *ChunkRunner) ([]TaskResult, error) {
 	bands := st.stabilityBands()
 	results := make([]TaskResult, len(tasks))
+	var spec *scenario.Spec
 	for i, t := range tasks {
-		results[i] = TaskResult{Task: t, Spec: st.taskSpec(p, t)}
+		if spec == nil || t.Cell != tasks[i-1].Cell {
+			sp := st.cellSpec(p, t.Cell)
+			spec = &sp
+		}
+		results[i] = TaskResult{Task: t, Spec: spec}
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -165,7 +176,7 @@ func (st Study) runTasks(ctx context.Context, p *plan, tasks []Task) ([]TaskResu
 	// become garbage here, before any simulation starts.
 	groups := shareGroups(tasks, reals)
 	reals = nil
-	order := planForks(tasks, groups)
+	order := planForks(tasks, groups, kr, p.reps)
 
 	// Progress counts tasks: a finished group completes all of its
 	// members. The mutex serialises the callback, as batch does, so
@@ -183,6 +194,9 @@ func (st Study) runTasks(ctx context.Context, p *plan, tasks []Task) ([]TaskResu
 				progress.Unlock()
 			}
 		}()
+		if g.kept != nil {
+			return *g.kept, nil
+		}
 		fail := func(err error) (runOutput, error) {
 			errs := make([]error, len(g.tasks))
 			for k, i := range g.tasks {
@@ -221,18 +235,29 @@ func (st Study) runTasks(ctx context.Context, p *plan, tasks []Task) ([]TaskResu
 		if out.hist, err = st.instrument(&cfg, bands); err != nil {
 			return fail(err)
 		}
-		if len(g.followers) == 0 {
+		if len(g.followers) == 0 && g.keep == nil {
 			out.res, err = sim.Resume(cfg, snap)
 		} else {
-			at := make([]float64, len(g.followers))
+			at := make([]float64, len(g.followers), len(g.followers)+forkGrid)
 			for k, f := range g.followers {
 				at[k] = f.forkAt
 			}
+			if g.keep != nil {
+				at = g.keep.forkTimes(at, cfg.Duration)
+			}
 			out.res, err = sim.RunLead(cfg, at, func(k int, s *sim.Snapshot) {
+				if k >= len(g.followers) {
+					g.keep.snaps[k-len(g.followers)] = s
+					return
+				}
 				f := g.followers[k]
 				f.snap, f.handed = s, true
 				close(f.ready)
 			})
+			if err == nil && g.keep != nil {
+				g.keep.out = out
+				kr.keep(g.keep)
+			}
 		}
 		if err != nil {
 			return fail(err)
@@ -273,11 +298,18 @@ type groupRun struct {
 	// realisation agrees with its lead's. The lead sets snap and
 	// handed, then closes ready; snap stays nil when the lead cannot
 	// fork or fails first, and the follower then runs from scratch.
+	// A group a kept run serves gets its snap at planning and waits
+	// for nothing.
 	follows bool
 	forkAt  float64
 	ready   chan struct{}
 	handed  bool
 	snap    *sim.Snapshot
+	// kept is the kept run of the group's own realisation, which the
+	// group takes instead of simulating; keep, on a lead, is the kept
+	// run its simulation fills in for later chunks.
+	kept *runOutput
+	keep *keptRun
 }
 
 // planForks picks the lead of each cell's groups: among the groups
@@ -289,29 +321,46 @@ type groupRun struct {
 // cell, the lead, the groups that do not follow, then the followers by
 // fork time, the order in which the lead hands out their snapshots.
 // Groups arrive in ledger order, so a cell's groups are contiguous.
-func planForks(tasks []Task, groups []groupRun) []*groupRun {
+//
+// With a ChunkRunner, the groups the kept run of their cell serves
+// (keptRun.serves) come first and take no part in the rest. A cell
+// without a kept run whose lead is cloud-free and whose ledger range
+// extends past the tasks keeps that lead's run.
+func planForks(tasks []Task, groups []groupRun, kr *ChunkRunner, reps int) []*groupRun {
 	order := make([]*groupRun, 0, len(groups))
+	var buf [16]*groupRun
+	rest := buf[:0]
 	for lo, hi := 0, 0; lo < len(groups); lo = hi {
 		cell := tasks[groups[lo].tasks[0]].Cell
+		kept := kr.lookup(cell)
+		rest = rest[:0]
+		for hi = lo; hi < len(groups) && tasks[groups[hi].tasks[0]].Cell == cell; hi++ {
+			if g := &groups[hi]; kept.serves(g) {
+				order = append(order, g)
+			} else {
+				rest = append(rest, g)
+			}
+		}
 		var lead *groupRun
 		best := 0.0
-		for hi = lo; hi < len(groups) && tasks[groups[hi].tasks[0]].Cell == cell; hi++ {
-			if g := &groups[hi]; g.real.err == nil {
+		for _, g := range rest {
+			if g.real.err == nil {
 				if c := g.real.r.ClearUntil(); c > best {
 					lead, best = g, c
 				}
 			}
 		}
-		if lead != nil {
-			order = append(order, lead)
+		if lead == nil {
+			order = append(order, rest...)
+			continue
 		}
-		for k := lo; k < hi; k++ {
-			g := &groups[k]
+		order = append(order, lead)
+		for _, g := range rest {
 			if g == lead {
 				continue
 			}
 			tc := 0.0
-			if lead != nil && g.real.err == nil {
+			if g.real.err == nil {
 				tc = lead.real.r.SharedUntil(g.real.r)
 			}
 			if !(tc > 0) {
@@ -321,11 +370,14 @@ func planForks(tasks []Task, groups []groupRun) []*groupRun {
 			g.follows, g.forkAt, g.ready = true, tc, make(chan struct{})
 			lead.followers = append(lead.followers, g)
 		}
-		if lead != nil {
-			sort.SliceStable(lead.followers, func(i, j int) bool {
-				return lead.followers[i].forkAt < lead.followers[j].forkAt
-			})
-			order = append(order, lead.followers...)
+		sort.SliceStable(lead.followers, func(i, j int) bool {
+			return lead.followers[i].forkAt < lead.followers[j].forkAt
+		})
+		order = append(order, lead.followers...)
+		first, last := tasks[0], tasks[len(tasks)-1]
+		partial := cell == first.Cell && first.Rep > 0 || cell == last.Cell && last.Rep < reps-1
+		if kr != nil && kept == nil && partial && math.IsInf(best, 1) {
+			lead.keep = newKeptRun(cell, lead.real.r)
 		}
 	}
 	return order
@@ -360,7 +412,10 @@ func shareGroups(tasks []Task, reals []realised) []groupRun {
 				groups[k].tasks = append(groups[k].tasks, i)
 				continue
 			}
-			byID[string(id)] = len(groups)
+			// Only a later task of the cell can join the group.
+			if i+1 < len(tasks) && tasks[i+1].Cell == cell {
+				byID[string(id)] = len(groups)
+			}
 		}
 		groups = append(groups, groupRun{index: len(groups), tasks: []int{i}, real: reals[i]})
 	}
@@ -368,8 +423,9 @@ func shareGroups(tasks []Task, reals []realised) []groupRun {
 }
 
 // runRanges executes the tasks of the given ledger ranges, which must
-// be ascending and disjoint, so results come back in ledger order.
-func (st Study) runRanges(ctx context.Context, p *plan, rs ...TaskRange) ([]TaskResult, error) {
+// be ascending and disjoint, so results come back in ledger order. A
+// non-nil kr shares cloud-free runs with its other chunks (runTasks).
+func (st Study) runRanges(ctx context.Context, p *plan, kr *ChunkRunner, rs ...TaskRange) ([]TaskResult, error) {
 	n := 0
 	for _, r := range rs {
 		n += r.Hi - r.Lo
@@ -380,7 +436,7 @@ func (st Study) runRanges(ctx context.Context, p *plan, rs ...TaskRange) ([]Task
 			tasks = append(tasks, p.task(st, t))
 		}
 	}
-	return st.runTasks(ctx, p, tasks)
+	return st.runTasks(ctx, p, tasks, kr)
 }
 
 // Run executes the whole study matrix and aggregates it. Runs are
@@ -393,7 +449,7 @@ func (st Study) Run(ctx context.Context) (*StudyOutcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	results, err := st.runRanges(ctx, p, TaskRange{Lo: 0, Hi: p.total})
+	results, err := st.runRanges(ctx, p, nil, TaskRange{Lo: 0, Hi: p.total})
 	if err != nil {
 		return nil, err
 	}
@@ -416,7 +472,7 @@ func (st Study) RunShard(ctx context.Context, i, n int) (*Checkpoint, error) {
 	if n < 1 || i < 0 || i >= n {
 		return nil, fmt.Errorf("study: shard %d/%d invalid", i, n)
 	}
-	results, err := st.runRanges(ctx, p, TaskRange{Lo: i * p.total / n, Hi: (i + 1) * p.total / n})
+	results, err := st.runRanges(ctx, p, nil, TaskRange{Lo: i * p.total / n, Hi: (i + 1) * p.total / n})
 	if err != nil {
 		return nil, err
 	}
@@ -435,7 +491,7 @@ func (st Study) Resume(ctx context.Context, cp *Checkpoint) (*Checkpoint, error)
 	if err := st.checkFingerprint(p, cp); err != nil {
 		return nil, err
 	}
-	results, err := st.runRanges(ctx, p, cp.Missing()...)
+	results, err := st.runRanges(ctx, p, nil, cp.Missing()...)
 	if err != nil {
 		return nil, err
 	}

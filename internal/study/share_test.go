@@ -51,7 +51,7 @@ func TestSharedRunsMatchIndependentRuns(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			results, err := st.runRanges(ctx, p, TaskRange{Lo: 0, Hi: p.total})
+			results, err := st.runRanges(ctx, p, nil, TaskRange{Lo: 0, Hi: p.total})
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}

@@ -46,7 +46,9 @@
 // the read-only *sim.Result and dwell histogram to every task of the
 // group; metrics, checkpoints and progress still count tasks. Groups
 // never span two calls, so every split of the ledger reproduces Run's
-// bytes.
+// bytes. The one exception is a ChunkRunner, which keeps each cell's
+// cloud-free run for its later chunks and matches it on the same exact
+// identity, so its chunks reproduce Run's bytes too.
 //
 // A plain Monte-Carlo run of one scenario is a Study without axes
 // (pnsim -mc), and the experiments-package parameter sweep is a Study
@@ -308,13 +310,14 @@ func (p *plan) cellRange(i int) (TaskRange, error) {
 	return ChunkRange(p.total, p.reps, i), nil
 }
 
-// taskSpec derives the spec of one task: a trace-free copy of the base
-// with the cell's axis levels applied in order. Studies summarise runs
-// with online observers, so no run retains a time series.
-func (st Study) taskSpec(p *plan, t Task) scenario.Spec {
+// cellSpec derives the spec of cell i's tasks: a trace-free copy of
+// the base with the cell's axis levels applied in order. Studies
+// summarise runs with online observers, so no run retains a time
+// series.
+func (st Study) cellSpec(p *plan, i int) scenario.Spec {
 	sp := st.Base
 	sp.SkipSeries = true
-	cell := p.cells[t.Cell]
+	cell := p.cells[i]
 	for i := range st.Axes {
 		st.Axes[i].Levels[cell.Coords[i]].Apply(&sp)
 	}
