@@ -20,9 +20,10 @@ import (
 // behind `pnstudy -worker <url>`. It fetches the coordinator's study
 // recipe, rebuilds the study locally, refuses to run if the local
 // fingerprint disagrees with the coordinator's (flag or code skew
-// between machines), then leases chunks, executes them with one
-// study.ChunkRunner (which shares each cell's cloud-free run across
-// the chunks) and submits the checkpoints until the study is done.
+// between machines), then leases chunks, executes them through one
+// study.RunStore per joined study (which shares each cell's cloud-free
+// run across the chunks) and submits the checkpoints until the study
+// is done.
 type Worker struct {
 	// URL is the coordinator's base URL (e.g. http://host:9old77).
 	URL string
@@ -123,7 +124,10 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 	w.logf("worker %s: joined study %s (%d tasks in %d chunks)",
 		w.name(), info.Name, info.TotalTasks, info.NumChunks)
-	runner := st.NewChunkRunner()
+	runs, err := study.NewRunStore().Bind(st, "")
+	if err != nil {
+		return fmt.Errorf("coord: local study invalid: %w", err)
+	}
 
 	accepted := 0
 	for {
@@ -154,7 +158,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		}
 
 		w.logf("worker %s: running chunk %d %v (attempt %d)", w.name(), lease.Chunk, lease.Range, lease.Attempt)
-		cp, err := runner.RunChunk(ctx, lease.Range)
+		cp, err := runs.RunChunk(ctx, lease.Range)
 		if err != nil {
 			// A failing simulation is not retryable here — drop the lease
 			// (it expires server-side) and surface the error locally.

@@ -16,22 +16,30 @@
 // cold run would have produced, with zero simulation work; and because
 // cells are content-addressed individually (study.CellIdentity), a new
 // study that shares matrix cells with an earlier one re-simulates only
-// the cells the cache has never seen.
+// the cells the cache has never seen. Those cells run through the
+// server's study.RunStore: a cell the tenant has run before, under any
+// seed, takes its kept cloud-free run instead of simulating it again.
 package serve
 
 import (
 	"container/list"
 	"sync"
+
+	"pnps/internal/study"
 )
 
-// CacheStats is the observable state of the result cache.
+// CacheStats is the observable state of the result cache. Runs is the
+// server's run store (Server.CacheStats fills it in; a Cache's own
+// Stats leaves it zero): its hits and evictions are its own, apart from
+// the cache's.
 type CacheStats struct {
-	Entries   int   `json:"entries"`
-	Bytes     int64 `json:"bytes"`
-	Budget    int64 `json:"budget_bytes"`
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Evictions int64 `json:"evictions"`
+	Entries   int                 `json:"entries"`
+	Bytes     int64               `json:"bytes"`
+	Budget    int64               `json:"budget_bytes"`
+	Hits      int64               `json:"hits"`
+	Misses    int64               `json:"misses"`
+	Evictions int64               `json:"evictions"`
+	Runs      study.RunStoreStats `json:"run_store"`
 }
 
 type cacheEntry struct {

@@ -194,10 +194,14 @@ func (j *Job) noteFold(cached bool, folded int, marginals []study.Marginal) {
 }
 
 // Server is the simulation service: bounded-admission job execution in
-// front of a content-addressed result store.
+// front of a content-addressed result store. Every cell it simulates
+// runs through one study.RunStore, so a cell's cloud-free run, once
+// simulated, serves the same cell in later jobs of the same tenant
+// whatever their seeds.
 type Server struct {
 	cfg   Config
 	cache *Cache
+	runs  *study.RunStore
 
 	mu       sync.Mutex
 	jobs     map[string]*Job
@@ -234,6 +238,7 @@ func NewServer(cfg Config) *Server {
 	s := &Server{
 		cfg:   cfg,
 		cache: cfg.cache,
+		runs:  study.NewRunStore(),
 		jobs:  map[string]*Job{},
 		queue: make(chan *Job, cfg.QueueDepth),
 	}
@@ -256,8 +261,13 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// CacheStats snapshots the result-store counters.
-func (s *Server) CacheStats() CacheStats { return s.cache.Stats() }
+// CacheStats snapshots the result-store counters, and the run store's
+// under Runs.
+func (s *Server) CacheStats() CacheStats {
+	st := s.cache.Stats()
+	st.Runs = s.runs.Stats()
+	return st
+}
 
 // Drain stops admitting jobs: new submissions are answered 503 while
 // queued and running jobs finish — their results land in the cache, so
@@ -412,11 +422,12 @@ func (s *Server) execute(j *Job) {
 
 // runJob executes a study cell by cell: each cell is either restored
 // from the content-addressed store (RestoreCell verifies seeds
-// before anything reaches the folder) or simulated as one chunk, and
-// every fresh cell's records are stored for the next study that shares
-// them. With chunk size = reps, cells and chunks coincide, so the
-// Folder folds mixed cached/fresh cells in canonical order and its
-// outcome stays bit-identical to an unsharded Run.
+// before anything reaches the folder) or simulated as one chunk
+// through the run store, and every fresh cell's records are stored for
+// the next study that shares them. With chunk size = reps, cells and
+// chunks coincide, so the Folder folds mixed cached/fresh cells in
+// canonical order and its outcome stays bit-identical to an unsharded
+// Run.
 func (s *Server) runJob(j *Job) error {
 	st := j.st
 	ids, err := st.CellIdentities()
@@ -427,6 +438,7 @@ func (s *Server) runJob(j *Job) error {
 	if err != nil {
 		return err
 	}
+	var runs *study.StudyRuns // bound at the first cell the cache misses
 	for c := range ids {
 		digest, err := ids[c].Digest()
 		if err != nil {
@@ -445,7 +457,16 @@ func (s *Server) runJob(j *Job) error {
 				continue
 			}
 		}
-		cp, err := s.simulateCell(j, folder.Range(c))
+		if runs == nil {
+			if runs, err = s.bindRuns(j); err != nil {
+				return err
+			}
+		}
+		cp, err := runs.RunChunk(s.ctx, folder.Range(c))
+		if err != nil && s.ctx.Err() != nil {
+			// One error in place of the chunk's per-run "not started" list.
+			err = fmt.Errorf("abandoned by shutdown: %w", s.ctx.Err())
+		}
 		if err != nil {
 			return fmt.Errorf("serve: job %s cell %d: %w", j.id, c, err)
 		}
@@ -470,12 +491,15 @@ func (s *Server) runJob(j *Job) error {
 	return nil
 }
 
-// simulateCell runs one cell's repetitions under the server's context,
-// counting every completed task on the job. The count hangs off
-// OnProgress — the completion callback, which advances by every task a
-// finished simulation stands for — so it measures work actually done,
-// which is what the zero-work-on-repeat guarantee is stated against.
-func (s *Server) simulateCell(j *Job, r study.TaskRange) (*study.Checkpoint, error) {
+// bindRuns binds the job's study to the server's run store in the
+// job's tenant namespace, counting every completed task on the job.
+// The count hangs off OnProgress — the completion callback, which
+// advances by every task a finished simulation or a kept run stands
+// for — so it measures work actually done, which is what the
+// zero-work-on-repeat guarantee is stated against. Cells run one after
+// another and each chunk's last call reports completed == total, so
+// the count restarts there for the next cell.
+func (s *Server) bindRuns(j *Job) (*study.StudyRuns, error) {
 	run := j.st
 	var mu sync.Mutex
 	prev := 0
@@ -483,15 +507,13 @@ func (s *Server) simulateCell(j *Job, r study.TaskRange) (*study.Checkpoint, err
 		mu.Lock()
 		delta := completed - prev
 		prev = completed
+		if completed == total {
+			prev = 0
+		}
 		mu.Unlock()
 		j.addSimulated(delta)
 	}
-	cp, err := run.RunChunk(s.ctx, r)
-	if err != nil && s.ctx.Err() != nil {
-		// One error in place of the chunk's per-run "not started" list.
-		return nil, fmt.Errorf("abandoned by shutdown: %w", s.ctx.Err())
-	}
-	return cp, err
+	return s.runs.Bind(run, j.tenant)
 }
 
 // Handler returns the service's HTTP API, wrapped in bearer
@@ -528,7 +550,7 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.cache.Stats())
+	writeJSON(w, http.StatusOK, s.CacheStats())
 }
 
 // handleSubmit admits one study: parse strictly, build in the tenant's

@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"runtime"
+	"strconv"
 	"testing"
 	"time"
 
@@ -45,23 +47,51 @@ func benchSubmitWait(b *testing.B, e *env, recipe studycli.Config) JobStatus {
 
 // BenchmarkServeCache measures the full service path — submit over
 // HTTP, wait, fetch the JSON outcome — cold (every submission a new
-// study, simulated) against hot (the same study resubmitted, answered
-// from the content-addressed store). The gap is the cache's value; the
-// hit number is the service's floor latency.
+// study of a cell the server has never run, simulated), with a fresh
+// seed (a new study of a known cell: its cloud-free runs come from the
+// run store), and hot (the same study resubmitted, answered from the
+// content-addressed store). The gaps are the stores' value; the hit
+// number is the service's floor latency. Each case collects the heap
+// before its timed loop: a collection empties the sync.Pool caches the
+// HTTP and JSON layers allocate from, so without a common starting heap
+// the number of collections inside the loop, and with it allocs/op,
+// varies from run to run.
 func BenchmarkServeCache(b *testing.B) {
 	b.Run("miss", func(b *testing.B) {
 		e := newEnv(b, Config{JobWorkers: 1, MaxJobs: 8})
+		runtime.GC()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if s := benchSubmitWait(b, e, benchRecipe(int64(i+1))); s.SimulatedRuns == 0 {
+			// A load level of its own keeps the cell out of the run store.
+			recipe := benchRecipe(int64(i + 1))
+			recipe.Util = strconv.FormatFloat(1-0.5*float64(i)/float64(b.N), 'g', -1, 64)
+			if s := benchSubmitWait(b, e, recipe); s.SimulatedRuns == 0 {
 				b.Fatal("miss iteration did not simulate")
 			}
+		}
+		if h := e.s.CacheStats().Runs.Hits; h != 0 {
+			b.Fatalf("miss iterations took %d runs from the run store", h)
+		}
+	})
+	b.Run("fresh-seed", func(b *testing.B) {
+		e := newEnv(b, Config{JobWorkers: 1, MaxJobs: 8})
+		benchSubmitWait(b, e, benchRecipe(1)) // keep the cell's run
+		runtime.GC()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if s := benchSubmitWait(b, e, benchRecipe(int64(i+2))); s.SimulatedRuns == 0 || s.CachedCells != 0 {
+				b.Fatalf("fresh-seed iteration: %d tasks computed, %d cells cached", s.SimulatedRuns, s.CachedCells)
+			}
+		}
+		if h := e.s.CacheStats().Runs.Hits; h != int64(b.N) {
+			b.Fatalf("%d run-store hits in %d fresh-seed iterations", h, b.N)
 		}
 	})
 	b.Run("hit", func(b *testing.B) {
 		e := newEnv(b, Config{JobWorkers: 1, MaxJobs: 8})
 		recipe := benchRecipe(1)
 		benchSubmitWait(b, e, recipe) // populate the store
+		runtime.GC()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if s := benchSubmitWait(b, e, recipe); !s.CacheHit {

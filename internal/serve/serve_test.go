@@ -398,6 +398,74 @@ func TestServeTenantNamespacing(t *testing.T) {
 	}
 }
 
+// tenantArtifacts runs the recipe locally in a tenant's seed namespace
+// (no service, no cache, no run store) and renders it.
+func tenantArtifacts(t testing.TB, s *Server, recipe studycli.Config, tenant string) map[string][]byte {
+	t.Helper()
+	st, err := s.buildStudy(recipe, tenant)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := st.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	artifacts, err := renderArtifacts(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return artifacts
+}
+
+// TestServeRunStore pins the run store's reach: a fresh-seed
+// resubmission of a known matrix misses the cell cache but takes its
+// cells' kept cloud-free runs from the run store, while another
+// tenant's identical recipe takes nothing from it. Every task still
+// counts as computed, and every job's bytes equal a local run's.
+func TestServeRunStore(t *testing.T) {
+	e := newEnv(t, Config{Tokens: []string{"alice", "bob"}})
+	recipe := testRecipe(41)
+	recipe.Duration = 2
+	check := func(tenant string, recipe studycli.Config) (JobStatus, CacheStats) {
+		t.Helper()
+		js := e.await(t, e.submit(t, tenant, recipe, http.StatusAccepted).ID)
+		if js.CachedCells != 0 || js.SimulatedRuns != js.TotalTasks {
+			t.Fatalf("%s seed %d: %d cached cells, %d/%d tasks computed",
+				tenant, recipe.Seed, js.CachedCells, js.SimulatedRuns, js.TotalTasks)
+		}
+		direct := tenantArtifacts(t, e.s, recipe, tenant)
+		for _, f := range artifactFormats {
+			if got := e.outcome(t, tenant, js.ID, f); !bytes.Equal(got, direct[f]) {
+				t.Fatalf("%s seed %d: %s bytes differ from a local run", tenant, recipe.Seed, f)
+			}
+		}
+		var stats CacheStats
+		resp, body := e.do(t, http.MethodGet, "/v1/cache", tenant, nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("cache stats: HTTP %d", resp.StatusCode)
+		}
+		if err := json.Unmarshal(body, &stats); err != nil {
+			t.Fatal(err)
+		}
+		return js, stats
+	}
+
+	_, cold := check("alice", recipe)
+	if cold.Runs.Hits != 0 || cold.Runs.Kept == 0 {
+		t.Fatalf("cold job: run store %+v, want runs kept and no hits", cold.Runs)
+	}
+	fresh := recipe
+	fresh.Seed = 42
+	_, after := check("alice", fresh)
+	if after.Runs.Hits == 0 {
+		t.Fatalf("fresh-seed resubmission: run store %+v, want hits", after.Runs)
+	}
+	_, other := check("bob", fresh)
+	if other.Runs.Hits != after.Runs.Hits || other.Runs.Misses == after.Runs.Misses {
+		t.Fatalf("another tenant's job: run store %+v after %+v, want misses only", other.Runs, after.Runs)
+	}
+}
+
 // events reads a job's NDJSON progress stream to its end.
 func (e *env) events(t *testing.T, id string) []JobStatus {
 	t.Helper()

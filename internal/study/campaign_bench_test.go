@@ -88,12 +88,12 @@ func liveHeap() uint64 {
 
 // BenchmarkStudyChunks is a coordinator worker's side of a study: the
 // 10 s stress matrix cut into 4-task chunks, run in ledger order
-// through one ChunkRunner on one worker, each chunk cut into its
+// through one RunStore on one worker, each chunk cut into its
 // checkpoint. sims/op counts the distinct simulations behind the
 // study's tasks, kept/op the tasks that took a run an earlier chunk
 // kept instead of simulating, forks/op the simulations resumed past
 // t = 0 and shared_s/op the simulated seconds those took from
-// snapshots. keptB is the heap the runner still holds after the study,
+// snapshots. keptB is the heap the store still holds after the study,
 // after a full collection. Every iteration runs the same deterministic
 // study, so the last one stands for all.
 func BenchmarkStudyChunks(b *testing.B) {
@@ -112,14 +112,17 @@ func BenchmarkStudyChunks(b *testing.B) {
 			before = liveHeap()
 			b.StartTimer()
 		}
-		kr := st.NewChunkRunner()
+		sr, err := NewRunStore().Bind(st, "")
+		if err != nil {
+			b.Fatal(err)
+		}
 		var stats runnerStats
 		for _, r := range chunks {
-			p, results, err := kr.st.runChunk(context.Background(), r, kr)
+			results, err := sr.st.runChunk(context.Background(), sr.p, r, sr)
 			if err != nil {
 				b.Fatal(err)
 			}
-			st.checkpointFrom(p, results)
+			st.checkpointFrom(sr.p, results)
 			if last {
 				stats.add(results)
 			}
@@ -128,7 +131,7 @@ func BenchmarkStudyChunks(b *testing.B) {
 			b.StopTimer()
 			stats.seen = nil
 			held := liveHeap()
-			runtime.KeepAlive(kr)
+			runtime.KeepAlive(sr)
 			b.ReportMetric(float64(stats.sims), "sims/op")
 			b.ReportMetric(float64(stats.reused), "kept/op")
 			b.ReportMetric(stats.forks, "forks/op")

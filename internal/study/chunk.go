@@ -1,7 +1,11 @@
 package study
 
 import (
+	"container/list"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"sync"
 
@@ -58,11 +62,14 @@ func (st Study) Chunks(size int) ([]TaskRange, error) {
 // RunChunk executes the contiguous ledger block [r.Lo, r.Hi) and
 // returns its checkpoint — the worker-side unit of coordinated
 // execution. Like a shard's, the checkpoint merges and folds back into
-// an outcome bit-identical to an unsharded Run. It runs the chunk as a
-// ChunkRunner does, with no later chunk to keep a run for; a worker
-// that runs many chunks of one study keeps a ChunkRunner instead.
+// an outcome bit-identical to an unsharded Run. It keeps nothing; a
+// worker that runs many chunks binds the study to a RunStore instead.
 func (st Study) RunChunk(ctx context.Context, r TaskRange) (*Checkpoint, error) {
-	p, results, err := st.runChunk(ctx, r, nil)
+	p, err := st.plan()
+	if err != nil {
+		return nil, err
+	}
+	results, err := st.runChunk(ctx, p, r, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -70,106 +77,175 @@ func (st Study) RunChunk(ctx context.Context, r TaskRange) (*Checkpoint, error) 
 }
 
 // runChunk checks chunk r against the ledger and runs its tasks,
-// sharing cloud-free runs with kr's other chunks when kr is non-nil.
-func (st Study) runChunk(ctx context.Context, r TaskRange, kr *ChunkRunner) (*plan, []TaskResult, error) {
-	p, err := st.plan()
-	if err != nil {
-		return nil, nil, err
-	}
+// sharing cloud-free runs through sr's store when sr is non-nil.
+func (st Study) runChunk(ctx context.Context, p *plan, r TaskRange, sr *StudyRuns) ([]TaskResult, error) {
 	if r.Lo < 0 || r.Hi > p.total || r.Lo >= r.Hi {
-		return nil, nil, fmt.Errorf("study: chunk %v outside ledger [0,%d)", r, p.total)
+		return nil, fmt.Errorf("study: chunk %v outside ledger [0,%d)", r, p.total)
 	}
-	results, err := st.runRanges(ctx, p, kr, r)
-	return p, results, err
+	return st.runRanges(ctx, p, sr, r)
 }
 
-// Chunk runners keep each cell's cloud-free run for the chunks after
-// the one that simulated it. The grid and the cell cap bound what a
-// runner holds: forkGrid snapshots per kept run, about 2.8 KB each,
+// A run store keeps cells' cloud-free runs for the chunks that come
+// after the one that simulated them. The grid and the cap bound what a
+// store holds: forkGrid snapshots per kept run, about 2.8 KB each,
 // fewer when a run has fewer discrete events than grid times, and at
-// most maxKeptCells kept runs.
+// most maxKeptRuns kept runs, the least recently used evicted first.
 const (
-	forkGrid     = 16
-	maxKeptCells = 8
+	forkGrid    = 16
+	maxKeptRuns = 32
 )
 
-// ChunkRunner runs chunks of one study, as a coordinator worker leases
-// them, and shares each cell's cloud-free run across them. A chunk of
-// a long Monte-Carlo cell usually holds a cloud-free realisation, and
-// at short durations every cloud-free realisation of a cell is the same
-// run, so every chunk would simulate it again. Instead, when a
-// chunk's lead is cloud-free and its cell extends past the chunk, the
-// runner keeps the lead's Result, dwell histogram and realisation and
-// the snapshots sim.RunLead handed at forkGrid times spread over the
-// run. In later chunks of the cell, a group whose realisation identity
-// equals the kept one takes the kept run without simulating, and a
-// group that agrees with it for a while (scenario.Realisation.
-// SharedUntil) resumes from the latest grid snapshot at or before that
-// time; every other group runs as RunChunk runs it. A cell that lies
-// wholly inside one chunk keeps nothing.
+// RunStore shares cells' cloud-free runs across chunks, whichever
+// study the chunks belong to. A cloud-free run depends on its cell,
+// not on its seed, and at short durations most repetitions of a cell
+// are cloud-free, so every chunk of the cell — in a coordinator
+// worker's later leases or in a service's next study of the same
+// matrix — would simulate it again. Instead, when a chunk's lead is
+// cloud-free, the store keeps the lead's Result, dwell histogram and
+// realisation and the snapshots sim.RunLead handed at forkGrid times
+// spread over the run. In later chunks of the cell, a group whose
+// realisation identity equals the kept one takes the kept run without
+// simulating, and a group that agrees with it for a while (scenario.
+// Realisation.SharedUntil) resumes from the latest grid snapshot at or
+// before that time; every other group runs as Study.RunChunk runs it.
 //
-// Kept runs are keyed by cell index within the runner's own Study and
-// matched on realisation identity, never on being cloud-free alone: a
-// base profile that depends on the seed gives cloud-free realisations
-// that differ. The checkpoints are bit-identical to RunChunk's in any
-// lease order. A ChunkRunner is safe for concurrent use.
-type ChunkRunner struct {
-	st Study
-
-	mu   sync.Mutex
-	runs []*keptRun // oldest first, at most maxKeptCells
+// Kept runs are keyed by the cell's seed-free identity — its
+// CellIdentity without Seeds — in a namespace (Bind's tenant), so a run
+// never crosses namespaces, and they are matched on realisation
+// identity, never on being cloud-free alone: a base profile that
+// depends on the seed gives cloud-free realisations that differ. Like
+// the cell cache's CellIdentity, the key takes the base scenario's name
+// and the level labels to stand for the code behind them.
+// Checkpoints are bit-identical to Study.RunChunk's in any order of
+// chunks and studies. A RunStore is safe for concurrent use.
+type RunStore struct {
+	mu                      sync.Mutex
+	runs                    map[runKey]*list.Element // in lru
+	lru                     *list.List               // of *keptRun, most recently used first
+	hits, misses, evictions int64
 }
 
-// NewChunkRunner returns a runner for the study's chunks. The runner
-// works on a copy of st: later changes to st do not reach it.
-func (st Study) NewChunkRunner() *ChunkRunner { return &ChunkRunner{st: st} }
+// NewRunStore returns an empty store.
+func NewRunStore() *RunStore {
+	return &RunStore{runs: map[runKey]*list.Element{}, lru: list.New()}
+}
 
-// RunChunk executes the contiguous ledger block [r.Lo, r.Hi) and
-// returns its checkpoint, bit-identical to Study.RunChunk's.
-func (kr *ChunkRunner) RunChunk(ctx context.Context, r TaskRange) (*Checkpoint, error) {
-	p, results, err := kr.st.runChunk(ctx, r, kr)
+// RunStoreStats is the observable state of a run store. Hits and
+// Misses count a cell's lookups in one chunk that found a kept run and
+// that found none; Kept is the number of runs held.
+type RunStoreStats struct {
+	Hits      int64 `json:"hits"`
+	Misses    int64 `json:"misses"`
+	Kept      int   `json:"kept"`
+	Evictions int64 `json:"evictions"`
+}
+
+// Stats snapshots the store's counters.
+func (s *RunStore) Stats() RunStoreStats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return RunStoreStats{Hits: s.hits, Misses: s.misses, Kept: len(s.runs), Evictions: s.evictions}
+}
+
+// runKey is a cell's key in a run store: the SHA-256 of its seed-free
+// identity and its namespace.
+type runKey [sha256.Size]byte
+
+// StudyRuns is a study bound to a run store (RunStore.Bind): it runs
+// the study's chunks through the store.
+type StudyRuns struct {
+	st    Study
+	p     *plan
+	store *RunStore
+	keys  []runKey // by cell
+}
+
+// Bind validates st and binds it to the store in tenant's namespace,
+// planning the study and keying its cells once. The binding works on a
+// copy of st: later changes to st do not reach it.
+func (s *RunStore) Bind(st Study, tenant string) (*StudyRuns, error) {
+	p, err := st.plan()
 	if err != nil {
 		return nil, err
 	}
-	return kr.st.checkpointFrom(p, results), nil
+	// A cell's key digests its CellIdentity without Seeds, in tenant's
+	// namespace: the digest of the part every cell shares, as JSON, then
+	// the cell's axis names and levels, each after its length.
+	shared, err := json.Marshal(struct {
+		Tenant string     `json:"tenant"`
+		Base   BaseDigest `json:"base"`
+		Bands  []float64  `json:"stability_bands"`
+		Bins   int        `json:"vc_hist_bins"`
+		Lo     float64    `json:"vc_hist_lo"`
+		Hi     float64    `json:"vc_hist_hi"`
+	}{tenant, baseDigest(st.Base), st.stabilityBands(), st.VCHistBins, st.VCHistLo, st.VCHistHi})
+	if err != nil {
+		return nil, fmt.Errorf("study: keying cells: %w", err)
+	}
+	sum := sha256.Sum256(shared)
+	keys := make([]runKey, len(p.cells))
+	buf := make([]byte, 0, 256)
+	for c, cell := range p.cells {
+		buf = append(buf[:0], sum[:]...)
+		for i, ax := range st.Axes {
+			buf = append(binary.AppendUvarint(buf, uint64(len(ax.Name))), ax.Name...)
+			buf = append(binary.AppendUvarint(buf, uint64(len(cell.Labels[i]))), cell.Labels[i]...)
+		}
+		keys[c] = sha256.Sum256(buf)
+	}
+	return &StudyRuns{st: st, p: p, store: s, keys: keys}, nil
 }
 
-// lookup returns the kept run of cell, nil when there is none or kr is
-// nil.
-func (kr *ChunkRunner) lookup(cell int) *keptRun {
-	if kr == nil {
+// RunChunk executes the contiguous ledger block [r.Lo, r.Hi) and
+// returns its checkpoint, bit-identical to Study.RunChunk's.
+func (sr *StudyRuns) RunChunk(ctx context.Context, r TaskRange) (*Checkpoint, error) {
+	results, err := sr.st.runChunk(ctx, sr.p, r, sr)
+	if err != nil {
+		return nil, err
+	}
+	return sr.st.checkpointFrom(sr.p, results), nil
+}
+
+// lookup returns the kept run of cell, nil when there is none or sr is
+// nil, and marks it most recently used.
+func (sr *StudyRuns) lookup(cell int) *keptRun {
+	if sr == nil {
 		return nil
 	}
-	kr.mu.Lock()
-	defer kr.mu.Unlock()
-	for _, k := range kr.runs {
-		if k.cell == cell {
-			return k
-		}
+	s := sr.store
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	el := s.runs[sr.keys[cell]]
+	if el == nil {
+		s.misses++
+		return nil
 	}
-	return nil
+	s.hits++
+	s.lru.MoveToFront(el)
+	return el.Value.(*keptRun)
 }
 
-// keep adds a finished kept run, dropping the oldest beyond
-// maxKeptCells. A cell kept meanwhile by a concurrent chunk keeps its
-// first run.
-func (kr *ChunkRunner) keep(k *keptRun) {
-	kr.mu.Lock()
-	defer kr.mu.Unlock()
-	for _, o := range kr.runs {
-		if o.cell == k.cell {
-			return
-		}
+// keep adds a finished kept run, evicting the least recently used
+// beyond maxKeptRuns. A cell kept meanwhile by a concurrent chunk keeps
+// its first run.
+func (s *RunStore) keep(k *keptRun) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.runs[k.key] != nil {
+		return
 	}
-	if len(kr.runs) == maxKeptCells {
-		kr.runs = append(kr.runs[:0], kr.runs[1:]...)
+	if len(s.runs) == maxKeptRuns {
+		old := s.lru.Remove(s.lru.Back()).(*keptRun)
+		delete(s.runs, old.key)
+		s.evictions++
 	}
-	kr.runs = append(kr.runs, k)
+	s.runs[k.key] = s.lru.PushFront(k)
 }
 
-// keptRun is one cell's kept cloud-free run.
+// keptRun is one cell's kept cloud-free run, fixed once a store holds
+// it.
 type keptRun struct {
-	cell int
+	key  runKey // the cell's key in its store
 	id   string // the realisation's identity
 	real scenario.Realisation
 	out  runOutput
@@ -182,9 +258,9 @@ type keptRun struct {
 // newKeptRun starts the kept run of a cell's cloud-free lead. A
 // cloud-free realisation has an identity: pv.ClearUntil is +Inf only
 // for a cloud overlay without events over a base that has one.
-func newKeptRun(cell int, r scenario.Realisation) *keptRun {
+func newKeptRun(key runKey, r scenario.Realisation) *keptRun {
 	id, _ := r.AppendIdentity(nil)
-	return &keptRun{cell: cell, id: string(id), real: r}
+	return &keptRun{key: key, id: string(id), real: r}
 }
 
 // forkTimes sets the grid over a run of the given duration, forkGrid

@@ -152,10 +152,12 @@ func (st Study) newOutcomeAccum(p *plan, results []TaskResult) *outcomeAccum {
 	for i := range a.cellAccums {
 		a.cellAccums[i] = newSummaryAccum(p.reps)
 	}
+	// The matrix is a full cartesian product, so every level of an axis
+	// holds the same share of the ledger.
 	for ax, axis := range st.Axes {
 		a.marginAccums[ax] = make([]*summaryAccum, len(axis.Levels))
 		for l := range axis.Levels {
-			a.marginAccums[ax][l] = newSummaryAccum(0)
+			a.marginAccums[ax][l] = newSummaryAccum(p.total / len(axis.Levels))
 		}
 	}
 	return a

@@ -144,14 +144,14 @@ func (st Study) instrument(cfg *sim.Config, bands []float64) (*stats.Histogram, 
 // its followers last in fork-time order, so a follower waits only for
 // a lead that has started to reach its fork time.
 //
-// A non-nil kr carries cloud-free runs over from kr's earlier chunks
-// (see ChunkRunner): a group the kept run of its cell serves takes that
-// run whole or resumes from one of its snapshots, and a cloud-free lead
-// of a cell that extends past the tasks is kept for later chunks.
-// Without kr, groups never outlive one call. Results and errors come
-// back in task and group order, so everything downstream is
-// bit-identical for any Workers value and any split of the ledger.
-func (st Study) runTasks(ctx context.Context, p *plan, tasks []Task, kr *ChunkRunner) ([]TaskResult, error) {
+// A non-nil sr carries cloud-free runs over from earlier chunks through
+// its store (see RunStore): a group the kept run of its cell serves
+// takes that run whole or resumes from one of its snapshots, and a
+// cloud-free lead of a cell the store holds no run for is kept for
+// later chunks. Without sr, groups never outlive one call. Results and
+// errors come back in task and group order, so everything downstream
+// is bit-identical for any Workers value and any split of the ledger.
+func (st Study) runTasks(ctx context.Context, p *plan, tasks []Task, sr *StudyRuns) ([]TaskResult, error) {
 	bands := st.stabilityBands()
 	results := make([]TaskResult, len(tasks))
 	var spec *scenario.Spec
@@ -176,7 +176,7 @@ func (st Study) runTasks(ctx context.Context, p *plan, tasks []Task, kr *ChunkRu
 	// become garbage here, before any simulation starts.
 	groups := shareGroups(tasks, reals)
 	reals = nil
-	order := planForks(tasks, groups, kr, p.reps)
+	order := planForks(tasks, groups, sr)
 
 	// Progress counts tasks: a finished group completes all of its
 	// members. The mutex serialises the callback, as batch does, so
@@ -256,7 +256,7 @@ func (st Study) runTasks(ctx context.Context, p *plan, tasks []Task, kr *ChunkRu
 			})
 			if err == nil && g.keep != nil {
 				g.keep.out = out
-				kr.keep(g.keep)
+				sr.store.keep(g.keep)
 			}
 		}
 		if err != nil {
@@ -322,17 +322,16 @@ type groupRun struct {
 // fork time, the order in which the lead hands out their snapshots.
 // Groups arrive in ledger order, so a cell's groups are contiguous.
 //
-// With a ChunkRunner, the groups the kept run of their cell serves
-// (keptRun.serves) come first and take no part in the rest. A cell
-// without a kept run whose lead is cloud-free and whose ledger range
-// extends past the tasks keeps that lead's run.
-func planForks(tasks []Task, groups []groupRun, kr *ChunkRunner, reps int) []*groupRun {
+// With a run store, the groups the kept run of their cell serves
+// (keptRun.serves) come first and take no part in the rest, and a cell
+// without a kept run whose lead is cloud-free keeps that lead's run.
+func planForks(tasks []Task, groups []groupRun, sr *StudyRuns) []*groupRun {
 	order := make([]*groupRun, 0, len(groups))
 	var buf [16]*groupRun
 	rest := buf[:0]
 	for lo, hi := 0, 0; lo < len(groups); lo = hi {
 		cell := tasks[groups[lo].tasks[0]].Cell
-		kept := kr.lookup(cell)
+		kept := sr.lookup(cell)
 		rest = rest[:0]
 		for hi = lo; hi < len(groups) && tasks[groups[hi].tasks[0]].Cell == cell; hi++ {
 			if g := &groups[hi]; kept.serves(g) {
@@ -374,10 +373,8 @@ func planForks(tasks []Task, groups []groupRun, kr *ChunkRunner, reps int) []*gr
 			return lead.followers[i].forkAt < lead.followers[j].forkAt
 		})
 		order = append(order, lead.followers...)
-		first, last := tasks[0], tasks[len(tasks)-1]
-		partial := cell == first.Cell && first.Rep > 0 || cell == last.Cell && last.Rep < reps-1
-		if kr != nil && kept == nil && partial && math.IsInf(best, 1) {
-			lead.keep = newKeptRun(cell, lead.real.r)
+		if sr != nil && kept == nil && math.IsInf(best, 1) {
+			lead.keep = newKeptRun(sr.keys[cell], lead.real.r)
 		}
 	}
 	return order
@@ -424,8 +421,8 @@ func shareGroups(tasks []Task, reals []realised) []groupRun {
 
 // runRanges executes the tasks of the given ledger ranges, which must
 // be ascending and disjoint, so results come back in ledger order. A
-// non-nil kr shares cloud-free runs with its other chunks (runTasks).
-func (st Study) runRanges(ctx context.Context, p *plan, kr *ChunkRunner, rs ...TaskRange) ([]TaskResult, error) {
+// non-nil sr shares cloud-free runs through its store (runTasks).
+func (st Study) runRanges(ctx context.Context, p *plan, sr *StudyRuns, rs ...TaskRange) ([]TaskResult, error) {
 	n := 0
 	for _, r := range rs {
 		n += r.Hi - r.Lo
@@ -436,7 +433,7 @@ func (st Study) runRanges(ctx context.Context, p *plan, kr *ChunkRunner, rs ...T
 			tasks = append(tasks, p.task(st, t))
 		}
 	}
-	return st.runTasks(ctx, p, tasks, kr)
+	return st.runTasks(ctx, p, tasks, sr)
 }
 
 // Run executes the whole study matrix and aggregates it. Runs are

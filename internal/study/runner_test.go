@@ -28,7 +28,7 @@ func stressMatrix(duration float64, reps int, seed int64, workers int) Study {
 	}
 }
 
-// runnerStats counts what a runner's chunks did: the distinct
+// runnerStats counts what a store's chunks did: the distinct
 // simulations behind their tasks, the tasks that took a Result an
 // earlier chunk simulated, and the simulations resumed past t = 0.
 type runnerStats struct {
@@ -61,36 +61,45 @@ func (s *runnerStats) add(results []TaskResult) {
 	}
 }
 
-// runAllChunks runs every chunk of the given size through one runner
+// runAllChunks runs every chunk of the given size through one store
 // in the given order and folds the checkpoints; it returns the outcome
 // bytes and the results of every chunk, by chunk.
 func runAllChunks(t *testing.T, st Study, size int, order []int) ([]byte, [][]TaskResult) {
 	t.Helper()
-	kr := st.NewChunkRunner()
+	sr := bindStore(t, NewRunStore(), st, "")
 	folder, err := st.NewFolder(size)
 	if err != nil {
 		t.Fatal(err)
 	}
 	byChunk := make([][]TaskResult, folder.NumChunks())
 	for _, i := range order {
-		p, results, err := kr.st.runChunk(context.Background(), folder.Range(i), kr)
+		results, err := sr.st.runChunk(context.Background(), sr.p, folder.Range(i), sr)
 		if err != nil {
 			t.Fatalf("chunk %d: %v", i, err)
 		}
 		byChunk[i] = results
-		if err := folder.Fold(i, st.checkpointFrom(p, results)); err != nil {
+		if err := folder.Fold(i, st.checkpointFrom(sr.p, results)); err != nil {
 			t.Fatalf("chunk %d: %v", i, err)
 		}
 	}
 	return outcomeBytes(t, "chunk fold")(folder.Outcome()), byChunk
 }
 
-// TestChunkRunnerMatchesIndependentRuns runs the stress matrix's chunks
-// through one runner, forwards and backwards, at one worker and at
+func bindStore(t testing.TB, s *RunStore, st Study, tenant string) *StudyRuns {
+	t.Helper()
+	sr, err := s.Bind(st, tenant)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sr
+}
+
+// TestRunStoreMatchesIndependentRuns runs the stress matrix's chunks
+// through one store, forwards and backwards, at one worker and at
 // three. Every task must equal its independent run, the folded outcome
 // must equal Study.Run's bytes, and later chunks must have taken kept
 // runs and resumed from kept snapshots.
-func TestChunkRunnerMatchesIndependentRuns(t *testing.T) {
+func TestRunStoreMatchesIndependentRuns(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		st := stressMatrix(10, 12, 5, workers)
 		want := outcomeBytes(t, "Run")(st.Run(context.Background()))
@@ -115,12 +124,12 @@ func TestChunkRunnerMatchesIndependentRuns(t *testing.T) {
 	}
 }
 
-// TestChunkRunnerMatchesIdentityNotClearSky gives a cell a base
+// TestRunStoreMatchesIdentityNotClearSky gives a cell a base
 // irradiance that depends on the seed, so its cloud-free realisations
-// differ. The runner keeps the first chunk's cloud-free run, and a
+// differ. The store keeps the first chunk's cloud-free run, and a
 // later task of the other base must not take it: it runs on its own,
 // and only the tasks of the kept base share the kept Result.
-func TestChunkRunnerMatchesIdentityNotClearSky(t *testing.T) {
+func TestRunStoreMatchesIdentityNotClearSky(t *testing.T) {
 	base := scenario.MustLookup("stress-clouds")
 	base.Duration = 2
 	base.Profile = func(seed int64, span float64) pv.Profile {
@@ -153,120 +162,254 @@ func TestChunkRunnerMatchesIdentityNotClearSky(t *testing.T) {
 	}
 }
 
-// TestChunkRunnerConcurrentChunks runs a runner's chunks from two
-// goroutines at once, each chunk on two workers, so the race detector
-// sees kept runs and snapshots shared between chunks in flight.
-func TestChunkRunnerConcurrentChunks(t *testing.T) {
-	st := stressMatrix(4, 8, 9, 2)
-	want := outcomeBytes(t, "Run")(st.Run(context.Background()))
-	const size = 3
-	kr := st.NewChunkRunner()
-	folder, err := st.NewFolder(size)
-	if err != nil {
+// TestRunStoreSharesAcrossStudies runs the chunks of two studies
+// through one store, interleaved, the first study's forwards and the
+// second's backwards. The studies differ in seed, seed
+// mode, repetitions, chunk size and workers, and the second has an
+// extra load level. Every chunk's checkpoint must equal
+// Study.RunChunk's bytes, and tasks of each study must have taken runs
+// the other study's chunks kept. The same matrix bound in another
+// tenant's namespace finds nothing.
+func TestRunStoreSharesAcrossStudies(t *testing.T) {
+	ctx := context.Background()
+	a := stressMatrix(4, 6, 5, 1)
+	b := stressMatrix(4, 4, 11, 2)
+	b.SeedMode = SeedPerRep
+	b.Axes[1].Levels = append(b.Axes[1].Levels, Utilisation(0.3))
+	store := NewRunStore()
+	sts := []Study{a, b}
+	runs := []*StudyRuns{bindStore(t, store, a, ""), bindStore(t, store, b, "")}
+	var chunks [2][]TaskRange
+	for k, size := range []int{4, 3} {
+		var err error
+		if chunks[k], err = sts[k].Chunks(size); err != nil {
+			t.Fatal(err)
+		}
+	}
+	producer := map[*sim.Result]int{}
+	var cross [2]int
+	for i := 0; i < max(len(chunks[0]), len(chunks[1])); i++ {
+		for k, sr := range runs {
+			if i >= len(chunks[k]) {
+				continue
+			}
+			r := chunks[k][i]
+			if k == 1 {
+				r = chunks[k][len(chunks[k])-1-i] // from the other end of the matrix
+			}
+			results, err := sr.st.runChunk(ctx, sr.p, r, sr)
+			if err != nil {
+				t.Fatalf("study %d chunk %v: %v", k, r, err)
+			}
+			want, err := sts[k].RunChunk(ctx, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(encodeBinary(sts[k].checkpointFrom(sr.p, results)), encodeBinary(want)) {
+				t.Fatalf("study %d chunk %v: checkpoint differs from Study.RunChunk's", k, r)
+			}
+			for _, res := range results {
+				if by, ok := producer[res.Result]; !ok {
+					producer[res.Result] = k
+				} else if by != k {
+					cross[k]++
+				}
+			}
+		}
+	}
+	if cross[0] == 0 || cross[1] == 0 || store.Stats().Hits == 0 {
+		t.Fatalf("tasks that took the other study's kept run: %v; store %+v", cross, store.Stats())
+	}
+	before := store.Stats()
+	other := bindStore(t, store, a, "other")
+	if _, err := other.RunChunk(ctx, chunks[0][0]); err != nil {
 		t.Fatal(err)
 	}
-	cps := make([]*Checkpoint, folder.NumChunks())
-	errs := make([]error, len(cps))
+	if got := store.Stats(); got.Hits != before.Hits || got.Misses == before.Misses {
+		t.Fatalf("another tenant's chunk: store %+v, before %+v; want misses only", got, before)
+	}
+}
+
+// TestRunStoreConcurrentChunks runs the chunks of two studies of one
+// matrix through one store from two goroutines at once, each chunk on
+// two workers, so the race detector sees kept runs and snapshots
+// shared between chunks in flight.
+func TestRunStoreConcurrentChunks(t *testing.T) {
+	const size = 3
+	store := NewRunStore()
+	sts := []Study{stressMatrix(4, 8, 9, 2), stressMatrix(4, 8, 10, 2)}
+	folders := make([]*Folder, len(sts))
+	cps := make([][]*Checkpoint, len(sts))
+	errs := make([][]error, len(sts))
 	var wg sync.WaitGroup
-	for g := 0; g < 2; g++ {
+	for g, st := range sts {
+		var err error
+		if folders[g], err = st.NewFolder(size); err != nil {
+			t.Fatal(err)
+		}
+		cps[g] = make([]*Checkpoint, folders[g].NumChunks())
+		errs[g] = make([]error, len(cps[g]))
+		sr := bindStore(t, store, st, "")
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := g; i < len(cps); i += 2 {
-				cps[i], errs[i] = kr.RunChunk(context.Background(), folder.Range(i))
+			for i := range cps[g] {
+				cps[g][i], errs[g][i] = sr.RunChunk(context.Background(), folders[g].Range(i))
 			}
 		}(g)
 	}
 	wg.Wait()
-	for i, cp := range cps {
-		if errs[i] != nil {
-			t.Fatalf("chunk %d: %v", i, errs[i])
+	for g, st := range sts {
+		for i, cp := range cps[g] {
+			if errs[g][i] != nil {
+				t.Fatalf("study %d chunk %d: %v", g, i, errs[g][i])
+			}
+			if err := folders[g].Fold(i, cp); err != nil {
+				t.Fatalf("study %d chunk %d: %v", g, i, err)
+			}
 		}
-		if err := folder.Fold(i, cp); err != nil {
-			t.Fatalf("chunk %d: %v", i, err)
+		want := outcomeBytes(t, "Run")(st.Run(context.Background()))
+		if got := outcomeBytes(t, "fold")(folders[g].Outcome()); !bytes.Equal(got, want) {
+			t.Fatalf("study %d: outcome differs from Study.Run", g)
 		}
-	}
-	if got := outcomeBytes(t, "fold")(folder.Outcome()); !bytes.Equal(got, want) {
-		t.Fatal("outcome differs from Study.Run")
 	}
 }
 
-// TestChunkRunnerBoundsKeptCells runs one chunk of each cell of a study
-// with more cells than a runner keeps: the runner holds maxKeptCells
-// runs, the latest ones.
-func TestChunkRunnerBoundsKeptCells(t *testing.T) {
+// recency lists the cells a store keeps, least recently used first,
+// by their keys in sr.
+func recency(t *testing.T, s *RunStore, sr *StudyRuns) []int {
+	t.Helper()
+	cell := map[runKey]int{}
+	for c, k := range sr.keys {
+		cell[k] = c
+	}
+	var out []int
+	for el := s.lru.Back(); el != nil; el = el.Prev() {
+		c, ok := cell[el.Value.(*keptRun).key]
+		if !ok {
+			t.Fatal("store keeps a run of no cell of the study")
+		}
+		out = append(out, c)
+	}
+	return out
+}
+
+// TestRunStoreBoundsKeptRuns runs one chunk of each cell of a study
+// with more cells than a store keeps, after using the first cell again
+// once the store is full: the store holds maxKeptRuns runs, and the
+// ones it evicts are the least recently used.
+func TestRunStoreBoundsKeptRuns(t *testing.T) {
 	base := scenario.MustLookup("stress-clouds")
 	base.Duration = 0.5
+	n := maxKeptRuns + 3
 	var loads []Level
-	for i := 0; i < maxKeptCells+3; i++ {
-		loads = append(loads, Utilisation(0.4+0.05*float64(i)))
+	for i := 0; i < n; i++ {
+		loads = append(loads, Utilisation(0.2+0.8*float64(i+1)/float64(n)))
 	}
-	st := Study{Name: "cap", Base: base, Reps: 2, Seed: 1, Workers: 1, Axes: []Axis{NewAxis("load", loads...)}}
-	kr := st.NewChunkRunner()
-	for c := range loads {
-		if _, err := kr.RunChunk(context.Background(), TaskRange{Lo: 2 * c, Hi: 2*c + 1}); err != nil {
+	st := Study{
+		Name: "cap", Base: base, Reps: 2, Seed: 1, SeedMode: SeedPerRep, Workers: 1,
+		Axes: []Axis{NewAxis("load", loads...)},
+	}
+	store := NewRunStore()
+	sr := bindStore(t, store, st, "")
+	run := func(task int) {
+		if _, err := sr.RunChunk(context.Background(), TaskRange{Lo: task, Hi: task + 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if len(kr.runs) != maxKeptCells {
-		t.Fatalf("runner keeps %d runs, want %d", len(kr.runs), maxKeptCells)
+	for c := 0; c < maxKeptRuns; c++ {
+		run(2 * c)
 	}
-	for i, k := range kr.runs {
-		if want := len(loads) - maxKeptCells + i; k.cell != want {
-			t.Fatalf("kept run %d is cell %d, want %d", i, k.cell, want)
-		}
+	run(1) // cell 0's other repetition: cell 0 becomes the most recently used
+	for c := maxKeptRuns; c < n; c++ {
+		run(2 * c)
+	}
+	if len(store.runs) != maxKeptRuns {
+		t.Fatalf("store keeps %d runs, want %d", len(store.runs), maxKeptRuns)
+	}
+	want := forward(n)[4:maxKeptRuns]
+	want = append(append(want, 0), forward(n)[maxKeptRuns:]...)
+	got := recency(t, store, sr)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("kept cells, least recently used first: %v, want %v", got, want)
+	}
+	if s := store.Stats(); s.Kept != maxKeptRuns || s.Evictions != int64(n-maxKeptRuns) || s.Hits != 1 {
+		t.Fatalf("store stats %+v: want %d kept, %d evictions, 1 hit", s, maxKeptRuns, n-maxKeptRuns)
 	}
 }
 
-// FuzzChunkRunner leases a study's chunks to one runner in a fuzzed
-// order, with re-leases and chunks out of order: each byte of leases
-// picks the next chunk, and chunks it never picks run at the end.
-// Chunk size runs from 1 to Reps+1 and workers from 1 to 3. A re-leased
-// chunk's checkpoint must equal its first one's bytes, and the folded
-// outcome must equal Study.Run's.
-func FuzzChunkRunner(f *testing.F) {
-	f.Add(uint8(2), uint8(3), uint8(4), uint8(0), true, int64(2), uint8(3), []byte{3, 1, 3, 0, 2}, uint8(0))
-	f.Add(uint8(1), uint8(3), uint8(4), uint8(1), true, int64(17), uint8(0), []byte{7, 6, 5, 4, 3, 2, 1, 0, 6}, uint8(2))
-	f.Add(uint8(2), uint8(2), uint8(3), uint8(0), false, int64(4), uint8(1), []byte{}, uint8(1))
-	f.Add(uint8(0), uint8(3), uint8(4), uint8(2), true, int64(-3), uint8(4), []byte{1, 1, 0}, uint8(0))
-	f.Fuzz(func(t *testing.T, cells, reps, dur, mode uint8, hist bool, seed int64,
-		chunk uint8, leases []byte, workers uint8) {
-		st := splitStudy(cells, reps, dur, mode, hist, seed)
-		st.Workers = 1 + int(workers%3)
+// FuzzRunStore leases the chunks of two fuzzed studies of one
+// duration and histogram geometry to one store, interleaved in a
+// fuzzed order, with re-leases and chunks out of order: each byte of
+// leases picks a study (its low bit) and one of its chunks, and chunks
+// it never picks run at the end. The studies draw their cells, seed
+// mode, seed, repetitions and chunk size (1 to Reps+1) independently,
+// so their cells' keys agree where their load levels do. A re-leased
+// chunk's checkpoint must equal its first one's bytes, and each
+// study's folded outcome must equal its Study.Run's.
+func FuzzRunStore(f *testing.F) {
+	f.Add(uint8(2), uint8(1), uint8(3), uint8(2), uint8(4), uint8(0), uint8(1), true, int64(2), int64(5), uint8(3), uint8(1), []byte{3, 1, 6, 0, 2}, uint8(0))
+	f.Add(uint8(1), uint8(2), uint8(3), uint8(3), uint8(4), uint8(1), uint8(1), true, int64(17), int64(17), uint8(0), uint8(2), []byte{7, 6, 5, 4, 3, 2, 1, 0, 6}, uint8(2))
+	f.Add(uint8(2), uint8(2), uint8(2), uint8(0), uint8(3), uint8(0), uint8(2), false, int64(4), int64(-9), uint8(1), uint8(4), []byte{}, uint8(1))
+	f.Add(uint8(0), uint8(0), uint8(3), uint8(1), uint8(4), uint8(2), uint8(0), true, int64(-3), int64(8), uint8(4), uint8(0), []byte{1, 1, 0}, uint8(5))
+	f.Fuzz(func(t *testing.T, cellsA, cellsB, repsA, repsB, dur, modeA, modeB uint8, hist bool,
+		seedA, seedB int64, chunkA, chunkB uint8, leases []byte, workers uint8) {
 		ctx := context.Background()
-		want := outcomeBytes(t, "Run")(st.Run(ctx))
-		size := 1 + int(chunk)%(st.Reps+1)
-		folder, err := st.NewFolder(size)
-		if err != nil {
-			t.Fatal(err)
+		sts := [2]Study{
+			splitStudy(cellsA, repsA, dur, modeA, hist, seedA),
+			splitStudy(cellsB, repsB, dur, modeB, hist, seedB),
 		}
-		n := folder.NumChunks()
-		order := make([]int, 0, len(leases)+n)
+		store := NewRunStore()
+		var (
+			want    [2][]byte
+			folders [2]*Folder
+			runs    [2]*StudyRuns
+			first   [2][][]byte
+		)
+		for k, chunk := range []uint8{chunkA, chunkB} {
+			sts[k].Workers = 1 + int(workers>>k)%3
+			want[k] = outcomeBytes(t, "Run")(sts[k].Run(ctx))
+			var err error
+			if folders[k], err = sts[k].NewFolder(1 + int(chunk)%(sts[k].Reps+1)); err != nil {
+				t.Fatal(err)
+			}
+			runs[k] = bindStore(t, store, sts[k], "")
+			first[k] = make([][]byte, folders[k].NumChunks())
+		}
+		type lease struct{ k, i int }
+		var order []lease
 		for _, b := range leases {
-			order = append(order, int(b)%n)
+			k := int(b & 1)
+			order = append(order, lease{k, int(b>>1) % folders[k].NumChunks()})
 		}
-		order = append(order, forward(n)...)
-		kr := st.NewChunkRunner()
-		first := make([][]byte, n)
-		for _, i := range order {
-			cp, err := kr.RunChunk(ctx, folder.Range(i))
+		for i := 0; i < max(folders[0].NumChunks(), folders[1].NumChunks()); i++ {
+			for k := range folders {
+				if i < folders[k].NumChunks() {
+					order = append(order, lease{k, i})
+				}
+			}
+		}
+		for _, l := range order {
+			cp, err := runs[l.k].RunChunk(ctx, folders[l.k].Range(l.i))
 			if err != nil {
-				t.Fatalf("chunk %d: %v", i, err)
+				t.Fatalf("study %d chunk %d: %v", l.k, l.i, err)
 			}
 			raw := encodeBinary(cp)
-			if first[i] != nil {
-				if !bytes.Equal(raw, first[i]) {
-					t.Fatalf("re-leased chunk %d checkpoint differs from its first run", i)
+			if first[l.k][l.i] != nil {
+				if !bytes.Equal(raw, first[l.k][l.i]) {
+					t.Fatalf("re-leased chunk %d of study %d: checkpoint differs from its first run", l.i, l.k)
 				}
 				continue
 			}
-			first[i] = raw
-			if err := folder.Fold(i, cp); err != nil {
-				t.Fatalf("chunk %d of size %d: %v", i, size, err)
+			first[l.k][l.i] = raw
+			if err := folders[l.k].Fold(l.i, cp); err != nil {
+				t.Fatalf("study %d chunk %d: %v", l.k, l.i, err)
 			}
 		}
-		if got := outcomeBytes(t, "chunk fold")(folder.Outcome()); !bytes.Equal(got, want) {
-			t.Fatalf("chunk runner outcome differs from Study.Run:\n%s\nvs\n%s", got, want)
+		for k := range folders {
+			if got := outcomeBytes(t, "chunk fold")(folders[k].Outcome()); !bytes.Equal(got, want[k]) {
+				t.Fatalf("study %d: store outcome differs from Study.Run:\n%s\nvs\n%s", k, got, want[k])
+			}
 		}
 	})
 }

@@ -46,9 +46,10 @@
 // the read-only *sim.Result and dwell histogram to every task of the
 // group; metrics, checkpoints and progress still count tasks. Groups
 // never span two calls, so every split of the ledger reproduces Run's
-// bytes. The one exception is a ChunkRunner, which keeps each cell's
-// cloud-free run for its later chunks and matches it on the same exact
-// identity, so its chunks reproduce Run's bytes too.
+// bytes. The one exception is a RunStore, which keeps cells' cloud-free
+// runs for later chunks of any study with the same cell and matches
+// them on the same exact identity, so its chunks reproduce Run's bytes
+// too.
 //
 // A plain Monte-Carlo run of one scenario is a Study without axes
 // (pnsim -mc), and the experiments-package parameter sweep is a Study

@@ -4,7 +4,9 @@
 # waits for completion, then submits the identical study again and
 # requires the second answer to be a whole-study cache hit with zero
 # simulated runs and byte-identical outcome downloads in every format.
-# Finishes by exercising the graceful drain path with SIGTERM. This is
+# Then submits the study with a new seed and requires the run store to
+# answer some of its cells' cloud-free runs. Finishes by exercising the
+# graceful drain path with SIGTERM. This is
 # the process-level twin of internal/serve's -race suite — same
 # contract, but with a real listener, real curl clients and a real
 # signal.
@@ -54,6 +56,27 @@ fi
 
 field() { sed -n "s/.*\"$1\": \"\\([^\"]*\\)\".*/\\1/p" | head -n 1; }
 
+# await JOB: poll until the job is done, failing the smoke otherwise.
+await() {
+    local state=""
+    for _ in $(seq 1 600); do
+        state="$(curl -sf "${auth[@]}" "$url/v1/jobs/$1" | field state || true)"
+        [ "$state" = "done" ] && return 0
+        [ "$state" = "failed" ] && break
+        sleep 0.1
+    done
+    echo "serve_smoke: job $1 ended in state '${state:-?}'" >&2
+    curl -s "${auth[@]}" "$url/v1/jobs/$1" >&2 || true
+    cat "$work/serve.log" >&2
+    exit 1
+}
+
+# run_store_hits: the run store's hit count from GET /v1/cache.
+run_store_hits() {
+    curl -sf "${auth[@]}" "$url/v1/cache" | tr -d ' \n' |
+        sed -n 's/.*"run_store":{"hits":\([0-9]*\).*/\1/p'
+}
+
 echo "serve_smoke: submitting study (cold)"
 curl -sf "${auth[@]}" -d "$recipe" "$url/v1/jobs" >"$work/cold-submit.json"
 job="$(field id <"$work/cold-submit.json")"
@@ -64,19 +87,7 @@ if [ -z "$job" ]; then
 fi
 
 echo "serve_smoke: waiting for $job"
-state=""
-for _ in $(seq 1 600); do
-    state="$(curl -sf "${auth[@]}" "$url/v1/jobs/$job" | field state || true)"
-    [ "$state" = "done" ] && break
-    [ "$state" = "failed" ] && break
-    sleep 0.1
-done
-if [ "$state" != "done" ]; then
-    echo "serve_smoke: job $job ended in state '${state:-?}'" >&2
-    curl -s "${auth[@]}" "$url/v1/jobs/$job" >&2 || true
-    cat "$work/serve.log" >&2
-    exit 1
-fi
+await "$job"
 
 for fmt in json cells-csv runs-csv; do
     curl -sf "${auth[@]}" "$url/v1/jobs/$job/outcome?format=$fmt" >"$work/cold.$fmt"
@@ -102,6 +113,19 @@ for fmt in json cells-csv runs-csv; do
 done
 echo "serve_smoke: cache hit is byte-identical to the cold run in all formats"
 
+echo "serve_smoke: resubmitting the study with a new seed (must take kept runs)"
+hits0="$(run_store_hits)"
+curl -sf "${auth[@]}" -d "${recipe/\"seed\":23/\"seed\":24}" "$url/v1/jobs" >"$work/fresh-submit.json"
+fresh="$(field id <"$work/fresh-submit.json")"
+await "$fresh"
+hits1="$(run_store_hits)"
+if [ -z "$hits0" ] || [ -z "$hits1" ] || [ "$hits1" -le "$hits0" ]; then
+    echo "serve_smoke: FAIL — new-seed study took no run from the run store (hits ${hits0:-?} -> ${hits1:-?})" >&2
+    curl -s "${auth[@]}" "$url/v1/cache" >&2 || true
+    exit 1
+fi
+echo "serve_smoke: new-seed study took kept runs (run-store hits $hits0 -> $hits1)"
+
 echo "serve_smoke: draining with SIGTERM"
 kill -TERM "$serve_pid"
 if ! wait "$serve_pid"; then
@@ -114,4 +138,4 @@ if ! grep -q "drained" "$work/serve.log"; then
     cat "$work/serve.log" >&2
     exit 1
 fi
-echo "serve_smoke: PASS — cold run, zero-work byte-identical cache hit, graceful drain"
+echo "serve_smoke: PASS — cold run, zero-work byte-identical cache hit, run-store hit, graceful drain"
