@@ -115,19 +115,15 @@ func (w *Worker) Run(ctx context.Context) error {
 		st.Workers = w.Workers
 	}
 	st.OnProgress = nil
-	fp, err := st.Fingerprint()
-	if err != nil {
-		return fmt.Errorf("coord: local study invalid: %w", err)
-	}
-	if !fp.Equal(info.Fingerprint) {
-		return fmt.Errorf("coord: local study fingerprint disagrees with coordinator %s — flag or code skew between machines", w.URL)
-	}
-	w.logf("worker %s: joined study %s (%d tasks in %d chunks)",
-		w.name(), info.Name, info.TotalTasks, info.NumChunks)
 	runs, err := study.NewRunStore().Bind(st, "")
 	if err != nil {
 		return fmt.Errorf("coord: local study invalid: %w", err)
 	}
+	if !runs.Fingerprint().Equal(info.Fingerprint) {
+		return fmt.Errorf("coord: local study fingerprint disagrees with coordinator %s — flag or code skew between machines", w.URL)
+	}
+	w.logf("worker %s: joined study %s (%d tasks in %d chunks)",
+		w.name(), info.Name, info.TotalTasks, info.NumChunks)
 
 	accepted := 0
 	for {

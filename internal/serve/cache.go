@@ -14,11 +14,16 @@
 // dependent (such as the worker count) ever reaches the key. A
 // cache hit therefore returns bytes that are bit-identical to what a
 // cold run would have produced, with zero simulation work; and because
-// cells are content-addressed individually (study.CellIdentity), a new
-// study that shares matrix cells with an earlier one re-simulates only
-// the cells the cache has never seen. Those cells run through the
-// server's study.RunStore: a cell the tenant has run before, under any
-// seed, takes its kept cloud-free run instead of simulating it again.
+// cells are content-addressed individually (study.StudyRuns.CellKey: the
+// cell's seed-free key plus its seeds), a new study that shares matrix
+// cells with an earlier one re-simulates only the cells the cache has
+// never seen. Those cells run through the server's study.RunStore: a
+// cell the tenant has run before, under any seed, takes its kept
+// cloud-free run, kept under the same seed-free key, instead of
+// simulating it again. A job's study is planned once, when it is
+// submitted: its binding to the run store gives the job its digest,
+// its cells' keys, cached-cell restores and encodings, its folder and
+// its chunk runs.
 package serve
 
 import (

@@ -101,8 +101,10 @@ type Job struct {
 	id     string
 	tenant string
 	digest string
-	st     study.Study
-	reps   int
+	// runs is the job's study, planned once at submission and bound to
+	// the server's run store in the tenant's namespace.
+	runs *study.StudyRuns
+	reps int
 
 	mu            sync.Mutex
 	rev           int // bumped on every visible mutation; event streams poll it
@@ -113,6 +115,7 @@ type Job struct {
 	foldedTasks   int
 	cachedCells   int
 	simulatedRuns int
+	progressed    int // completed tasks the running chunk has reported
 	cacheHit      bool
 	marginals     []study.Marginal
 	artifacts     map[string][]byte // format → rendered outcome bytes
@@ -171,14 +174,25 @@ func (j *Job) complete(artifacts map[string][]byte) {
 	close(j.done)
 }
 
-func (j *Job) addSimulated(delta int) {
-	if delta <= 0 {
-		return
-	}
+// countSimulated is the OnProgress of the job's study: it counts every
+// completed task on the job. OnProgress is the completion callback,
+// which advances by every task a finished simulation or a kept run
+// stands for, so the count measures work actually done, which is what
+// the zero-work-on-repeat guarantee is stated against. Cells run one
+// after another and each chunk's last call reports completed == total,
+// so the count restarts there for the next cell.
+func (j *Job) countSimulated(completed, total int) {
 	j.mu.Lock()
-	j.simulatedRuns += delta
-	j.rev++
-	j.mu.Unlock()
+	defer j.mu.Unlock()
+	delta := completed - j.progressed
+	j.progressed = completed
+	if completed == total {
+		j.progressed = 0
+	}
+	if delta > 0 {
+		j.simulatedRuns += delta
+		j.rev++
+	}
 }
 
 // noteFold snapshots the fold frontier after a cell lands.
@@ -429,23 +443,19 @@ func (s *Server) execute(j *Job) {
 // canonical order and its outcome stays bit-identical to an unsharded
 // Run.
 func (s *Server) runJob(j *Job) error {
-	st := j.st
-	ids, err := st.CellIdentities()
+	runs := j.runs
+	folder, err := runs.NewFolder(j.reps)
 	if err != nil {
 		return err
 	}
-	folder, err := st.NewFolder(j.reps)
-	if err != nil {
-		return err
-	}
-	var runs *study.StudyRuns // bound at the first cell the cache misses
-	for c := range ids {
-		digest, err := ids[c].Digest()
+	for c := 0; c < j.totalCells; c++ {
+		digest, err := runs.CellKey(c)
 		if err != nil {
 			return err
 		}
-		if raw, ok := s.cache.Get(cellKey(digest)); ok {
-			cp, err := st.RestoreCell(c, raw)
+		key := cellKey(digest)
+		if raw, ok := s.cache.Get(key); ok {
+			cp, err := runs.RestoreCell(c, raw)
 			if err != nil {
 				// A digest collision or corrupt entry: refuse the cache,
 				// simulate the truth instead.
@@ -457,11 +467,6 @@ func (s *Server) runJob(j *Job) error {
 				continue
 			}
 		}
-		if runs == nil {
-			if runs, err = s.bindRuns(j); err != nil {
-				return err
-			}
-		}
 		cp, err := runs.RunChunk(s.ctx, folder.Range(c))
 		if err != nil && s.ctx.Err() != nil {
 			// One error in place of the chunk's per-run "not started" list.
@@ -470,8 +475,8 @@ func (s *Server) runJob(j *Job) error {
 		if err != nil {
 			return fmt.Errorf("serve: job %s cell %d: %w", j.id, c, err)
 		}
-		if raw, err := st.EncodeCell(cp, c); err == nil {
-			s.cache.Put(cellKey(digest), raw)
+		if raw, err := runs.EncodeCell(cp, c); err == nil {
+			s.cache.Put(key, raw)
 		}
 		if err := folder.Fold(c, cp); err != nil {
 			return err
@@ -489,31 +494,6 @@ func (s *Server) runJob(j *Job) error {
 	s.storeArtifacts(j.digest, artifacts)
 	j.complete(artifacts)
 	return nil
-}
-
-// bindRuns binds the job's study to the server's run store in the
-// job's tenant namespace, counting every completed task on the job.
-// The count hangs off OnProgress — the completion callback, which
-// advances by every task a finished simulation or a kept run stands
-// for — so it measures work actually done, which is what the
-// zero-work-on-repeat guarantee is stated against. Cells run one after
-// another and each chunk's last call reports completed == total, so
-// the count restarts there for the next cell.
-func (s *Server) bindRuns(j *Job) (*study.StudyRuns, error) {
-	run := j.st
-	var mu sync.Mutex
-	prev := 0
-	run.OnProgress = func(completed, total int) {
-		mu.Lock()
-		delta := completed - prev
-		prev = completed
-		if completed == total {
-			prev = 0
-		}
-		mu.Unlock()
-		j.addSimulated(delta)
-	}
-	return s.runs.Bind(run, j.tenant)
 }
 
 // Handler returns the service's HTTP API, wrapped in bearer
@@ -574,21 +554,19 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	fp, err := st.Fingerprint()
-	if err != nil {
+	j := &Job{tenant: tenant, state: JobQueued, done: make(chan struct{})}
+	st.OnProgress = j.countSimulated
+	if j.runs, err = s.runs.Bind(st, tenant); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	digest, err := fp.Digest()
-	if err != nil {
+	fp := j.runs.Fingerprint()
+	if j.digest, err = fp.Digest(); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	chunks, err := st.Chunks(fp.Reps)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
+	j.reps, j.totalCells = fp.Reps, j.runs.Cells()
+	j.totalTasks = j.reps * j.totalCells
 
 	s.mu.Lock()
 	// Coalesce: an identical study already queued or running becomes
@@ -596,21 +574,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// only race to write the same cache entries.
 	for _, id := range s.order {
 		prior := s.jobs[id]
-		if prior != nil && prior.digest == digest && prior.tenant == tenant && !prior.finished() {
+		if prior != nil && prior.digest == j.digest && prior.tenant == tenant && !prior.finished() {
 			s.mu.Unlock()
 			writeJSON(w, http.StatusOK, prior.status())
 			return
 		}
 	}
 	s.seq++
-	j := &Job{
-		id:     fmt.Sprintf("job-%d", s.seq),
-		tenant: tenant, digest: digest, st: st, reps: fp.Reps,
-		state: JobQueued, totalTasks: fp.Reps * len(chunks), totalCells: len(chunks),
-		done: make(chan struct{}),
-	}
+	j.id = fmt.Sprintf("job-%d", s.seq)
 
-	if artifacts, ok := s.lookupArtifacts(digest); ok {
+	if artifacts, ok := s.lookupArtifacts(j.digest); ok {
 		// Whole-study hit: the stored bytes are bit-identical to what a
 		// cold run would render, so the job is born done — no queue slot,
 		// no folder, no engine.

@@ -49,8 +49,9 @@ func benchSubmitWait(b *testing.B, e *env, recipe studycli.Config) JobStatus {
 // HTTP, wait, fetch the JSON outcome — cold (every submission a new
 // study of a cell the server has never run, simulated), with a fresh
 // seed (a new study of a known cell: its cloud-free runs come from the
-// run store), and hot (the same study resubmitted, answered from the
-// content-addressed store). The gaps are the stores' value; the hit
+// run store), partial (a new study of three cells, two of them
+// restored from the cell cache), and hot (the same study resubmitted,
+// answered from the content-addressed store). The gaps are the stores' value; the hit
 // number is the service's floor latency. Each case collects the heap
 // before its timed loop: a collection empties the sync.Pool caches the
 // HTTP and JSON layers allocate from, so without a common starting heap
@@ -85,6 +86,22 @@ func BenchmarkServeCache(b *testing.B) {
 		}
 		if h := e.s.CacheStats().Runs.Hits; h != int64(b.N) {
 			b.Fatalf("%d run-store hits in %d fresh-seed iterations", h, b.N)
+		}
+	})
+	b.Run("partial", func(b *testing.B) {
+		e := newEnv(b, Config{JobWorkers: 1, MaxJobs: 8})
+		recipe := benchRecipe(1)
+		recipe.Util = "1,0.5"
+		benchSubmitWait(b, e, recipe) // cache both cells
+		runtime.GC()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			// A third load level of its own: the first two cells restore
+			// from the cell cache, the third simulates.
+			recipe.Util = "1,0.5," + strconv.FormatFloat(0.9-0.3*float64(i)/float64(b.N), 'g', -1, 64)
+			if s := benchSubmitWait(b, e, recipe); s.CachedCells != 2 || s.SimulatedRuns != 1 {
+				b.Fatalf("partial iteration: %d cells cached, %d tasks computed; want 2 and 1", s.CachedCells, s.SimulatedRuns)
+			}
 		}
 	})
 	b.Run("hit", func(b *testing.B) {

@@ -118,11 +118,11 @@ func BenchmarkStudyChunks(b *testing.B) {
 		}
 		var stats runnerStats
 		for _, r := range chunks {
-			results, err := sr.st.runChunk(context.Background(), sr.p, r, sr)
+			results, err := sr.runChunk(context.Background(), r)
 			if err != nil {
 				b.Fatal(err)
 			}
-			st.checkpointFrom(sr.p, results)
+			sr.p.checkpointFrom(results)
 			if last {
 				stats.add(results)
 			}

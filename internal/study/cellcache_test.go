@@ -1,6 +1,7 @@
 package study
 
 import (
+	"bytes"
 	"context"
 	"testing"
 
@@ -37,86 +38,154 @@ func hybridLevel() Level {
 	})
 }
 
-func TestCellIdentityDigests(t *testing.T) {
-	st := cellCacheStudy(t, 3, []Level{idealLevel(), ideal2Level()})
-	ids, err := st.CellIdentities()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != 4 {
-		t.Fatalf("%d identities, want 4", len(ids))
-	}
-	seen := map[string]int{}
-	for i, ci := range ids {
-		if len(ci.Seeds) != 3 {
-			t.Fatalf("cell %d carries %d seeds", i, len(ci.Seeds))
-		}
-		d, err := ci.Digest()
-		if err != nil {
+// cellKeys binds st in tenant's namespace and returns every cell's
+// seed-free key and cell-cache key.
+func cellKeys(t *testing.T, st Study, tenant string) ([]runKey, []string) {
+	t.Helper()
+	sr := bindStore(t, NewRunStore(), st, tenant)
+	keys := make([]string, sr.Cells())
+	for c := range keys {
+		var err error
+		if keys[c], err = sr.CellKey(c); err != nil {
 			t.Fatal(err)
 		}
-		if prev, dup := seen[d]; dup {
-			t.Fatalf("cells %d and %d share digest %s", prev, i, d)
+	}
+	return sr.keys, keys
+}
+
+// TestCellKeys: every cell of a study has its own key, the same study
+// built twice keys identically, and a reseeded study or another
+// tenant's changes every cell-cache key. A reseeded cell keeps its
+// seed-free key, and the key covers every repetition's seed.
+func TestCellKeys(t *testing.T) {
+	st := cellCacheStudy(t, 3, []Level{idealLevel(), ideal2Level()})
+	runKeys, keys := cellKeys(t, st, "")
+	if len(keys) != 4 {
+		t.Fatalf("%d keys, want 4", len(keys))
+	}
+	seen := map[string]int{}
+	seenRun := map[runKey]int{}
+	for i, k := range keys {
+		if prev, dup := seen[k]; dup {
+			t.Fatalf("cells %d and %d share key %s", prev, i, k)
 		}
-		seen[d] = i
+		seen[k] = i
+		if prev, dup := seenRun[runKeys[i]]; dup {
+			t.Fatalf("cells %d and %d share a seed-free key", prev, i)
+		}
+		seenRun[runKeys[i]] = i
 	}
-	// The same study built twice digests identically.
-	again, err := cellCacheStudy(t, 3, []Level{idealLevel(), ideal2Level()}).CellIdentities()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ids {
-		a, _ := ids[i].Digest()
-		b, _ := again[i].Digest()
-		if a != b {
-			t.Fatalf("cell %d digest unstable across builds", i)
+	// The same study built twice keys identically.
+	_, again := cellKeys(t, cellCacheStudy(t, 3, []Level{idealLevel(), ideal2Level()}), "")
+	for i := range keys {
+		if keys[i] != again[i] {
+			t.Fatalf("cell %d key unstable across builds", i)
 		}
 	}
-	// A different seed changes every digest.
+	// A different seed changes every key, but no seed-free key.
 	reseeded := cellCacheStudy(t, 3, []Level{idealLevel(), ideal2Level()})
 	reseeded.Seed++
-	other, err := reseeded.CellIdentities()
-	if err != nil {
-		t.Fatal(err)
+	otherRun, other := cellKeys(t, reseeded, "")
+	for i := range keys {
+		if keys[i] == other[i] {
+			t.Fatalf("cell %d key ignores the study seed", i)
+		}
+		if runKeys[i] != otherRun[i] {
+			t.Fatalf("cell %d seed-free key depends on the study seed", i)
+		}
 	}
-	for i := range ids {
-		a, _ := ids[i].Digest()
-		b, _ := other[i].Digest()
-		if a == b {
-			t.Fatalf("cell %d digest ignores the study seed", i)
+	// Another tenant's namespace changes every key.
+	tenantRun, tenant := cellKeys(t, st, "other")
+	for i := range keys {
+		if keys[i] == tenant[i] || runKeys[i] == tenantRun[i] {
+			t.Fatalf("cell %d key ignores the tenant", i)
+		}
+	}
+	// At SeedPerRep a 2-repetition cell's seeds are the first two of
+	// the 3-repetition cell's: the third seed still changes the key.
+	paired := func(reps int) []string {
+		st := cellCacheStudy(t, reps, []Level{idealLevel(), ideal2Level()})
+		st.SeedMode = SeedPerRep
+		_, keys := cellKeys(t, st, "")
+		return keys
+	}
+	two, three := paired(2), paired(3)
+	for i := range two {
+		if two[i] == three[i] {
+			t.Fatalf("cell %d key ignores its third repetition", i)
 		}
 	}
 }
 
-// TestCellIdentitySharedAcrossMatrices: two studies whose storage axes
-// differ in the second level share cell identities for every cell of
-// the first level — the cross-study reuse the serve cache performs.
-func TestCellIdentitySharedAcrossMatrices(t *testing.T) {
-	a := cellCacheStudy(t, 2, []Level{idealLevel(), ideal2Level()})
-	b := cellCacheStudy(t, 2, []Level{idealLevel(), hybridLevel()})
-	idsA, err := a.CellIdentities()
-	if err != nil {
-		t.Fatal(err)
-	}
-	idsB, err := b.CellIdentities()
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestCellKeysSharedAcrossMatrices: two studies whose storage axes
+// differ in the second level share cell keys for every cell of the
+// first level — the cross-study reuse the serve cache performs.
+func TestCellKeysSharedAcrossMatrices(t *testing.T) {
+	_, keysA := cellKeys(t, cellCacheStudy(t, 2, []Level{idealLevel(), ideal2Level()}), "")
+	_, keysB := cellKeys(t, cellCacheStudy(t, 2, []Level{idealLevel(), hybridLevel()}), "")
 	// Cells 0 and 1 (storage=ideal × both loads) occupy the same ledger
 	// positions in both studies, so SeedPerTask seeds agree and the
-	// identities must match; cells 2 and 3 differ in storage level.
+	// keys must match; cells 2 and 3 differ in storage level.
 	for c := 0; c < 2; c++ {
-		da, _ := idsA[c].Digest()
-		db, _ := idsB[c].Digest()
-		if da != db {
-			t.Fatalf("shared cell %d digests differ across matrices", c)
+		if keysA[c] != keysB[c] {
+			t.Fatalf("shared cell %d keys differ across matrices", c)
 		}
 	}
 	for c := 2; c < 4; c++ {
-		da, _ := idsA[c].Digest()
-		db, _ := idsB[c].Digest()
-		if da == db {
-			t.Fatalf("cell %d digest ignores the storage level", c)
+		if keysA[c] == keysB[c] {
+			t.Fatalf("cell %d key ignores the storage level", c)
+		}
+	}
+}
+
+// TestRunStoreSharesAcrossHistBounds: histogram bounds shape no run of
+// a study without histograms, so two studies that differ only there
+// share their cells' keys and the store's kept runs. With histograms,
+// the bounds are part of every key.
+func TestRunStoreSharesAcrossHistBounds(t *testing.T) {
+	ctx := context.Background()
+	a := cellCacheStudy(t, 2, []Level{idealLevel(), ideal2Level()})
+	a.VCHistBins, a.VCHistLo, a.VCHistHi = 0, 0, 0
+	b := a
+	b.VCHistLo, b.VCHistHi = 3, 7
+	runA, keysA := cellKeys(t, a, "")
+	runB, keysB := cellKeys(t, b, "")
+	for c := range keysA {
+		if runA[c] != runB[c] || keysA[c] != keysB[c] {
+			t.Fatalf("cell %d: keys differ by histogram bounds at 0 bins", c)
+		}
+	}
+	store := NewRunStore()
+	r := TaskRange{Lo: 0, Hi: 2}
+	if _, err := bindStore(t, store, a, "").RunChunk(ctx, r); err != nil {
+		t.Fatal(err)
+	}
+	before := store.Stats()
+	if before.Kept == 0 {
+		t.Fatalf("store %+v kept no run of study a", before)
+	}
+	got, err := bindStore(t, store, b, "").RunChunk(ctx, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := store.Stats(); s.Hits != before.Hits+1 {
+		t.Fatalf("study b's chunk: store %+v, before %+v; want one hit", s, before)
+	}
+	want, err := b.RunChunk(ctx, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encodeBinary(got), encodeBinary(want)) {
+		t.Fatal("chunk through the store differs from Study.RunChunk's")
+	}
+
+	a.VCHistBins, b.VCHistBins = 16, 16
+	a.VCHistLo, a.VCHistHi = 2, 8
+	runA, keysA = cellKeys(t, a, "")
+	runB, keysB = cellKeys(t, b, "")
+	for c := range keysA {
+		if runA[c] == runB[c] || keysA[c] == keysB[c] {
+			t.Fatalf("cell %d: keys ignore the histogram bounds at 16 bins", c)
 		}
 	}
 }
@@ -134,7 +203,7 @@ func cellRecords(t testing.TB, st Study, c int) (*Checkpoint, []TaskRecord) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := st.EncodeCell(cp, c)
+	raw, err := bindStore(t, NewRunStore(), st, "").EncodeCell(cp, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +227,8 @@ func TestCellRecordsRoundTrip(t *testing.T) {
 	}
 
 	// Rebuild the outcome purely from encoded-and-restored cells.
-	twin := cellCacheStudy(t, 2, []Level{idealLevel(), ideal2Level()})
+	cells := bindStore(t, NewRunStore(), st, "")
+	twin := bindStore(t, NewRunStore(), cellCacheStudy(t, 2, []Level{idealLevel(), ideal2Level()}), "")
 	folder, err := twin.NewFolder(2) // chunk = one cell (reps = 2)
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +238,7 @@ func TestCellRecordsRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		raw, err := st.EncodeCell(chunk, c)
+		raw, err := cells.EncodeCell(chunk, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,19 +272,20 @@ func TestCellCheckpointRefusals(t *testing.T) {
 	st := cellCacheStudy(t, 2, []Level{idealLevel(), ideal2Level()})
 	_, recs := cellRecords(t, st, 1)
 	good := cellRecord(recs)
+	cells := bindStore(t, NewRunStore(), st, "")
 
 	// Restoring into the wrong cell trips the seed verification.
-	if _, err := st.RestoreCell(2, good); err == nil {
+	if _, err := cells.RestoreCell(2, good); err == nil {
 		t.Fatal("mis-keyed cell restore accepted")
 	}
 	// Wrong record count.
-	if _, err := st.RestoreCell(1, cellRecord(recs[:1])); err == nil {
+	if _, err := cells.RestoreCell(1, cellRecord(recs[:1])); err == nil {
 		t.Fatal("short cell restore accepted")
 	}
 	// Tampered seed.
 	bad := append([]TaskRecord(nil), recs...)
 	bad[0].Seed++
-	if _, err := st.RestoreCell(1, cellRecord(bad)); err == nil {
+	if _, err := cells.RestoreCell(1, cellRecord(bad)); err == nil {
 		t.Fatal("tampered seed accepted")
 	}
 	// Out-of-range cells.
@@ -222,10 +293,10 @@ func TestCellCheckpointRefusals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.EncodeCell(full, 7); err == nil {
+	if _, err := cells.EncodeCell(full, 7); err == nil {
 		t.Fatal("out-of-range encode accepted")
 	}
-	if _, err := st.RestoreCell(-1, good); err == nil {
+	if _, err := cells.RestoreCell(-1, good); err == nil {
 		t.Fatal("out-of-range restore accepted")
 	}
 
@@ -235,10 +306,82 @@ func TestCellCheckpointRefusals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.EncodeCell(partial, 1); err == nil {
+	if _, err := cells.EncodeCell(partial, 1); err == nil {
 		t.Fatal("partial-cell encode accepted")
 	}
-	if _, err := st.EncodeCell(full, 1); err == nil {
+	if _, err := cells.EncodeCell(full, 1); err == nil {
 		t.Fatal("whole-study checkpoint encoded as one cell")
+	}
+}
+
+// TestStudyRunsCopiesFingerprint: the checkpoints and outcomes a
+// binding hands out carry copies of its fingerprint, so a caller that
+// edits them changes nothing the binding produces next — chunk
+// checkpoints, restored cells and folded outcomes keep Study's bytes.
+func TestStudyRunsCopiesFingerprint(t *testing.T) {
+	ctx := context.Background()
+	st := cellCacheStudy(t, 2, []Level{idealLevel(), ideal2Level()})
+	want := outcomeBytes(t, "Run")(st.Run(ctx))
+	wantChunks := make([][]byte, 4)
+	for c := range wantChunks {
+		cp, err := st.RunChunk(ctx, TaskRange{Lo: 2 * c, Hi: 2*c + 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantChunks[c] = encodeBinary(cp)
+	}
+	sr := bindStore(t, NewRunStore(), st, "")
+	tamper := func(fp Fingerprint) {
+		for i := range fp.Axes {
+			for l := range fp.Axes[i].Levels {
+				fp.Axes[i].Levels[l] = "tampered"
+			}
+		}
+	}
+	var raw []byte
+	for round := 0; round < 2; round++ {
+		folder, err := sr.NewFolder(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c := range wantChunks {
+			cp, err := sr.RunChunk(ctx, folder.Range(c))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(encodeBinary(cp), wantChunks[c]) {
+				t.Fatalf("round %d chunk %d: checkpoint differs from Study.RunChunk's", round, c)
+			}
+			if c == 1 {
+				if raw, err = sr.EncodeCell(cp, c); err != nil {
+					t.Fatal(err)
+				}
+				restored, err := sr.RestoreCell(c, raw)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(encodeBinary(restored), wantChunks[c]) {
+					t.Fatalf("round %d: restored cell differs from Study.RunChunk's", round)
+				}
+				tamper(restored.Fingerprint)
+			}
+			if err := folder.Fold(c, cp); err != nil {
+				t.Fatal(err)
+			}
+			tamper(cp.Fingerprint)
+		}
+		out, err := folder.Outcome()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := outcomeBytes(t, "fold")(out, nil); !bytes.Equal(got, want) {
+			t.Fatalf("round %d: folded outcome differs from Study.Run", round)
+		}
+		for i := range out.Axes {
+			out.Axes[i].Name = "tampered"
+			for l := range out.Axes[i].Levels {
+				out.Axes[i].Levels[l] = "tampered"
+			}
+		}
 	}
 }

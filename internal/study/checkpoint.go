@@ -65,10 +65,7 @@ type AxisDigest struct {
 // Equal reports whether two fingerprints identify the same study —
 // what a worker checks against a coordinator before leasing work, and
 // what every checkpoint consumer checks before aggregating.
-func (f Fingerprint) Equal(other Fingerprint) bool { return f.equal(other) }
-
-// equal compares fingerprints structurally.
-func (f Fingerprint) equal(other Fingerprint) bool {
+func (f Fingerprint) Equal(other Fingerprint) bool {
 	if f.Name != other.Name || f.Base != other.Base ||
 		f.Seed != other.Seed || f.SeedMode != other.SeedMode ||
 		f.Reps != other.Reps || f.VCHistBins != other.VCHistBins ||
@@ -90,6 +87,18 @@ func (f Fingerprint) equal(other Fingerprint) bool {
 	return true
 }
 
+// clone returns a copy of f that shares no slice with it.
+func (f Fingerprint) clone() Fingerprint {
+	if f.Axes != nil {
+		axes := make([]AxisDigest, len(f.Axes))
+		for i, ax := range f.Axes {
+			axes[i] = AxisDigest{Name: ax.Name, Levels: append([]string(nil), ax.Levels...)}
+		}
+		f.Axes = axes
+	}
+	return f
+}
+
 // Fingerprint validates the study and returns its serialisable
 // identity — what the coordinator publishes and workers verify before
 // leasing work, so flag or code skew between machines is caught before
@@ -99,31 +108,16 @@ func (st Study) Fingerprint() (Fingerprint, error) {
 	if err != nil {
 		return Fingerprint{}, err
 	}
-	return st.fingerprint(p), nil
+	return p.fp, nil
 }
 
-// fingerprint derives the study's identity from its validated plan.
-func (st Study) fingerprint(p *plan) Fingerprint {
-	f := Fingerprint{
-		Name: st.Name, Base: baseDigest(st.Base),
-		Seed: st.Seed, SeedMode: st.SeedMode, Reps: p.reps,
-		VCHistBins: st.VCHistBins, VCHistLo: st.VCHistLo, VCHistHi: st.VCHistHi,
-	}
-	for _, ax := range st.Axes {
-		d := AxisDigest{Name: ax.Name, Levels: make([]string, len(ax.Levels))}
-		for i, lv := range ax.Levels {
-			d.Levels[i] = lv.Label
-		}
-		f.Axes = append(f.Axes, d)
-	}
-	return f
-}
-
-func (st Study) checkFingerprint(p *plan, cp *Checkpoint) error {
+// checkFingerprint validates cp and checks that it belongs to the
+// planned study.
+func (p *plan) checkFingerprint(cp *Checkpoint) error {
 	if err := cp.Validate(); err != nil {
 		return err
 	}
-	if !st.fingerprint(p).equal(cp.Fingerprint) {
+	if !p.fp.Equal(cp.Fingerprint) {
 		return fmt.Errorf("study: checkpoint belongs to a different study (fingerprint mismatch)")
 	}
 	if cp.Total != p.total {
@@ -179,9 +173,9 @@ type Checkpoint struct {
 
 // checkpointFrom cuts a checkpoint from executed task results, which
 // arrive in ledger order.
-func (st Study) checkpointFrom(p *plan, results []TaskResult) *Checkpoint {
+func (p *plan) checkpointFrom(results []TaskResult) *Checkpoint {
 	cp := &Checkpoint{
-		Fingerprint: st.fingerprint(p),
+		Fingerprint: p.fp.clone(),
 		Total:       p.total,
 		Records:     make([]TaskRecord, len(results)),
 	}
@@ -340,7 +334,7 @@ func MergeCheckpoints(cps ...*Checkpoint) (*Checkpoint, error) {
 		if err := cp.Validate(); err != nil {
 			return nil, err
 		}
-		if !out.Fingerprint.equal(cp.Fingerprint) {
+		if !out.Fingerprint.Equal(cp.Fingerprint) {
 			return nil, fmt.Errorf("study: merge of checkpoints from different studies")
 		}
 		if cp.Total != out.Total {
@@ -383,13 +377,13 @@ func (st Study) Outcome(cp *Checkpoint) (*StudyOutcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := st.checkFingerprint(p, cp); err != nil {
+	if err := p.checkFingerprint(cp); err != nil {
 		return nil, err
 	}
 	if len(cp.Records) != cp.Total {
 		return nil, fmt.Errorf("study: checkpoint incomplete — missing task ranges %v", cp.Missing())
 	}
-	a := st.newOutcomeAccum(p, make([]TaskResult, 0, p.total))
+	a := p.newOutcomeAccum(make([]TaskResult, 0, p.total))
 	if err := a.addRecords(cp.Records); err != nil {
 		return nil, err
 	}

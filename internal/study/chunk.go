@@ -3,9 +3,6 @@ package study
 import (
 	"container/list"
 	"context"
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"sync"
 
@@ -69,20 +66,20 @@ func (st Study) RunChunk(ctx context.Context, r TaskRange) (*Checkpoint, error) 
 	if err != nil {
 		return nil, err
 	}
-	results, err := st.runChunk(ctx, p, r, nil)
+	results, err := p.runChunk(ctx, r, nil)
 	if err != nil {
 		return nil, err
 	}
-	return st.checkpointFrom(p, results), nil
+	return p.checkpointFrom(results), nil
 }
 
 // runChunk checks chunk r against the ledger and runs its tasks,
 // sharing cloud-free runs through sr's store when sr is non-nil.
-func (st Study) runChunk(ctx context.Context, p *plan, r TaskRange, sr *StudyRuns) ([]TaskResult, error) {
+func (p *plan) runChunk(ctx context.Context, r TaskRange, sr *StudyRuns) ([]TaskResult, error) {
 	if r.Lo < 0 || r.Hi > p.total || r.Lo >= r.Hi {
 		return nil, fmt.Errorf("study: chunk %v outside ledger [0,%d)", r, p.total)
 	}
-	return st.runRanges(ctx, p, sr, r)
+	return p.runRanges(ctx, sr, r)
 }
 
 // A run store keeps cells' cloud-free runs for the chunks that come
@@ -109,15 +106,13 @@ const (
 // Realisation.SharedUntil) resumes from the latest grid snapshot at or
 // before that time; every other group runs as Study.RunChunk runs it.
 //
-// Kept runs are keyed by the cell's seed-free identity — its
-// CellIdentity without Seeds — in a namespace (Bind's tenant), so a run
-// never crosses namespaces, and they are matched on realisation
-// identity, never on being cloud-free alone: a base profile that
-// depends on the seed gives cloud-free realisations that differ. Like
-// the cell cache's CellIdentity, the key takes the base scenario's name
-// and the level labels to stand for the code behind them.
-// Checkpoints are bit-identical to Study.RunChunk's in any order of
-// chunks and studies. A RunStore is safe for concurrent use.
+// Kept runs are keyed by the cell's seed-free key in a namespace
+// (Bind's tenant; see runKeys), so a run never crosses namespaces, and
+// they are matched on realisation identity, never on being cloud-free
+// alone: a base profile that depends on the seed gives cloud-free
+// realisations that differ. Checkpoints are bit-identical to
+// Study.RunChunk's in any order of chunks and studies. A RunStore is
+// safe for concurrent use.
 type RunStore struct {
 	mu                      sync.Mutex
 	runs                    map[runKey]*list.Element // in lru
@@ -147,63 +142,67 @@ func (s *RunStore) Stats() RunStoreStats {
 	return RunStoreStats{Hits: s.hits, Misses: s.misses, Kept: len(s.runs), Evictions: s.evictions}
 }
 
-// runKey is a cell's key in a run store: the SHA-256 of its seed-free
-// identity and its namespace.
-type runKey [sha256.Size]byte
-
-// StudyRuns is a study bound to a run store (RunStore.Bind): it runs
-// the study's chunks through the store.
+// StudyRuns is a study bound to a run store (RunStore.Bind): the
+// study's plan, made once, and its cells' seed-free keys in the
+// binding's namespace. A service does everything with one study
+// through it — its fingerprint, its cells' cache keys, restoring and
+// encoding cached cells, the folder — and runs the study's chunks
+// through the store.
 type StudyRuns struct {
-	st    Study
-	p     *plan
-	store *RunStore
-	keys  []runKey // by cell
+	p      *plan
+	store  *RunStore
+	tenant string
+	// The cells' keys are derived at the first call that needs one
+	// (keyed), so a whole-study cache hit, which needs no cell, never
+	// derives them.
+	once    sync.Once
+	keys    []runKey // by cell
+	keysErr error
 }
 
 // Bind validates st and binds it to the store in tenant's namespace,
-// planning the study and keying its cells once. The binding works on a
-// copy of st: later changes to st do not reach it.
+// planning the study once. The binding works on a copy of st: later
+// changes to st do not reach it.
 func (s *RunStore) Bind(st Study, tenant string) (*StudyRuns, error) {
 	p, err := st.plan()
 	if err != nil {
 		return nil, err
 	}
-	// A cell's key digests its CellIdentity without Seeds, in tenant's
-	// namespace: the digest of the part every cell shares, as JSON, then
-	// the cell's axis names and levels, each after its length.
-	shared, err := json.Marshal(struct {
-		Tenant string     `json:"tenant"`
-		Base   BaseDigest `json:"base"`
-		Bands  []float64  `json:"stability_bands"`
-		Bins   int        `json:"vc_hist_bins"`
-		Lo     float64    `json:"vc_hist_lo"`
-		Hi     float64    `json:"vc_hist_hi"`
-	}{tenant, baseDigest(st.Base), st.stabilityBands(), st.VCHistBins, st.VCHistLo, st.VCHistHi})
-	if err != nil {
-		return nil, fmt.Errorf("study: keying cells: %w", err)
-	}
-	sum := sha256.Sum256(shared)
-	keys := make([]runKey, len(p.cells))
-	buf := make([]byte, 0, 256)
-	for c, cell := range p.cells {
-		buf = append(buf[:0], sum[:]...)
-		for i, ax := range st.Axes {
-			buf = append(binary.AppendUvarint(buf, uint64(len(ax.Name))), ax.Name...)
-			buf = append(binary.AppendUvarint(buf, uint64(len(cell.Labels[i]))), cell.Labels[i]...)
-		}
-		keys[c] = sha256.Sum256(buf)
-	}
-	return &StudyRuns{st: st, p: p, store: s, keys: keys}, nil
+	return &StudyRuns{p: p, store: s, tenant: tenant}, nil
 }
+
+// keyed derives the cells' keys once.
+func (sr *StudyRuns) keyed() error {
+	sr.once.Do(func() { sr.keys, sr.keysErr = sr.p.runKeys(sr.tenant) })
+	return sr.keysErr
+}
+
+// Fingerprint returns the bound study's identity.
+func (sr *StudyRuns) Fingerprint() Fingerprint { return sr.p.fp.clone() }
+
+// Cells returns the number of cells in the bound study's matrix.
+func (sr *StudyRuns) Cells() int { return len(sr.p.cells) }
+
+// NewFolder prepares a chunk folder of the bound study for the given
+// chunk size.
+func (sr *StudyRuns) NewFolder(chunkSize int) (*Folder, error) { return sr.p.newFolder(chunkSize) }
 
 // RunChunk executes the contiguous ledger block [r.Lo, r.Hi) and
 // returns its checkpoint, bit-identical to Study.RunChunk's.
 func (sr *StudyRuns) RunChunk(ctx context.Context, r TaskRange) (*Checkpoint, error) {
-	results, err := sr.st.runChunk(ctx, sr.p, r, sr)
+	results, err := sr.runChunk(ctx, r)
 	if err != nil {
 		return nil, err
 	}
-	return sr.st.checkpointFrom(sr.p, results), nil
+	return sr.p.checkpointFrom(results), nil
+}
+
+// runChunk runs chunk r, sharing cloud-free runs through the store.
+func (sr *StudyRuns) runChunk(ctx context.Context, r TaskRange) ([]TaskResult, error) {
+	if err := sr.keyed(); err != nil {
+		return nil, err
+	}
+	return sr.p.runChunk(ctx, r, sr)
 }
 
 // lookup returns the kept run of cell, nil when there is none or sr is
@@ -314,9 +313,7 @@ func (k *keptRun) serves(g *groupRun) bool {
 // the folder unharmed. Folder is not safe for concurrent use; the
 // coordinator serialises access.
 type Folder struct {
-	st        Study
 	p         *plan
-	fp        Fingerprint
 	chunkSize int
 
 	accum   *outcomeAccum
@@ -332,12 +329,16 @@ func (st Study) NewFolder(chunkSize int) (*Folder, error) {
 	if err != nil {
 		return nil, err
 	}
+	return p.newFolder(chunkSize)
+}
+
+func (p *plan) newFolder(chunkSize int) (*Folder, error) {
 	if chunkSize < 1 {
 		return nil, fmt.Errorf("study: chunk size %d invalid", chunkSize)
 	}
 	return &Folder{
-		st: st, p: p, fp: st.fingerprint(p), chunkSize: chunkSize,
-		accum:   st.newOutcomeAccum(p, make([]TaskResult, 0, p.total)),
+		p: p, chunkSize: chunkSize,
+		accum:   p.newOutcomeAccum(make([]TaskResult, 0, p.total)),
 		pending: map[int]*Checkpoint{},
 	}, nil
 }
@@ -354,7 +355,7 @@ func (f *Folder) FoldedTasks() int { return f.accum.folded() }
 
 // Fingerprint returns the study identity every folded checkpoint must
 // carry.
-func (f *Folder) Fingerprint() Fingerprint { return f.fp }
+func (f *Folder) Fingerprint() Fingerprint { return f.p.fp.clone() }
 
 // Range returns chunk i's task range.
 func (f *Folder) Range(i int) TaskRange { return ChunkRange(f.p.total, f.chunkSize, i) }
@@ -380,7 +381,7 @@ func (f *Folder) Fold(i int, cp *Checkpoint) error {
 	if err := cp.Validate(); err != nil {
 		return err
 	}
-	if !f.fp.equal(cp.Fingerprint) {
+	if !f.p.fp.Equal(cp.Fingerprint) {
 		return fmt.Errorf("study: chunk %d checkpoint belongs to a different study (fingerprint mismatch)", i)
 	}
 	if cp.Total != f.p.total {

@@ -112,17 +112,14 @@ func decodeFingerprint(raw []byte) (Fingerprint, error) {
 // the tasks of the cell's repetitions — as a fingerprint-free binary
 // record with task indices counted from the cell's first task: the
 // value a content-addressed cell cache stores under the cell's
-// CellIdentity digest.
-func (st Study) EncodeCell(cp *Checkpoint, i int) ([]byte, error) {
-	p, err := st.plan()
-	if err != nil {
-		return nil, err
-	}
+// CellKey.
+func (sr *StudyRuns) EncodeCell(cp *Checkpoint, i int) ([]byte, error) {
+	p := sr.p
 	r, err := p.cellRange(i)
 	if err != nil {
 		return nil, err
 	}
-	if err := st.checkFingerprint(p, cp); err != nil {
+	if err := p.checkFingerprint(cp); err != nil {
 		return nil, err
 	}
 	if !cp.covers(r) {
@@ -132,17 +129,14 @@ func (st Study) EncodeCell(cp *Checkpoint, i int) ([]byte, error) {
 }
 
 // RestoreCell decodes a cell record written by EncodeCell into cell i's
-// chunk checkpoint of this study (the cache-restore path: records
+// chunk checkpoint of the bound study (the cache-restore path: records
 // stored by one study restored into another that shares the cell).
 // Seeds are verified against the study's own ledger — a record whose
 // seed disagrees is a mis-keyed cache entry and is refused, never
 // folded — and the result is a valid checkpoint covering exactly the
 // cell, so it can go straight into a Folder.
-func (st Study) RestoreCell(i int, raw []byte) (*Checkpoint, error) {
-	p, err := st.plan()
-	if err != nil {
-		return nil, err
-	}
+func (sr *StudyRuns) RestoreCell(i int, raw []byte) (*Checkpoint, error) {
+	p := sr.p
 	r, err := p.cellRange(i)
 	if err != nil {
 		return nil, err
@@ -163,7 +157,7 @@ func (st Study) RestoreCell(i int, raw []byte) (*Checkpoint, error) {
 		if rec.Index != rep {
 			return nil, fmt.Errorf("study: cell %d restore record %d carries repetition index %d", i, rep, rec.Index)
 		}
-		t := p.task(st, r.Lo+rep)
+		t := p.task(r.Lo + rep)
 		if rec.Seed != t.Seed {
 			return nil, fmt.Errorf("study: cell %d repetition %d seed %d disagrees with ledger seed %d — mis-keyed cache entry",
 				i, rep, rec.Seed, t.Seed)
@@ -171,11 +165,11 @@ func (st Study) RestoreCell(i int, raw []byte) (*Checkpoint, error) {
 		rec.Index = t.Index
 		// Repetition order makes the indices sorted, unique and in
 		// range; the histogram is all Validate has left to check.
-		if err := rec.validateHist(st.VCHistBins); err != nil {
+		if err := rec.validateHist(p.st.VCHistBins); err != nil {
 			return nil, err
 		}
 	}
-	return &Checkpoint{Fingerprint: st.fingerprint(p), Total: p.total, Records: recs}, nil
+	return &Checkpoint{Fingerprint: p.fp.clone(), Total: p.total, Records: recs}, nil
 }
 
 // encodeRecord encodes one binary record, writing each task index

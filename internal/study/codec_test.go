@@ -213,24 +213,25 @@ func TestCellRecordRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := st.EncodeCell(chunk, 1)
+	cells := bindStore(t, NewRunStore(), st, "")
+	raw, err := cells.EncodeCell(chunk, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err := st.RestoreCell(1, raw)
+	cp, err := cells.RestoreCell(1, raw)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(cp.Records, full.Records[2:4]) {
 		t.Fatalf("restored cell records differ:\n%+v\nvs\n%+v", cp.Records, full.Records[2:4])
 	}
-	_, err = st.RestoreCell(2, raw)
+	_, err = cells.RestoreCell(2, raw)
 	wantRefusal(t, "cell restored into the wrong cell", err, "mis-keyed cache entry")
 	_, err = ReadCheckpoint(bytes.NewReader(raw))
 	wantRefusal(t, "cell record read as a checkpoint", err, "no study fingerprint")
-	_, err = st.RestoreCell(1, encodeBinary(cp))
+	_, err = cells.RestoreCell(1, encodeBinary(cp))
 	wantRefusal(t, "checkpoint restored as a cell", err, "not a cell record")
-	_, err = st.RestoreCell(1, raw[:len(raw)-1])
+	_, err = cells.RestoreCell(1, raw[:len(raw)-1])
 	wantRefusal(t, "truncated cell", err, "reading cell record", "truncated")
 }
 

@@ -17,6 +17,10 @@ import (
 // simulated seconds the study's distinct simulations took from leads.
 func requireIndependentRuns(t *testing.T, label string, st Study, results []TaskResult) float64 {
 	t.Helper()
+	p, err := st.plan()
+	if err != nil {
+		t.Fatal(err)
+	}
 	shared := 0.0
 	seen := map[*sim.Result]bool{}
 	for _, r := range results {
@@ -25,7 +29,7 @@ func requireIndependentRuns(t *testing.T, label string, st Study, results []Task
 		if err != nil {
 			t.Fatal(err)
 		}
-		hist, err := st.instrument(&cfg, st.stabilityBands())
+		hist, err := p.instrument(&cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +85,7 @@ func TestForkedStudyRunsMatchIndependentRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		results, err := st.runRanges(context.Background(), p, nil, TaskRange{Lo: 0, Hi: p.total})
+		results, err := p.runRanges(context.Background(), nil, TaskRange{Lo: 0, Hi: p.total})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +130,7 @@ func FuzzForkEquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		results, err := st.runRanges(context.Background(), p, nil, TaskRange{Lo: 0, Hi: p.total})
+		results, err := p.runRanges(context.Background(), nil, TaskRange{Lo: 0, Hi: p.total})
 		if err != nil {
 			t.Fatal(err)
 		}

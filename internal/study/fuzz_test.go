@@ -56,7 +56,7 @@ func FuzzReadCheckpoint(f *testing.F) {
 }
 
 // FuzzCellRecords feeds arbitrary bytes to serve's cached-cell restore
-// (Study.RestoreCell: decode, seed verification against the ledger and
+// (StudyRuns.RestoreCell: decode, seed verification against the ledger and
 // validation). Nothing may panic; an accepted cell must be a valid
 // checkpoint covering exactly the requested cell, carrying the
 // restoring study's own ledger seeds, and must re-encode to the input.
@@ -66,6 +66,7 @@ func FuzzCellRecords(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	cells := bindStore(f, NewRunStore(), st, "")
 	_, recs := cellRecords(f, st, 1)
 	cell := func(mutate func(recs []TaskRecord)) []byte {
 		recs := append([]TaskRecord(nil), recs...)
@@ -94,7 +95,7 @@ func FuzzCellRecords(f *testing.F) {
 		want[rec.Index] = rec.Seed
 	}
 	f.Fuzz(func(t *testing.T, raw []byte, i uint8) {
-		cp, err := st.RestoreCell(int(i), raw)
+		cp, err := cells.RestoreCell(int(i), raw)
 		if err != nil {
 			return
 		}
@@ -109,7 +110,7 @@ func FuzzCellRecords(f *testing.F) {
 				t.Fatalf("task %d restored with seed %d, ledger seed %d", rec.Index, rec.Seed, want[rec.Index])
 			}
 		}
-		again, err := st.EncodeCell(cp, int(i))
+		again, err := cells.EncodeCell(cp, int(i))
 		if err != nil {
 			t.Fatalf("accepted cell does not re-encode: %v", err)
 		}
@@ -235,6 +236,7 @@ func FuzzSplitEquivalence(f *testing.F) {
 		same("shard merge")(st.Outcome(merged))
 
 		// Cells: bit c of restore takes cell c from its cache record.
+		bound := bindStore(t, NewRunStore(), st, "")
 		cellFolder, err := st.NewFolder(st.Reps)
 		if err != nil {
 			t.Fatal(err)
@@ -242,11 +244,11 @@ func FuzzSplitEquivalence(f *testing.F) {
 		for c := 0; c < ncells; c++ {
 			cp := trip(st.RunChunk(ctx, cellFolder.Range(c)))
 			if restore>>c&1 == 1 {
-				raw, err := st.EncodeCell(cp, c)
+				raw, err := bound.EncodeCell(cp, c)
 				if err != nil {
 					t.Fatalf("cell %d encode: %v", c, err)
 				}
-				if cp, err = st.RestoreCell(c, raw); err != nil {
+				if cp, err = bound.RestoreCell(c, raw); err != nil {
 					t.Fatalf("cell %d restore: %v", c, err)
 				}
 			}

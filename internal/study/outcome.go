@@ -127,8 +127,7 @@ type StudyOutcome struct {
 // tasks stream through it; the retained per-task state is the scalar
 // records the outcome's Results and quantile bands are made of.
 type outcomeAccum struct {
-	st Study
-	p  *plan
+	p *plan
 
 	overall      *summaryAccum
 	cellAccums   []*summaryAccum
@@ -140,12 +139,12 @@ type outcomeAccum struct {
 
 // newOutcomeAccum prepares an accumulator whose folded results are
 // appended to results, an empty slice with room for the whole ledger.
-func (st Study) newOutcomeAccum(p *plan, results []TaskResult) *outcomeAccum {
+func (p *plan) newOutcomeAccum(results []TaskResult) *outcomeAccum {
 	a := &outcomeAccum{
-		st: st, p: p,
+		p:            p,
 		overall:      newSummaryAccum(p.total),
 		cellAccums:   make([]*summaryAccum, len(p.cells)),
-		marginAccums: make([][]*summaryAccum, len(st.Axes)),
+		marginAccums: make([][]*summaryAccum, len(p.st.Axes)),
 		cellHists:    make([]*stats.Histogram, len(p.cells)),
 		results:      results,
 	}
@@ -154,7 +153,7 @@ func (st Study) newOutcomeAccum(p *plan, results []TaskResult) *outcomeAccum {
 	}
 	// The matrix is a full cartesian product, so every level of an axis
 	// holds the same share of the ledger.
-	for ax, axis := range st.Axes {
+	for ax, axis := range p.st.Axes {
 		a.marginAccums[ax] = make([]*summaryAccum, len(axis.Levels))
 		for l := range axis.Levels {
 			a.marginAccums[ax][l] = newSummaryAccum(p.total / len(axis.Levels))
@@ -185,8 +184,8 @@ func (a *outcomeAccum) add(r TaskResult) error {
 	cell := a.p.cells[r.Task.Cell]
 	a.overall.add(r.Metrics)
 	a.cellAccums[cell.Index].add(r.Metrics)
-	for ax := range a.st.Axes {
-		a.marginAccums[ax][cell.Coords[ax]].add(r.Metrics)
+	for ax, l := range cell.Coords {
+		a.marginAccums[ax][l].add(r.Metrics)
 	}
 	if r.Hist != nil {
 		if err := mergeHist(&a.cellHists[cell.Index], r.Hist); err != nil {
@@ -208,9 +207,9 @@ func (a *outcomeAccum) add(r TaskResult) error {
 func (a *outcomeAccum) addRecords(recs []TaskRecord) error {
 	for i := range recs {
 		rec := &recs[i]
-		r := TaskResult{Task: a.p.task(a.st, rec.Index), Metrics: rec.Metrics}
+		r := TaskResult{Task: a.p.task(rec.Index), Metrics: rec.Metrics}
 		if len(rec.HistBins) > 0 {
-			h, err := stats.RestoreHistogram(a.st.VCHistLo, a.st.VCHistHi, rec.HistBins,
+			h, err := stats.RestoreHistogram(a.p.st.VCHistLo, a.p.st.VCHistHi, rec.HistBins,
 				rec.HistUnder, rec.HistOver, rec.HistTotal)
 			if err != nil {
 				return fmt.Errorf("study: task %d histogram: %w", rec.Index, err)
@@ -233,7 +232,7 @@ func (a *outcomeAccum) folded() int { return len(a.results) }
 // chunks land. Snapshotting never mutates the accumulator.
 func (a *outcomeAccum) marginals() []Marginal {
 	var out []Marginal
-	for ax, axis := range a.st.Axes {
+	for ax, axis := range a.p.st.Axes {
 		for l, lv := range axis.Levels {
 			acc := a.marginAccums[ax][l]
 			if len(acc.instr) == 0 {
@@ -256,7 +255,7 @@ func (a *outcomeAccum) outcome() (*StudyOutcome, error) {
 		return nil, fmt.Errorf("study: %d results for a %d-task ledger", len(a.results), a.p.total)
 	}
 	out := &StudyOutcome{
-		Axes: a.st.fingerprint(a.p).Axes, Results: a.results,
+		Axes: a.p.fp.clone().Axes, Results: a.results,
 		VCHistogram: a.vcHist,
 	}
 	var err error
@@ -273,7 +272,7 @@ func (a *outcomeAccum) outcome() (*StudyOutcome, error) {
 		co.DwellVC = dwellBand(co.VCHistogram)
 		out.Cells[c] = co
 	}
-	for ax, axis := range a.st.Axes {
+	for ax, axis := range a.p.st.Axes {
 		for l, lv := range axis.Levels {
 			m := Marginal{Axis: axis.Name, Level: lv.Label}
 			if m.Summary, err = a.marginAccums[ax][l].summary(); err != nil {
@@ -291,12 +290,12 @@ func (a *outcomeAccum) outcome() (*StudyOutcome, error) {
 // merges alike — which is what makes the outcome bit-identical at any
 // worker count, across shard and chunk counts and through checkpoint
 // round-trips.
-func (st Study) outcomeFrom(p *plan, results []TaskResult) (*StudyOutcome, error) {
+func (p *plan) outcomeFrom(results []TaskResult) (*StudyOutcome, error) {
 	if len(results) != p.total {
 		return nil, fmt.Errorf("study: %d results for a %d-task ledger", len(results), p.total)
 	}
 	// Fold in place: result i is rewritten into slot i of its own slice.
-	a := st.newOutcomeAccum(p, results[:0])
+	a := p.newOutcomeAccum(results[:0])
 	for i := range results {
 		if err := a.add(results[i]); err != nil {
 			return nil, err

@@ -91,30 +91,30 @@ type realised struct {
 
 // failTask wraps a task failure with its ledger identity and, under
 // FailFast, cancels the remaining tasks.
-func (st Study) failTask(cancel context.CancelFunc, t Task, err error) error {
-	if st.FailFast {
+func (p *plan) failTask(cancel context.CancelFunc, t Task, err error) error {
+	if p.st.FailFast {
 		cancel()
 	}
 	return fmt.Errorf("study task %d (cell %d, seed %d): %w", t.Index, t.Cell, t.Seed, err)
 }
 
 // instrument attaches the per-run online observers to an assembled
-// config: stability bands always (appended to any spec-level bands), the
-// dwell histogram when configured. Specs fan out across workers and
-// must not share mutable state, so appended slices are fresh per run;
-// a config without bands of its own takes the study's bands as they
-// are, since sim only reads them. Returns the run's histogram (nil when
-// the study runs without one).
-func (st Study) instrument(cfg *sim.Config, bands []float64) (*stats.Histogram, error) {
+// config: the study's stability bands always (appended to any
+// spec-level bands), the dwell histogram when configured. Specs fan out
+// across workers and must not share mutable state, so appended slices
+// are fresh per run; a config without bands of its own takes the
+// study's bands as they are, since sim only reads them. Returns the
+// run's histogram (nil when the study runs without one).
+func (p *plan) instrument(cfg *sim.Config) (*stats.Histogram, error) {
 	if len(cfg.StabilityBands) == 0 {
-		cfg.StabilityBands = bands
+		cfg.StabilityBands = p.bands
 	} else {
-		cfg.StabilityBands = append(append([]float64(nil), cfg.StabilityBands...), bands...)
+		cfg.StabilityBands = append(append([]float64(nil), cfg.StabilityBands...), p.bands...)
 	}
-	if st.VCHistBins <= 0 {
+	if p.st.VCHistBins <= 0 {
 		return nil, nil
 	}
-	tis, err := sim.NewTimeInStateObserver(sim.ChanVC, st.VCHistLo, st.VCHistHi, st.VCHistBins)
+	tis, err := sim.NewTimeInStateObserver(sim.ChanVC, p.st.VCHistLo, p.st.VCHistHi, p.st.VCHistBins)
 	if err != nil {
 		return nil, err
 	}
@@ -151,20 +151,19 @@ func (st Study) instrument(cfg *sim.Config, bands []float64) (*stats.Histogram, 
 // later chunks. Without sr, groups never outlive one call. Results and
 // errors come back in task and group order, so everything downstream
 // is bit-identical for any Workers value and any split of the ledger.
-func (st Study) runTasks(ctx context.Context, p *plan, tasks []Task, sr *StudyRuns) ([]TaskResult, error) {
-	bands := st.stabilityBands()
+func (p *plan) runTasks(ctx context.Context, tasks []Task, sr *StudyRuns) ([]TaskResult, error) {
 	results := make([]TaskResult, len(tasks))
 	var spec *scenario.Spec
 	for i, t := range tasks {
 		if spec == nil || t.Cell != tasks[i-1].Cell {
-			sp := st.cellSpec(p, t.Cell)
+			sp := p.cellSpec(t.Cell)
 			spec = &sp
 		}
 		results[i] = TaskResult{Task: t, Spec: spec}
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	opts := batch.Options{Workers: st.Workers}
+	opts := batch.Options{Workers: p.st.Workers}
 	reals, err := batch.Map(ctx, results, func(_ context.Context, r TaskResult) (realised, error) {
 		rl, err := r.Spec.Realise(r.Task.Seed)
 		return realised{rl, err}, nil
@@ -187,10 +186,10 @@ func (st Study) runTasks(ctx context.Context, p *plan, tasks []Task, sr *StudyRu
 	}
 	simulate := func(ctx context.Context, g *groupRun) (runOutput, error) {
 		defer func() {
-			if st.OnProgress != nil {
+			if p.st.OnProgress != nil {
 				progress.Lock()
 				progress.completed += len(g.tasks)
-				st.OnProgress(progress.completed, len(tasks))
+				p.st.OnProgress(progress.completed, len(tasks))
 				progress.Unlock()
 			}
 		}()
@@ -200,7 +199,7 @@ func (st Study) runTasks(ctx context.Context, p *plan, tasks []Task, sr *StudyRu
 		fail := func(err error) (runOutput, error) {
 			errs := make([]error, len(g.tasks))
 			for k, i := range g.tasks {
-				errs[k] = st.failTask(cancel, tasks[i], err)
+				errs[k] = p.failTask(cancel, tasks[i], err)
 			}
 			return runOutput{}, errors.Join(errs...)
 		}
@@ -232,7 +231,7 @@ func (st Study) runTasks(ctx context.Context, p *plan, tasks []Task, sr *StudyRu
 			return fail(err)
 		}
 		var out runOutput
-		if out.hist, err = st.instrument(&cfg, bands); err != nil {
+		if out.hist, err = p.instrument(&cfg); err != nil {
 			return fail(err)
 		}
 		if len(g.followers) == 0 && g.keep == nil {
@@ -422,7 +421,7 @@ func shareGroups(tasks []Task, reals []realised) []groupRun {
 // runRanges executes the tasks of the given ledger ranges, which must
 // be ascending and disjoint, so results come back in ledger order. A
 // non-nil sr shares cloud-free runs through its store (runTasks).
-func (st Study) runRanges(ctx context.Context, p *plan, sr *StudyRuns, rs ...TaskRange) ([]TaskResult, error) {
+func (p *plan) runRanges(ctx context.Context, sr *StudyRuns, rs ...TaskRange) ([]TaskResult, error) {
 	n := 0
 	for _, r := range rs {
 		n += r.Hi - r.Lo
@@ -430,10 +429,10 @@ func (st Study) runRanges(ctx context.Context, p *plan, sr *StudyRuns, rs ...Tas
 	tasks := make([]Task, 0, n)
 	for _, r := range rs {
 		for t := r.Lo; t < r.Hi; t++ {
-			tasks = append(tasks, p.task(st, t))
+			tasks = append(tasks, p.task(t))
 		}
 	}
-	return st.runTasks(ctx, p, tasks, sr)
+	return p.runTasks(ctx, tasks, sr)
 }
 
 // Run executes the whole study matrix and aggregates it. Runs are
@@ -446,11 +445,11 @@ func (st Study) Run(ctx context.Context) (*StudyOutcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	results, err := st.runRanges(ctx, p, nil, TaskRange{Lo: 0, Hi: p.total})
+	results, err := p.runRanges(ctx, nil, TaskRange{Lo: 0, Hi: p.total})
 	if err != nil {
 		return nil, err
 	}
-	return st.outcomeFrom(p, results)
+	return p.outcomeFrom(results)
 }
 
 // RunShard executes shard i of n — the contiguous ledger block
@@ -469,11 +468,11 @@ func (st Study) RunShard(ctx context.Context, i, n int) (*Checkpoint, error) {
 	if n < 1 || i < 0 || i >= n {
 		return nil, fmt.Errorf("study: shard %d/%d invalid", i, n)
 	}
-	results, err := st.runRanges(ctx, p, nil, TaskRange{Lo: i * p.total / n, Hi: (i + 1) * p.total / n})
+	results, err := p.runRanges(ctx, nil, TaskRange{Lo: i * p.total / n, Hi: (i + 1) * p.total / n})
 	if err != nil {
 		return nil, err
 	}
-	return st.checkpointFrom(p, results), nil
+	return p.checkpointFrom(results), nil
 }
 
 // Resume executes the ledger ranges the checkpoint is missing and
@@ -485,12 +484,12 @@ func (st Study) Resume(ctx context.Context, cp *Checkpoint) (*Checkpoint, error)
 	if err != nil {
 		return nil, err
 	}
-	if err := st.checkFingerprint(p, cp); err != nil {
+	if err := p.checkFingerprint(cp); err != nil {
 		return nil, err
 	}
-	results, err := st.runRanges(ctx, p, nil, cp.Missing()...)
+	results, err := p.runRanges(ctx, nil, cp.Missing()...)
 	if err != nil {
 		return nil, err
 	}
-	return MergeCheckpoints(cp, st.checkpointFrom(p, results))
+	return MergeCheckpoints(cp, p.checkpointFrom(results))
 }

@@ -73,12 +73,12 @@ func runAllChunks(t *testing.T, st Study, size int, order []int) ([]byte, [][]Ta
 	}
 	byChunk := make([][]TaskResult, folder.NumChunks())
 	for _, i := range order {
-		results, err := sr.st.runChunk(context.Background(), sr.p, folder.Range(i), sr)
+		results, err := sr.runChunk(context.Background(), folder.Range(i))
 		if err != nil {
 			t.Fatalf("chunk %d: %v", i, err)
 		}
 		byChunk[i] = results
-		if err := folder.Fold(i, st.checkpointFrom(sr.p, results)); err != nil {
+		if err := folder.Fold(i, sr.p.checkpointFrom(results)); err != nil {
 			t.Fatalf("chunk %d: %v", i, err)
 		}
 	}
@@ -197,7 +197,7 @@ func TestRunStoreSharesAcrossStudies(t *testing.T) {
 			if k == 1 {
 				r = chunks[k][len(chunks[k])-1-i] // from the other end of the matrix
 			}
-			results, err := sr.st.runChunk(ctx, sr.p, r, sr)
+			results, err := sr.runChunk(ctx, r)
 			if err != nil {
 				t.Fatalf("study %d chunk %v: %v", k, r, err)
 			}
@@ -205,7 +205,7 @@ func TestRunStoreSharesAcrossStudies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(encodeBinary(sts[k].checkpointFrom(sr.p, results)), encodeBinary(want)) {
+			if !bytes.Equal(encodeBinary(sr.p.checkpointFrom(results)), encodeBinary(want)) {
 				t.Fatalf("study %d chunk %v: checkpoint differs from Study.RunChunk's", k, r)
 			}
 			for _, res := range results {
@@ -231,9 +231,10 @@ func TestRunStoreSharesAcrossStudies(t *testing.T) {
 }
 
 // TestRunStoreConcurrentChunks runs the chunks of two studies of one
-// matrix through one store from two goroutines at once, each chunk on
-// two workers, so the race detector sees kept runs and snapshots
-// shared between chunks in flight.
+// matrix through one store from four goroutines at once, two per
+// binding, each chunk on two workers, so the race detector sees kept
+// runs, snapshots and a binding's cell keys shared between chunks in
+// flight.
 func TestRunStoreConcurrentChunks(t *testing.T) {
 	const size = 3
 	store := NewRunStore()
@@ -250,13 +251,15 @@ func TestRunStoreConcurrentChunks(t *testing.T) {
 		cps[g] = make([]*Checkpoint, folders[g].NumChunks())
 		errs[g] = make([]error, len(cps[g]))
 		sr := bindStore(t, store, st, "")
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := range cps[g] {
-				cps[g][i], errs[g][i] = sr.RunChunk(context.Background(), folders[g].Range(i))
-			}
-		}(g)
+		for h := 0; h < 2; h++ {
+			wg.Add(1)
+			go func(g, h int) {
+				defer wg.Done()
+				for i := h; i < len(cps[g]); i += 2 {
+					cps[g][i], errs[g][i] = sr.RunChunk(context.Background(), folders[g].Range(i))
+				}
+			}(g, h)
+		}
 	}
 	wg.Wait()
 	for g, st := range sts {

@@ -51,7 +51,7 @@ func TestSharedRunsMatchIndependentRuns(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			results, err := st.runRanges(ctx, p, nil, TaskRange{Lo: 0, Hi: p.total})
+			results, err := p.runRanges(ctx, nil, TaskRange{Lo: 0, Hi: p.total})
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -82,7 +82,7 @@ func TestSharedRunsMatchIndependentRuns(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				hist, err := st.instrument(&cfg, st.stabilityBands())
+				hist, err := p.instrument(&cfg)
 				if err != nil {
 					t.Fatal(err)
 				}

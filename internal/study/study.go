@@ -25,14 +25,22 @@
 // RunChunk and Folder are that form: fixed-size ledger blocks a
 // coordinator leases to workers and folds back, in canonical order, at
 // O(outstanding chunks) histogram memory (see internal/coord). A cached
-// cell is the chunk of size Reps its repetitions occupy (EncodeCell,
-// RestoreCell; see internal/serve).
+// cell is the chunk of size Reps its repetitions occupy, addressed by
+// its cell key (StudyRuns.CellKey, EncodeCell, RestoreCell; see
+// internal/serve).
+//
+// Each exported entry point — Run, RunShard, Resume, Outcome,
+// Fingerprint, Chunks, NewFolder, RunChunk — validates and plans its
+// study once. A service or worker that does many things with one study
+// binds it to a RunStore instead (RunStore.Bind): the binding keeps the
+// plan, and with it the fingerprint, for every chunk, cell and folder
+// it serves.
 //
 // Checkpoints cross trust boundaries — files that may be truncated,
 // corrupted or hand-edited, and HTTP submissions from remote workers —
 // so the protocol validates rather than trusts: every deserialisation
 // and merge boundary (ReadCheckpoint, MergeCheckpoints, Resume,
-// Outcome, Folder.Fold, RestoreCell) re-checks record order,
+// Outcome, Folder.Fold, StudyRuns.RestoreCell) re-checks record order,
 // uniqueness and bounds, histogram-counter consistency and the study
 // fingerprint, and Checkpoint.Complete holds only for a valid
 // checkpoint. A hostile checkpoint produces a diagnostic error, never a
@@ -47,9 +55,9 @@
 // group; metrics, checkpoints and progress still count tasks. Groups
 // never span two calls, so every split of the ledger reproduces Run's
 // bytes. The one exception is a RunStore, which keeps cells' cloud-free
-// runs for later chunks of any study with the same cell and matches
-// them on the same exact identity, so its chunks reproduce Run's bytes
-// too.
+// runs for later chunks of any study with the same cell (the same
+// seed-free cell key) and matches them on the same exact identity, so
+// its chunks reproduce Run's bytes too.
 //
 // A plain Monte-Carlo run of one scenario is a Study without axes
 // (pnsim -mc), and the experiments-package parameter sweep is a Study
@@ -183,11 +191,21 @@ type Task struct {
 	Seed int64
 }
 
-// plan is the validated, expanded form of a study.
+// plan is the validated, expanded form of a study and the one form
+// every execution, aggregation and keying path works from: a copy of
+// the study with its cells, repetitions, ledger size, effective
+// stability bands and fingerprint, each derived once.
 type plan struct {
+	st    Study
 	cells []Cell
 	reps  int
 	total int
+	bands []float64
+	// A plan that outlives the call hands out copies of fp
+	// (Fingerprint.clone) — in checkpoints, outcomes and the Folder and
+	// StudyRuns accessors — so a caller's edits cannot reach what it
+	// produces next.
+	fp Fingerprint
 }
 
 // summaryBand is the fractional band the summaries aggregate (the
@@ -256,7 +274,7 @@ func (st Study) plan() (*plan, error) {
 		}
 		cells *= len(ax.Levels)
 	}
-	p := &plan{reps: reps, total: cells * reps, cells: make([]Cell, cells)}
+	p := &plan{st: st, reps: reps, total: cells * reps, cells: make([]Cell, cells), bands: st.stabilityBands()}
 	coords := make([]int, len(st.Axes))
 	for c := 0; c < cells; c++ {
 		cell := Cell{
@@ -281,25 +299,35 @@ func (st Study) plan() (*plan, error) {
 			coords[i] = 0
 		}
 	}
+	p.fp = Fingerprint{
+		Name: st.Name, Base: baseDigest(st.Base),
+		Seed: st.Seed, SeedMode: st.SeedMode, Reps: reps,
+		VCHistBins: st.VCHistBins, VCHistLo: st.VCHistLo, VCHistHi: st.VCHistHi,
+	}
+	for _, ax := range st.Axes {
+		d := AxisDigest{Name: ax.Name, Levels: make([]string, len(ax.Levels))}
+		for i, lv := range ax.Levels {
+			d.Levels[i] = lv.Label
+		}
+		p.fp.Axes = append(p.fp.Axes, d)
+	}
 	return p, nil
 }
 
-// taskSeed derives the seed of ledger task t under the study's SeedMode.
-func (st Study) taskSeed(t, rep int) int64 {
-	switch st.SeedMode {
-	case SeedPerRep:
-		return batch.Seed(st.Seed, rep)
-	case SeedShared:
-		return st.Seed
-	default:
-		return batch.Seed(st.Seed, t)
-	}
-}
-
-// task materialises ledger entry t.
-func (p *plan) task(st Study, t int) Task {
+// task materialises ledger entry t, its seed derived under the study's
+// SeedMode.
+func (p *plan) task(t int) Task {
 	rep := t % p.reps
-	return Task{Index: t, Cell: t / p.reps, Rep: rep, Seed: st.taskSeed(t, rep)}
+	var seed int64
+	switch p.st.SeedMode {
+	case SeedPerRep:
+		seed = batch.Seed(p.st.Seed, rep)
+	case SeedShared:
+		seed = p.st.Seed
+	default:
+		seed = batch.Seed(p.st.Seed, t)
+	}
+	return Task{Index: t, Cell: t / p.reps, Rep: rep, Seed: seed}
 }
 
 // cellRange returns cell i's ledger block: the chunk of size reps its
@@ -315,12 +343,12 @@ func (p *plan) cellRange(i int) (TaskRange, error) {
 // the base with the cell's axis levels applied in order. Studies
 // summarise runs with online observers, so no run retains a time
 // series.
-func (st Study) cellSpec(p *plan, i int) scenario.Spec {
-	sp := st.Base
+func (p *plan) cellSpec(i int) scenario.Spec {
+	sp := p.st.Base
 	sp.SkipSeries = true
 	cell := p.cells[i]
-	for i := range st.Axes {
-		st.Axes[i].Levels[cell.Coords[i]].Apply(&sp)
+	for i, ax := range p.st.Axes {
+		ax.Levels[cell.Coords[i]].Apply(&sp)
 	}
 	return sp
 }

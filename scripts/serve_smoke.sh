@@ -5,8 +5,10 @@
 # requires the second answer to be a whole-study cache hit with zero
 # simulated runs and byte-identical outcome downloads in every format.
 # Then submits the study with a new seed and requires the run store to
-# answer some of its cells' cloud-free runs. Finishes by exercising the
-# graceful drain path with SIGTERM. This is
+# answer some of its cells' cloud-free runs, then with one more load
+# level and requires every old cell to come from the cell cache and the
+# extended study's resubmission to be a zero-work hit. Finishes by
+# exercising the graceful drain path with SIGTERM. This is
 # the process-level twin of internal/serve's -race suite — same
 # contract, but with a real listener, real curl clients and a real
 # signal.
@@ -18,7 +20,9 @@ port="${SERVE_PORT:-18474}"
 url="http://127.0.0.1:${port}"
 token="smoke-secret"
 auth=(-H "Authorization: Bearer ${token}")
-recipe='{"scenario":"stress-clouds","duration":12,"storage":"ideal:0.047,supercap:0.047","util":"1,0.6","reps":4,"seed":23,"bins":32,"hist_lo":4,"hist_hi":6}'
+# Paired seeds (repetition r has the same seed in every cell) let a cell
+# keep its seeds, and so its cached records, when a load level is added.
+recipe='{"scenario":"stress-clouds","duration":12,"storage":"ideal:0.047,supercap:0.047","util":"1,0.6","reps":4,"seed":23,"paired":true,"bins":32,"hist_lo":4,"hist_hi":6}'
 
 pids=()
 cleanup() {
@@ -55,6 +59,7 @@ if [ "$code" != "401" ]; then
 fi
 
 field() { sed -n "s/.*\"$1\": \"\\([^\"]*\\)\".*/\\1/p" | head -n 1; }
+count() { sed -n "s/.*\"$1\": \\([0-9]*\\).*/\\1/p" | head -n 1; }
 
 # await JOB: poll until the job is done, failing the smoke otherwise.
 await() {
@@ -126,6 +131,31 @@ if [ -z "$hits0" ] || [ -z "$hits1" ] || [ "$hits1" -le "$hits0" ]; then
 fi
 echo "serve_smoke: new-seed study took kept runs (run-store hits $hits0 -> $hits1)"
 
+echo "serve_smoke: resubmitting the study with one more load level (old cells from the cell cache)"
+extended="${recipe/\"util\":\"1,0.6\"/\"util\":\"1,0.6,0.3\"}"
+curl -sf "${auth[@]}" -d "$extended" "$url/v1/jobs" >"$work/partial-submit.json"
+partial="$(field id <"$work/partial-submit.json")"
+await "$partial"
+curl -sf "${auth[@]}" "$url/v1/jobs/$partial" >"$work/partial.json"
+cells="$(count total_cells <"$work/cold-submit.json")"
+want=$((cells / 2 * 3)) # two storage levels × three loads
+got="$(count total_cells <"$work/partial.json")"
+cached="$(count cached_cells <"$work/partial.json")"
+if [ -z "$cells" ] || [ "$got" != "$want" ] || [ "$cached" != "$cells" ]; then
+    echo "serve_smoke: FAIL — extended study cached $cached of $got cells, want $cells of $want:" >&2
+    cat "$work/partial.json" >&2
+    exit 1
+fi
+curl -sf "${auth[@]}" -d "$extended" "$url/v1/jobs" >"$work/partial-hit.json"
+if ! grep -q '"cache_hit": true' "$work/partial-hit.json" ||
+   ! grep -q '"simulated_runs": 0' "$work/partial-hit.json" ||
+   ! grep -q '"state": "done"' "$work/partial-hit.json"; then
+    echo "serve_smoke: FAIL — resubmitted extended study was not an instant zero-work cache hit:" >&2
+    cat "$work/partial-hit.json" >&2
+    exit 1
+fi
+echo "serve_smoke: extended study took all $cells old cells from the cell cache; its resubmission is a hit"
+
 echo "serve_smoke: draining with SIGTERM"
 kill -TERM "$serve_pid"
 if ! wait "$serve_pid"; then
@@ -138,4 +168,4 @@ if ! grep -q "drained" "$work/serve.log"; then
     cat "$work/serve.log" >&2
     exit 1
 fi
-echo "serve_smoke: PASS — cold run, zero-work byte-identical cache hit, run-store hit, graceful drain"
+echo "serve_smoke: PASS — cold run, zero-work byte-identical cache hit, run-store hit, partial cell-cache hit, graceful drain"
