@@ -235,14 +235,14 @@ func BenchmarkRunAllExperiments(b *testing.B) {
 // BenchmarkBatchOverhead measures the engine's per-job cost with no-op
 // jobs — the fixed tax the pool adds on top of real simulation work.
 func BenchmarkBatchOverhead(b *testing.B) {
-	jobs := make([]batch.Func[int], 1024)
+	jobs := make([]int, 1024)
 	for i := range jobs {
-		i := i
-		jobs[i] = func(context.Context) (int, error) { return i, nil }
+		jobs[i] = i
 	}
+	job := func(_ context.Context, i int) (int, error) { return i, nil }
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := batch.Run(context.Background(), jobs, batch.Options{Workers: 4}); err != nil {
+		if _, err := batch.Map(context.Background(), jobs, job, batch.Options{Workers: 4}); err != nil {
 			b.Fatal(err)
 		}
 	}

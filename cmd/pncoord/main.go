@@ -57,31 +57,19 @@ import (
 // options is the parsed CLI surface — separated from main so tests can
 // drive flag parsing and config assembly without spawning processes.
 type options struct {
-	addr     string
-	recipe   studycli.Config
-	cfg      coord.Config // Study and Recipe populated from recipe
-	tokens   []string
-	journal  string
-	cellsCSV string
-	runsCSV  string
-	jsonOut  string
+	addr    string
+	recipe  studycli.Config
+	cfg     coord.Config // Study and Recipe populated from recipe
+	tokens  []string
+	journal string
+	exports *studycli.Flags
 }
 
 func parseOptions(args []string) (*options, error) {
 	fs := flag.NewFlagSet("pncoord", flag.ContinueOnError)
+	matrix := studycli.RegisterFlags(fs)
 	var (
 		addr     = fs.String("addr", ":8080", "HTTP listen address")
-		scn      = fs.String("scenario", "stress-clouds", "registered base scenario")
-		duration = fs.Float64("duration", 0, "override scenario duration, seconds (0 keeps the registered value)")
-		storage  = fs.String("storage", "", "storage axis: ideal:F,supercap:F,hybrid:F:R")
-		control  = fs.String("control", "", "control axis: pn, static, or governor names")
-		util     = fs.String("util", "", "workload axis: utilisations in [0,1]")
-		reps     = fs.Int("reps", 4, "Monte-Carlo repetitions per cell")
-		seed     = fs.Int64("seed", 2017, "study base seed")
-		paired   = fs.Bool("paired", false, "common random numbers: one realisation per repetition across all cells")
-		bins     = fs.Int("bins", 250, "dwell-time voltage histogram bins (0 disables)")
-		histLo   = fs.Float64("histlo", 0, "dwell histogram lower bound, volts")
-		histHi   = fs.Float64("histhi", 10, "dwell histogram upper bound, volts")
 		chunk    = fs.Int("chunk", 64, "lease granularity, ledger tasks per chunk")
 		leaseTTL = fs.Duration("lease-ttl", 2*time.Minute, "lease time-to-live before a chunk is re-leased")
 		attempts = fs.Int("max-attempts", 5, "lease attempts per chunk before the study fails")
@@ -90,9 +78,6 @@ func parseOptions(args []string) (*options, error) {
 		fsyncStr = fs.String("fsync", "always", "journal durability: always (fsync each record) or off (leave flushing to the OS)")
 		tokens   = fs.String("token", "", "comma-separated bearer tokens; empty disables authentication")
 		verbose  = fs.Bool("v", false, "log lease lifecycle events")
-		cellsCSV = fs.String("cells-csv", "", "write per-cell aggregates as CSV to this file")
-		runsCSV  = fs.String("runs-csv", "", "write per-run outcomes as CSV to this file")
-		jsonOut  = fs.String("json", "", "write the full aggregate as JSON to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return nil, err
@@ -105,12 +90,7 @@ func parseOptions(args []string) (*options, error) {
 		return nil, err
 	}
 
-	recipe := studycli.Config{
-		Scenario: *scn, Duration: *duration,
-		Storage: *storage, Control: *control, Util: *util,
-		Reps: *reps, Seed: *seed, Paired: *paired,
-		Bins: *bins, HistLo: *histLo, HistHi: *histHi,
-	}
+	recipe := matrix.Config
 	st, err := recipe.Build()
 	if err != nil {
 		return nil, err
@@ -129,9 +109,9 @@ func parseOptions(args []string) (*options, error) {
 			JournalPath: *journal, JournalSync: fsync,
 			OnChunk: printChunkStatus,
 		},
-		tokens:   coord.SplitTokens(*tokens),
-		journal:  *journal,
-		cellsCSV: *cellsCSV, runsCSV: *runsCSV, jsonOut: *jsonOut,
+		tokens:  coord.SplitTokens(*tokens),
+		journal: *journal,
+		exports: matrix,
 	}
 	if *verbose {
 		opt.cfg.Logf = func(format string, args ...any) {
@@ -218,16 +198,7 @@ func main() {
 		fatal(err)
 	}
 	studycli.PrintOutcome(os.Stdout, opt.cfg.Study, out)
-	if opt.cellsCSV != "" {
-		err = studycli.WriteFileAtomic(opt.cellsCSV, out.WriteCellsCSV)
-	}
-	if err == nil && opt.runsCSV != "" {
-		err = studycli.WriteFileAtomic(opt.runsCSV, out.WriteRunsCSV)
-	}
-	if err == nil && opt.jsonOut != "" {
-		err = studycli.WriteFileAtomic(opt.jsonOut, out.WriteJSON)
-	}
-	if err != nil {
+	if err := opt.exports.WriteExports(out); err != nil {
 		fatal(err)
 	}
 }

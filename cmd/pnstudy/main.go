@@ -81,20 +81,10 @@ func main() {
 // and the summary and shard reports go to stdout.
 func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("pnstudy", flag.ExitOnError)
+	matrix := studycli.RegisterFlags(fs)
 	var (
-		scn      = fs.String("scenario", "stress-clouds", "registered base scenario")
-		duration = fs.Float64("duration", 0, "override scenario duration, seconds (0 keeps the registered value)")
-		storage  = fs.String("storage", "", "storage axis: ideal:F,supercap:F,hybrid:F:R")
-		control  = fs.String("control", "", "control axis: pn, static, or governor names")
-		util     = fs.String("util", "", "workload axis: utilisations in [0,1]")
-		reps     = fs.Int("reps", 4, "Monte-Carlo repetitions per cell")
-		seed     = fs.Int64("seed", 2017, "study base seed")
-		paired   = fs.Bool("paired", false, "common random numbers: one realisation per repetition across all cells")
 		workers  = fs.Int("workers", runtime.GOMAXPROCS(0), "concurrent runs")
 		progress = fs.Bool("progress", false, "report run progress on stderr")
-		bins     = fs.Int("bins", 250, "dwell-time voltage histogram bins (0 disables)")
-		histLo   = fs.Float64("histlo", 0, "dwell histogram lower bound, volts")
-		histHi   = fs.Float64("histhi", 10, "dwell histogram upper bound, volts")
 		shard    = fs.String("shard", "", "run shard i/n, the i-th of n contiguous blocks of the task ledger, and write its checkpoint")
 		ckpt     = fs.String("checkpoint", "", "checkpoint file to write (-shard)")
 		resume   = fs.String("resume", "", "checkpoint file to complete in place")
@@ -102,9 +92,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		workerAt = fs.String("worker", "", "join the pncoord coordinator at this URL (matrix flags come from the coordinator)")
 		name     = fs.String("name", "", "worker name reported to the coordinator (-worker; default host-pid)")
 		token    = fs.String("token", "", "bearer token presented to a -token guarded coordinator (-worker)")
-		cellsCSV = fs.String("cells-csv", "", "write per-cell aggregates as CSV to this file")
-		runsCSV  = fs.String("runs-csv", "", "write per-run outcomes as CSV to this file")
-		jsonOut  = fs.String("json", "", "write the full aggregate as JSON to this file")
 		list     = fs.Bool("list", false, "list registered scenarios and exit")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -125,12 +112,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		return err
 	}
 
-	st, err := studycli.Config{
-		Scenario: *scn, Duration: *duration,
-		Storage: *storage, Control: *control, Util: *util,
-		Reps: *reps, Seed: *seed, Paired: *paired,
-		Bins: *bins, HistLo: *histLo, HistHi: *histHi,
-	}.Build()
+	st, err := matrix.Config.Build()
 	if err != nil {
 		return err
 	}
@@ -163,16 +145,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 
 	studycli.PrintOutcome(stdout, st, out)
-	if *cellsCSV != "" {
-		err = studycli.WriteFileAtomic(*cellsCSV, out.WriteCellsCSV)
-	}
-	if err == nil && *runsCSV != "" {
-		err = studycli.WriteFileAtomic(*runsCSV, out.WriteRunsCSV)
-	}
-	if err == nil && *jsonOut != "" {
-		err = studycli.WriteFileAtomic(*jsonOut, out.WriteJSON)
-	}
-	return err
+	return matrix.WriteExports(out)
 }
 
 // runWorker joins a coordinator: the study identity travels as a

@@ -18,10 +18,6 @@ import (
 	"sync/atomic"
 )
 
-// Func is one unit of work. The context is the batch context; jobs that
-// run long should poll ctx.Err() and abandon work once cancelled.
-type Func[T any] func(ctx context.Context) (T, error)
-
 // Options tunes a batch run.
 type Options struct {
 	// Workers is the number of concurrent goroutines; <= 0 selects
@@ -51,19 +47,6 @@ func (o Options) workers(jobs int) int {
 	return w
 }
 
-// Run executes jobs on a worker pool and returns their results in job
-// order: out[i] is the result of jobs[i], whatever the interleaving.
-//
-// Every job is attempted (no fail-fast) unless the context is cancelled,
-// in which case unstarted jobs fail with the context error. All failures
-// are aggregated with errors.Join in job-index order, so the returned
-// error is deterministic too. On error the result slice is still
-// returned; slots whose job failed hold the zero value.
-func Run[T any](ctx context.Context, jobs []Func[T], opts Options) ([]T, error) {
-	out, errs := run(ctx, len(jobs), func(ctx context.Context, i int) (T, error) { return jobs[i](ctx) }, opts)
-	return out, join(ctx, errs)
-}
-
 // join aggregates per-job errors in index order; an empty batch fails
 // only on a cancelled context.
 func join(ctx context.Context, errs []error) error {
@@ -73,8 +56,8 @@ func join(ctx context.Context, errs []error) error {
 	return errors.Join(errs...)
 }
 
-// run is Run over n jobs given as one indexed function, returning each
-// job's error in its slot.
+// run executes n jobs given as one indexed function on a worker pool,
+// returning each job's result and error in its slot.
 func run[T any](ctx context.Context, n int, job func(ctx context.Context, i int) (T, error), opts Options) ([]T, []error) {
 	out := make([]T, n)
 	if n == 0 {
@@ -148,9 +131,18 @@ func runJob[T any](ctx context.Context, job func(ctx context.Context, i int) (T,
 	return out, err
 }
 
-// Map runs fn over items on a worker pool, returning out[i] = fn(items[i])
-// in input order, with Run's guarantees. Workers index into items, so
-// Map allocates no per-item job and copies no item to the heap.
+// Map runs fn over items on a worker pool and returns the results in
+// input order: out[i] = fn(items[i]), whatever the interleaving. The
+// context is the batch context; jobs that run long should poll ctx.Err()
+// and abandon work once cancelled.
+//
+// Every job is attempted (no fail-fast) unless the context is cancelled,
+// in which case unstarted jobs fail with the context error. All failures
+// are aggregated with errors.Join in job-index order, so the returned
+// error is deterministic too. On error the result slice is still
+// returned; slots whose job failed hold the zero value. Workers index
+// into items, so Map allocates no per-item job and copies no item to the
+// heap.
 func Map[In, Out any](ctx context.Context, items []In, fn func(ctx context.Context, item In) (Out, error), opts Options) ([]Out, error) {
 	out, errs := MapEach(ctx, items, fn, opts)
 	return out, join(ctx, errs)

@@ -11,14 +11,16 @@ import (
 	"testing"
 )
 
-func squareJobs(n int) []Func[int] {
-	jobs := make([]Func[int], n)
-	for i := range jobs {
-		i := i
-		jobs[i] = func(context.Context) (int, error) { return i * i, nil }
+// indices returns the items 0, 1, …, n-1.
+func indices(n int) []int {
+	items := make([]int, n)
+	for i := range items {
+		items[i] = i
 	}
-	return jobs
+	return items
 }
+
+func square(_ context.Context, i int) (int, error) { return i * i, nil }
 
 func TestRunOrdersResults(t *testing.T) {
 	t.Parallel()
@@ -26,7 +28,7 @@ func TestRunOrdersResults(t *testing.T) {
 		workers := workers
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			t.Parallel()
-			out, err := Run(context.Background(), squareJobs(50), Options{Workers: workers})
+			out, err := Map(context.Background(), indices(50), square, Options{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -41,7 +43,7 @@ func TestRunOrdersResults(t *testing.T) {
 
 func TestRunEmpty(t *testing.T) {
 	t.Parallel()
-	out, err := Run[int](context.Background(), nil, Options{Workers: 4})
+	out, err := Map(context.Background(), nil, square, Options{Workers: 4})
 	if err != nil || len(out) != 0 {
 		t.Fatalf("empty batch: out=%v err=%v", out, err)
 	}
@@ -49,17 +51,12 @@ func TestRunEmpty(t *testing.T) {
 
 func TestRunAggregatesErrorsInOrder(t *testing.T) {
 	t.Parallel()
-	jobs := make([]Func[int], 10)
-	for i := range jobs {
-		i := i
-		jobs[i] = func(context.Context) (int, error) {
-			if i%3 == 0 {
-				return 0, fmt.Errorf("boom %d", i)
-			}
-			return i, nil
+	out, err := Map(context.Background(), indices(10), func(_ context.Context, i int) (int, error) {
+		if i%3 == 0 {
+			return 0, fmt.Errorf("boom %d", i)
 		}
-	}
-	out, err := Run(context.Background(), jobs, Options{Workers: 4})
+		return i, nil
+	}, Options{Workers: 4})
 	if err == nil {
 		t.Fatal("want aggregated error")
 	}
@@ -85,11 +82,12 @@ func TestRunAggregatesErrorsInOrder(t *testing.T) {
 
 func TestRunRecoversPanics(t *testing.T) {
 	t.Parallel()
-	jobs := []Func[int]{
-		func(context.Context) (int, error) { return 1, nil },
-		func(context.Context) (int, error) { panic("kaboom") },
-	}
-	out, err := Run(context.Background(), jobs, Options{Workers: 2})
+	out, err := Map(context.Background(), indices(2), func(_ context.Context, i int) (int, error) {
+		if i == 1 {
+			panic("kaboom")
+		}
+		return 1, nil
+	}, Options{Workers: 2})
 	if err == nil || !strings.Contains(err.Error(), "job 1 panicked: kaboom") {
 		t.Fatalf("panic not converted to error: %v", err)
 	}
@@ -131,11 +129,7 @@ func TestRunHonoursCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var ran atomic.Int64
-	jobs := make([]Func[int], 8)
-	for i := range jobs {
-		jobs[i] = func(context.Context) (int, error) { ran.Add(1); return 0, nil }
-	}
-	_, err := Run(ctx, jobs, Options{Workers: 4})
+	_, err := Map(ctx, indices(8), func(context.Context, int) (int, error) { ran.Add(1); return 0, nil }, Options{Workers: 4})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -148,7 +142,7 @@ func TestRunProgress(t *testing.T) {
 	t.Parallel()
 	// Callbacks are serialised and monotone, so plain ints suffice.
 	var calls, lastDone, sawTotal int
-	_, err := Run(context.Background(), squareJobs(20), Options{
+	_, err := Map(context.Background(), indices(20), square, Options{
 		Workers: 4,
 		OnProgress: func(done, total int) {
 			if done != lastDone+1 {

@@ -315,6 +315,3 @@ func (j *Journal) Close() error {
 	}
 	return nil
 }
-
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }

@@ -90,22 +90,17 @@ func (c Config) Quantize(v float64) float64 {
 // Channel is one comparator channel with a programmable threshold.
 type Channel struct {
 	cfg       Config
-	name      string
 	threshold float64 // quantised, volts
-	updates   int
 }
 
 // NewChannel builds a channel with the given configuration and an initial
 // threshold (quantised immediately).
-func NewChannel(name string, cfg Config, initial float64) (*Channel, error) {
+func NewChannel(cfg Config, initial float64) (*Channel, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Channel{cfg: cfg, name: name, threshold: cfg.Quantize(initial)}, nil
+	return &Channel{cfg: cfg, threshold: cfg.Quantize(initial)}, nil
 }
-
-// Name returns the channel name ("Vhigh"/"Vlow").
-func (ch *Channel) Name() string { return ch.name }
 
 // Threshold returns the current quantised threshold in volts.
 func (ch *Channel) Threshold() float64 { return ch.threshold }
@@ -114,21 +109,14 @@ func (ch *Channel) Threshold() float64 { return ch.threshold }
 // armed and the CPU time spent on the SPI transaction.
 func (ch *Channel) Program(v float64) (actual, cpuSeconds float64) {
 	ch.threshold = ch.cfg.Quantize(v)
-	ch.updates++
 	return ch.threshold, ch.cfg.SPICPUSeconds
 }
-
-// Updates returns how many times the channel was reprogrammed.
-func (ch *Channel) Updates() int { return ch.updates }
 
 // InterruptDelay returns the time from the analogue crossing to the ISR
 // starting on the SoC.
 func (ch *Channel) InterruptDelay() float64 {
 	return ch.cfg.PropagationDelay + ch.cfg.ISRLatency
 }
-
-// ISRCPUSeconds returns CPU time consumed per interrupt service.
-func (ch *Channel) ISRCPUSeconds() float64 { return ch.cfg.ISRCPUSeconds }
 
 // Hardware is the complete two-channel monitoring circuit.
 type Hardware struct {
@@ -141,11 +129,11 @@ type Hardware struct {
 
 // NewHardware builds the two-channel monitor with both thresholds armed.
 func NewHardware(cfg Config, vhigh, vlow float64) (*Hardware, error) {
-	hi, err := NewChannel("Vhigh", cfg, vhigh)
+	hi, err := NewChannel(cfg, vhigh)
 	if err != nil {
 		return nil, err
 	}
-	lo, err := NewChannel("Vlow", cfg, vlow)
+	lo, err := NewChannel(cfg, vlow)
 	if err != nil {
 		return nil, err
 	}
@@ -153,8 +141,8 @@ func NewHardware(cfg Config, vhigh, vlow float64) (*Hardware, error) {
 }
 
 // CopyState makes h an exact copy of src — configuration, both
-// channels' thresholds and update counts, interrupt and CPU-time
-// counters — copying the channels into h's own, which must be set.
+// channels' thresholds, interrupt and CPU-time counters — copying the
+// channels into h's own, which must be set.
 func (h *Hardware) CopyState(src *Hardware) {
 	hi, lo := h.High, h.Low
 	*h = *src
@@ -181,9 +169,6 @@ func (h *Hardware) RecordProgramming() float64 {
 
 // Interrupts returns the number of serviced interrupts.
 func (h *Hardware) Interrupts() int { return h.interrupts }
-
-// CPUSeconds returns total CPU time spent servicing the monitor.
-func (h *Hardware) CPUSeconds() float64 { return h.cpuSeconds }
 
 // CPUOverhead returns the fraction of wall time spent servicing the
 // monitor over a run of the given duration — the paper's Fig. 15 metric

@@ -80,12 +80,9 @@ func TestQuickQuantizeIdempotent(t *testing.T) {
 }
 
 func TestChannelProgramming(t *testing.T) {
-	ch, err := NewChannel("Vlow", DefaultConfig(), 5.2)
+	ch, err := NewChannel(DefaultConfig(), 5.2)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if ch.Name() != "Vlow" {
-		t.Error("name lost")
 	}
 	actual, cpu := ch.Program(5.31)
 	if cpu <= 0 {
@@ -93,9 +90,6 @@ func TestChannelProgramming(t *testing.T) {
 	}
 	if actual != ch.Threshold() {
 		t.Error("returned threshold disagrees with state")
-	}
-	if ch.Updates() != 1 {
-		t.Errorf("updates = %d", ch.Updates())
 	}
 	if ch.InterruptDelay() <= 0 {
 		t.Error("interrupt delay must be positive")
@@ -120,8 +114,9 @@ func TestHardwareAccounting(t *testing.T) {
 	if hw.Interrupts() != 2 {
 		t.Errorf("interrupts = %d", hw.Interrupts())
 	}
-	if hw.CPUSeconds() <= 0 {
-		t.Error("CPU accounting empty")
+	cfg := DefaultConfig()
+	if cpu := hw.CPUOverhead(1); cpu != 2*cfg.ISRCPUSeconds+cfg.SPICPUSeconds {
+		t.Errorf("CPU accounting %g s, want two ISRs and one SPI update", cpu)
 	}
 	// Overhead: the paper's run measured ≈0.104%; two ISRs over an hour
 	// is far below that.

@@ -2,45 +2,11 @@ package ode
 
 import "fmt"
 
-// Euler integrates with the explicit Euler method at a fixed step h. It is
-// provided as the cheapest integrator for coarse sweeps and as a
-// convergence-order reference in tests. Events are detected by sign change
-// and localised by linear interpolation within the step.
-func Euler(f RHS, t0, t1 float64, y []float64, h float64, opts Options) (Result, error) {
-	return fixedStep(f, t0, t1, y, h, opts, stepEuler)
-}
-
 // RK4 integrates with the classic fourth-order Runge–Kutta method at a
-// fixed step h.
+// fixed step h — the reference the adaptive pair is checked against.
+// Events are detected by sign change and localised by linear
+// interpolation within the step.
 func RK4(f RHS, t0, t1 float64, y []float64, h float64, opts Options) (Result, error) {
-	return fixedStep(f, t0, t1, y, h, opts, stepRK4)
-}
-
-type stepper func(f RHS, t, h float64, y, ynext []float64, scratch [][]float64)
-
-func stepEuler(f RHS, t, h float64, y, ynext []float64, scratch [][]float64) {
-	k1 := scratch[0]
-	f(t, y, k1)
-	for i := range y {
-		ynext[i] = y[i] + h*k1[i]
-	}
-}
-
-func stepRK4(f RHS, t, h float64, y, ynext []float64, scratch [][]float64) {
-	k1, k2, k3, k4, tmp := scratch[0], scratch[1], scratch[2], scratch[3], scratch[4]
-	f(t, y, k1)
-	axpy(tmp, y, h/2, k1)
-	f(t+h/2, tmp, k2)
-	axpy(tmp, y, h/2, k2)
-	f(t+h/2, tmp, k3)
-	axpy(tmp, y, h, k3)
-	f(t+h, tmp, k4)
-	for i := range y {
-		ynext[i] = y[i] + h/6*(k1[i]+2*k2[i]+2*k3[i]+k4[i])
-	}
-}
-
-func fixedStep(f RHS, t0, t1 float64, y []float64, h float64, opts Options, step stepper) (Result, error) {
 	if err := validateSpan(t0, t1, y); err != nil {
 		return Result{}, err
 	}
@@ -71,7 +37,7 @@ func fixedStep(f RHS, t0, t1 float64, y []float64, h float64, opts Options, step
 		if t+hs > t1 {
 			hs = t1 - t
 		}
-		step(f, t, hs, y, ynext, scratch)
+		stepRK4(f, t, hs, y, ynext, scratch)
 		tNext := t + hs
 
 		// Linear event localisation within the step.
@@ -120,4 +86,18 @@ func fixedStep(f RHS, t0, t1 float64, y []float64, h float64, opts Options, step
 		}
 	}
 	return res, nil
+}
+
+func stepRK4(f RHS, t, h float64, y, ynext []float64, scratch [][]float64) {
+	k1, k2, k3, k4, tmp := scratch[0], scratch[1], scratch[2], scratch[3], scratch[4]
+	f(t, y, k1)
+	axpy(tmp, y, h/2, k1)
+	f(t+h/2, tmp, k2)
+	axpy(tmp, y, h/2, k2)
+	f(t+h/2, tmp, k3)
+	axpy(tmp, y, h, k3)
+	f(t+h, tmp, k4)
+	for i := range y {
+		ynext[i] = y[i] + h/6*(k1[i]+2*k2[i]+2*k3[i]+k4[i])
+	}
 }

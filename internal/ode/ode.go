@@ -1,7 +1,7 @@
 // Package ode implements the numerical integrators used by the circuit
-// simulation: fixed-step explicit Euler and classic RK4, plus an adaptive
-// Bogacki–Shampine 3(2) pair — the same solver family as MATLAB's ode23,
-// which the paper used for its Simulink model (Section III).
+// simulation: an adaptive Bogacki–Shampine 3(2) pair — the same solver
+// family as MATLAB's ode23, which the paper used for its Simulink model
+// (Section III) — and the fixed-step classic RK4 it is checked against.
 //
 // The integrators are vector-valued and allocation-conscious: all stage
 // buffers are reused across steps. Event functions allow the caller to stop

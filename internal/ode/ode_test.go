@@ -57,22 +57,6 @@ func TestRK23TightensWithTolerance(t *testing.T) {
 	}
 }
 
-func TestEulerConvergenceOrder(t *testing.T) {
-	errAt := func(h float64) float64 {
-		y := []float64{1}
-		if _, err := Euler(expDecay, 0, 1, y, h, Options{}); err != nil {
-			t.Fatal(err)
-		}
-		return math.Abs(y[0] - math.Exp(-1))
-	}
-	e1 := errAt(1e-2)
-	e2 := errAt(5e-3)
-	ratio := e1 / e2
-	if ratio < 1.7 || ratio > 2.3 { // first order: halving h halves error
-		t.Errorf("Euler error ratio %g, want ≈2", ratio)
-	}
-}
-
 func TestRK4ConvergenceOrder(t *testing.T) {
 	errAt := func(h float64) float64 {
 		y := []float64{1, 0}
@@ -205,8 +189,8 @@ func TestInvalidInputs(t *testing.T) {
 			_, err := RK23(expDecay, 0, 1, []float64{math.Inf(1)}, Options{})
 			return err
 		}},
-		{"euler bad step", func() error {
-			_, err := Euler(expDecay, 0, 1, []float64{1}, -1, Options{})
+		{"rk4 bad step", func() error {
+			_, err := RK4(expDecay, 0, 1, []float64{1}, -1, Options{})
 			return err
 		}},
 	}

@@ -14,7 +14,6 @@ package predict
 
 import (
 	"fmt"
-	"math"
 
 	"pnps/internal/governor"
 	"pnps/internal/soc"
@@ -157,27 +156,4 @@ func (g *Governor) NextOPP(observedWatts float64) soc.OPP {
 		return soc.MinOPP()
 	}
 	return opp
-}
-
-// Slot returns the current slot index.
-func (g *Governor) Slot() int { return g.slot }
-
-// PredictionError summarises a predictor against a reference signal:
-// mean absolute error relative to the signal mean.
-func PredictionError(pred *EWMA, actual []float64) (float64, error) {
-	if len(actual) == 0 {
-		return 0, fmt.Errorf("predict: empty reference")
-	}
-	var absErr, mean float64
-	for i, a := range actual {
-		p := pred.Predict(i)
-		absErr += math.Abs(p - a)
-		mean += a
-		pred.Observe(i, a)
-	}
-	mean /= float64(len(actual))
-	if mean == 0 {
-		return 0, fmt.Errorf("predict: zero-mean reference")
-	}
-	return absErr / float64(len(actual)) / mean, nil
 }

@@ -75,21 +75,6 @@ func TestEWMAConvergesOnPeriodicSignal(t *testing.T) {
 	}
 }
 
-func TestPredictionError(t *testing.T) {
-	p, _ := NewEWMA(0.5, 4)
-	// A constant signal is perfectly predictable after the first sample.
-	relErr, err := PredictionError(p, []float64{5, 5, 5, 5, 5, 5, 5, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if relErr > 0.2 { // only the cold-start sample misses
-		t.Errorf("relative error %g on a constant signal", relErr)
-	}
-	if _, err := PredictionError(p, nil); err == nil {
-		t.Error("empty reference accepted")
-	}
-}
-
 func TestGovernorValidation(t *testing.T) {
 	pred, _ := NewEWMA(0.5, 4)
 	pm, pf := soc.DefaultPowerModel(), soc.DefaultPerfModel()
@@ -139,11 +124,11 @@ func TestGovernorCommitsWithinBudget(t *testing.T) {
 	if opp == soc.MinOPP() {
 		t.Error("governor never ramped up on a generous harvest")
 	}
-	if g.Slot() != 6 {
-		t.Errorf("slot counter %d", g.Slot())
+	if g.slot != 6 {
+		t.Errorf("slot counter %d", g.slot)
 	}
 	g.Reset()
-	if g.Slot() != 0 {
+	if g.slot != 0 {
 		t.Error("Reset did not clear slot")
 	}
 }

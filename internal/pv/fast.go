@@ -87,9 +87,6 @@ func NewSolver(a *Array) *Solver {
 	}
 }
 
-// Array returns the underlying array model.
-func (s *Solver) Array() *Array { return s.a }
-
 // Work returns the CurrentAt work done so far: Newton iterations and
 // solves that fell back to the exact bracketed method.
 func (s *Solver) Work() (newtonIters, exactSolves int) {

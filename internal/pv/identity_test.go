@@ -42,7 +42,7 @@ var identityMakers = []struct {
 var cloudFreeSeeds = func() []int64 {
 	var seeds []int64
 	for s := int64(1); len(seeds) < 2; s++ {
-		if StressClouds(s, 2).NumEvents() == 0 {
+		if len(StressClouds(s, 2).events) == 0 {
 			seeds = append(seeds, s)
 		}
 	}
@@ -173,7 +173,7 @@ func TestOneULPChangesIdentity(t *testing.T) {
 		}
 	}
 	clouds := StressClouds(5, 240)
-	if clouds.NumEvents() == 0 {
+	if len(clouds.events) == 0 {
 		t.Fatal("stress clouds hold no event")
 	}
 	for e := range clouds.events {

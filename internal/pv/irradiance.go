@@ -252,10 +252,6 @@ func (c *Clouds) Irradiance(t float64) float64 {
 	return g
 }
 
-// NumEvents reports how many cloud events the overlay holds (useful for
-// tests and trace metadata).
-func (c *Clouds) NumEvents() int { return len(c.events) }
-
 // Offset shifts a profile in time: Irradiance(t) = Base.Irradiance(t+T0).
 // Use it to start a simulation mid-day (the paper's Fig. 12 run starts at
 // 10:30).

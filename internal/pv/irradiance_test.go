@@ -130,7 +130,7 @@ func TestCloudsDeterministic(t *testing.T) {
 func TestCloudsBounded(t *testing.T) {
 	span := 3600.0
 	cl := NewClouds(Constant(1000), Overcast(span), 7)
-	if cl.NumEvents() == 0 {
+	if len(cl.events) == 0 {
 		t.Fatal("overcast generated no clouds")
 	}
 	for tt := 0.0; tt < span; tt += 5 {
@@ -143,8 +143,8 @@ func TestCloudsBounded(t *testing.T) {
 
 func TestFullSunHasNoClouds(t *testing.T) {
 	cl := NewClouds(Constant(1000), FullSun(), 1)
-	if cl.NumEvents() != 0 {
-		t.Errorf("full sun generated %d clouds", cl.NumEvents())
+	if len(cl.events) != 0 {
+		t.Errorf("full sun generated %d clouds", len(cl.events))
 	}
 	if cl.Irradiance(100) != 1000 {
 		t.Error("full sun attenuates")

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -538,9 +539,16 @@ func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
 // identical in-flight job, otherwise enqueue — or refuse with explicit
 // backpressure when the queue is full.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	// A recipe is a few hundred bytes; a body beyond 1 MiB is refused
+	// whole rather than cut short and parsed.
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
-		http.Error(w, "reading request: "+err.Error(), http.StatusBadRequest)
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, "reading request: "+err.Error(), code)
 		return
 	}
 	recipe, err := studycli.DecodeConfig(body)

@@ -598,6 +598,42 @@ func TestServeRequestValidation(t *testing.T) {
 	}
 }
 
+// TestServeRefusesOversizedRecipe: a submission body over 1 MiB is
+// answered 413 whole, not cut at the limit and parsed — a valid recipe
+// whose padding crosses the limit would otherwise be admitted, and a
+// long field refused as malformed JSON. A body of exactly 1 MiB is
+// read in full.
+func TestServeRefusesOversizedRecipe(t *testing.T) {
+	e := newEnv(t, Config{})
+	raw, err := json.Marshal(testRecipe(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(body []byte) (int, string) {
+		t.Helper()
+		resp, err := http.Post(e.srv.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(data)
+	}
+	padded := func(n int) []byte {
+		return append(append([]byte(nil), raw...), bytes.Repeat([]byte(" "), n-len(raw))...)
+	}
+	if code, body := post(padded(1<<20 + 1)); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("recipe padded past 1 MiB: HTTP %d (%s), want 413", code, body)
+	}
+	long := []byte(`{"scenario": "` + strings.Repeat("x", 1<<20) + `"}`)
+	if code, body := post(long); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("recipe with a 1 MiB field: HTTP %d (%s), want 413", code, body)
+	}
+	if code, body := post(padded(1 << 20)); code != http.StatusAccepted {
+		t.Fatalf("recipe padded to exactly 1 MiB: HTTP %d (%s), want 202", code, body)
+	}
+}
+
 // TestCacheEviction pins the LRU byte bound directly.
 func TestCacheEviction(t *testing.T) {
 	c := NewCache(100)

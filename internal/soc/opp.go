@@ -75,17 +75,6 @@ func ConfigLadder() []CoreConfig {
 	}
 }
 
-// LadderIndex returns the position of c on the configuration ladder, or an
-// error if c is not a ladder configuration (e.g. 2×A7+1×A15).
-func LadderIndex(c CoreConfig) (int, error) {
-	for i, lc := range ConfigLadder() {
-		if lc == c {
-			return i, nil
-		}
-	}
-	return 0, fmt.Errorf("soc: %v is not on the hot-plug ladder", c)
-}
-
 // FrequencyLevels returns the paper's 8 DVFS frequencies in hertz,
 // ascending: 0.2, 0.45, 0.72, 0.92, 1.1, 1.2, 1.3, 1.4 GHz (Section III,
 // chosen by the authors for linearly spaced power consumption).
@@ -95,9 +84,6 @@ func FrequencyLevels() []float64 {
 
 // NumFrequencyLevels is len(FrequencyLevels()).
 const NumFrequencyLevels = 8
-
-// NumLadderConfigs is len(ConfigLadder()).
-const NumLadderConfigs = 8
 
 // OPP is an operating performance point: a frequency level applied to a
 // core configuration.

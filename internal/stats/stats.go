@@ -1,28 +1,17 @@
 // Package stats provides the small statistical toolkit the experiment
-// harness needs: summary statistics, percentiles, time-weighted histograms
-// (used for the paper's Fig. 13 "time spent at each operating voltage"
-// analysis) and linear regression for model calibration checks.
+// harness needs: summary statistics, percentiles and time-weighted
+// histograms (used for the paper's Fig. 13 "time spent at each operating
+// voltage" analysis).
 //
 // # Choosing a quantile estimator
 //
-// Three quantile paths coexist, in order of preference:
+// Two quantile paths coexist:
 //
 //   - Quantile / Summarize: exact order statistics when the sample fits
-//     in memory — what campaign and study summaries use for per-run
-//     scalar metrics.
+//     in memory — what study summaries use for per-run scalar metrics.
 //   - Histogram.Quantile: bin-bounded error on streams of any length
 //     and ordering, and the only estimator that supports time-weighted
-//     observations. Prefer it whenever a histogram is available — in
-//     particular over P2 for time-ordered signals.
-//   - P2: O(1)-memory single-quantile sketch for unbounded streams with
-//     no histogram. Caveat: monotone (sorted or steadily drifting)
-//     streams are adversarial for P² — the markers can only chase the
-//     moving distribution and the estimate can be off by a tenth of the
-//     data span. Simulation signals are time-ordered and often drift,
-//     so summaries derived from them should use Histogram.Quantile when
-//     a histogram is available (study and campaign dwell-time summaries
-//     do exactly this); reach for P2 only when memory rules a histogram
-//     out and the stream is not monotone.
+//     observations — what study dwell-time summaries use.
 package stats
 
 import (
@@ -217,6 +206,42 @@ func (h *Histogram) Fraction(i int) float64 {
 	return h.Bins[i] / h.total
 }
 
+// Quantile estimates the q-quantile of the weighted observations in the
+// histogram by linear interpolation within the containing bin, treating
+// the weight of each bin as uniformly spread across it. Underflow mass
+// is attributed to Lo and overflow mass to Hi (the histogram cannot
+// resolve beyond its bounds). It returns an error when no weight has
+// been recorded. Accuracy is bounded by the bin width — size the bins to
+// the resolution the consumer needs.
+func (h *Histogram) Quantile(q float64) (float64, error) {
+	if h.total <= 0 {
+		return 0, ErrEmpty
+	}
+	if q < 0 {
+		q = 0
+	}
+	if q > 1 {
+		q = 1
+	}
+	target := q * h.total
+	cum := h.under
+	// Only genuine underflow mass maps to Lo; with none, q=0 falls
+	// through to the lower edge of the first bin holding weight rather
+	// than fabricating a value the data never reached.
+	if target <= cum && cum > 0 {
+		return h.Lo, nil
+	}
+	width := (h.Hi - h.Lo) / float64(len(h.Bins))
+	for i, w := range h.Bins {
+		if w > 0 && cum+w >= target {
+			frac := (target - cum) / w
+			return h.Lo + (float64(i)+frac)*width, nil
+		}
+		cum += w
+	}
+	return h.Hi, nil
+}
+
 // ModeBin returns the index of the highest-weight bin.
 func (h *Histogram) ModeBin() int {
 	best := 0
@@ -225,55 +250,5 @@ func (h *Histogram) ModeBin() int {
 			best = i
 		}
 	}
-	_ = best
-	for i, w := range h.Bins {
-		if w > h.Bins[best] {
-			best = i
-		}
-	}
 	return best
-}
-
-// LinearFit holds the result of an ordinary least squares line fit y=a+bx.
-type LinearFit struct {
-	Intercept float64 // a
-	Slope     float64 // b
-	R2        float64 // coefficient of determination
-}
-
-// FitLine performs ordinary least squares on paired samples. It returns an
-// error if the inputs differ in length, hold fewer than two points, or all
-// x values coincide.
-func FitLine(xs, ys []float64) (LinearFit, error) {
-	if len(xs) != len(ys) {
-		return LinearFit{}, fmt.Errorf("stats: FitLine length mismatch %d vs %d", len(xs), len(ys))
-	}
-	if len(xs) < 2 {
-		return LinearFit{}, fmt.Errorf("stats: FitLine needs >=2 points, got %d", len(xs))
-	}
-	n := float64(len(xs))
-	var sx, sy float64
-	for i := range xs {
-		sx += xs[i]
-		sy += ys[i]
-	}
-	mx, my := sx/n, sy/n
-	var sxx, sxy, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxx += dx * dx
-		sxy += dx * dy
-		syy += dy * dy
-	}
-	if sxx == 0 {
-		return LinearFit{}, errors.New("stats: FitLine degenerate x values")
-	}
-	b := sxy / sxx
-	fit := LinearFit{Intercept: my - b*mx, Slope: b}
-	if syy > 0 {
-		fit.R2 = (sxy * sxy) / (sxx * syy)
-	} else {
-		fit.R2 = 1
-	}
-	return fit, nil
 }

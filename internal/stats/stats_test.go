@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -106,39 +107,106 @@ func TestHistogramValidation(t *testing.T) {
 	}
 }
 
-func TestFitLineExact(t *testing.T) {
-	xs := []float64{0, 1, 2, 3}
-	ys := []float64{1, 3, 5, 7} // y = 1 + 2x
-	fit, err := FitLine(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(fit.Intercept-1) > 1e-12 || math.Abs(fit.Slope-2) > 1e-12 {
-		t.Errorf("fit %+v", fit)
-	}
-	if math.Abs(fit.R2-1) > 1e-12 {
-		t.Errorf("R² = %g, want 1", fit.R2)
+func TestHistogramQuantile(t *testing.T) {
+	for name, xs := range quantileInputs(5000) {
+		lo, hi := exactQuantile(xs, 0), exactQuantile(xs, 1)
+		if hi == lo {
+			hi = lo + 1 // constant stream: any spanning bounds work
+		}
+		h, err := NewHistogram(lo, hi+1e-9, 200)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, x := range xs {
+			h.Add(x)
+		}
+		width := (h.Hi - h.Lo) / float64(len(h.Bins))
+		for _, q := range []float64{0.05, 0.5, 0.95} {
+			got, err := h.Quantile(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := exactQuantile(xs, q)
+			// The histogram resolves quantiles to within ~a bin width.
+			if math.Abs(got-want) > 2*width {
+				t.Errorf("%s q=%g: histogram %.4f vs exact %.4f (bin %.4f)", name, q, got, want, width)
+			}
+		}
 	}
 }
 
-func TestFitLineErrors(t *testing.T) {
-	if _, err := FitLine([]float64{1}, []float64{1, 2}); err == nil {
-		t.Error("length mismatch accepted")
+func TestHistogramQuantileEdges(t *testing.T) {
+	h, _ := NewHistogram(0, 10, 10)
+	if _, err := h.Quantile(0.5); err == nil {
+		t.Error("empty histogram quantile should error")
 	}
-	if _, err := FitLine([]float64{1}, []float64{1}); err == nil {
-		t.Error("single point accepted")
+	h.Add(-5) // underflow
+	h.Add(15) // overflow
+	q0, _ := h.Quantile(0.25)
+	q1, _ := h.Quantile(0.95)
+	if q0 != h.Lo || q1 != h.Hi {
+		t.Errorf("under/overflow mass should clamp to bounds, got %g and %g", q0, q1)
 	}
-	if _, err := FitLine([]float64{2, 2, 2}, []float64{1, 2, 3}); err == nil {
-		t.Error("degenerate x accepted")
+	// With no underflow, q=0 must report where the data actually is —
+	// the lower edge of the first occupied bin — not fabricate Lo.
+	h2, _ := NewHistogram(0, 10, 10)
+	h2.Add(5.3)
+	if q, _ := h2.Quantile(0); q != 5 {
+		t.Errorf("q=0 of mass in [5,6) bin should be 5, got %g", q)
 	}
 }
 
-func TestFitLineFlat(t *testing.T) {
-	fit, err := FitLine([]float64{0, 1, 2}, []float64{4, 4, 4})
+func TestSummaryQuartiles(t *testing.T) {
+	s, err := Summarize([]float64{1, 2, 3, 4, 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fit.Slope != 0 || fit.Intercept != 4 || fit.R2 != 1 {
-		t.Errorf("flat fit %+v", fit)
+	if s.P25 != 2 || s.P75 != 4 {
+		t.Errorf("quartiles of 1..5: P25=%g P75=%g, want 2 and 4", s.P25, s.P75)
 	}
+	if s.P25 > s.Median || s.Median > s.P75 {
+		t.Error("quantile ordering broken")
+	}
+}
+
+// quantileInputs are the cross-validation corpora: random, sorted,
+// reverse-sorted, constant, bimodal and uniform streams.
+func quantileInputs(n int) map[string][]float64 {
+	rng := rand.New(rand.NewSource(7))
+	random := make([]float64, n)
+	for i := range random {
+		random[i] = rng.NormFloat64()*3 + 10
+	}
+	sorted := append([]float64(nil), random...)
+	sort.Float64s(sorted)
+	reversed := make([]float64, n)
+	for i := range reversed {
+		reversed[i] = sorted[n-1-i]
+	}
+	constant := make([]float64, n)
+	for i := range constant {
+		constant[i] = 4.7
+	}
+	bimodal := make([]float64, n)
+	for i := range bimodal {
+		if rng.Intn(2) == 0 {
+			bimodal[i] = rng.NormFloat64()*0.5 - 20
+		} else {
+			bimodal[i] = rng.NormFloat64()*0.5 + 20
+		}
+	}
+	uniform := make([]float64, n)
+	for i := range uniform {
+		uniform[i] = rng.Float64() * 100
+	}
+	return map[string][]float64{
+		"random": random, "sorted": sorted, "reversed": reversed,
+		"constant": constant, "bimodal": bimodal, "uniform": uniform,
+	}
+}
+
+func exactQuantile(xs []float64, q float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	return Quantile(s, q)
 }

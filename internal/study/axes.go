@@ -74,11 +74,3 @@ func Utilisation(u float64) Level {
 		Apply: func(s *scenario.Spec) { s.Utilisation = u },
 	}
 }
-
-// Duration builds a level setting the simulated span in seconds.
-func Duration(seconds float64) Level {
-	return Level{
-		Label: fmt.Sprintf("%gs", seconds),
-		Apply: func(s *scenario.Spec) { s.Duration = seconds },
-	}
-}

@@ -7,10 +7,8 @@ import (
 )
 
 // QuantileBand is a five-point quantile summary of a dwell-time
-// distribution, computed with Histogram.Quantile — the bin-bounded
-// estimator, preferred over the P² streaming sketch whenever a
-// histogram is available (P² degrades on monotone streams; see the
-// internal/stats package docs).
+// distribution, computed with Histogram.Quantile — the bin-bounded,
+// time-weighted estimator (see the internal/stats package docs).
 type QuantileBand struct {
 	P5, P25, Median, P75, P95 float64
 }

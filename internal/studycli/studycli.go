@@ -10,10 +10,12 @@ package studycli
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 
@@ -40,6 +42,52 @@ type Config struct {
 	Bins     int     `json:"bins,omitempty"`
 	HistLo   float64 `json:"hist_lo,omitempty"`
 	HistHi   float64 `json:"hist_hi,omitempty"`
+}
+
+// Flags are the command-line surface pnstudy and pncoord share: the
+// study-identity (matrix) flags, which fill Config, and the export flags
+// naming the files a finished outcome is written to.
+type Flags struct {
+	Config                  Config
+	CellsCSV, RunsCSV, JSON string
+}
+
+// RegisterFlags declares the matrix and export flags on fs; their values
+// land in the returned Flags once fs is parsed.
+func RegisterFlags(fs *flag.FlagSet) *Flags {
+	f := &Flags{}
+	c := &f.Config
+	fs.StringVar(&c.Scenario, "scenario", "stress-clouds", "registered base scenario")
+	fs.Float64Var(&c.Duration, "duration", 0, "override scenario duration, seconds (0 keeps the registered value)")
+	fs.StringVar(&c.Storage, "storage", "", "storage axis: ideal:F,supercap:F,hybrid:F:R")
+	fs.StringVar(&c.Control, "control", "", "control axis: pn, static, or governor names")
+	fs.StringVar(&c.Util, "util", "", "workload axis: utilisations in [0,1]")
+	fs.IntVar(&c.Reps, "reps", 4, "Monte-Carlo repetitions per cell")
+	fs.Int64Var(&c.Seed, "seed", 2017, "study base seed")
+	fs.BoolVar(&c.Paired, "paired", false, "common random numbers: one realisation per repetition across all cells")
+	fs.IntVar(&c.Bins, "bins", 250, "dwell-time voltage histogram bins (0 disables)")
+	fs.Float64Var(&c.HistLo, "histlo", 0, "dwell histogram lower bound, volts")
+	fs.Float64Var(&c.HistHi, "histhi", 10, "dwell histogram upper bound, volts")
+	fs.StringVar(&f.CellsCSV, "cells-csv", "", "write per-cell aggregates as CSV to this file")
+	fs.StringVar(&f.RunsCSV, "runs-csv", "", "write per-run outcomes as CSV to this file")
+	fs.StringVar(&f.JSON, "json", "", "write the full aggregate as JSON to this file")
+	return f
+}
+
+// WriteExports writes out to every export file the flags name.
+func (f *Flags) WriteExports(out *study.StudyOutcome) error {
+	for _, e := range []struct {
+		path  string
+		write func(io.Writer) error
+	}{{f.CellsCSV, out.WriteCellsCSV}, {f.RunsCSV, out.WriteRunsCSV}, {f.JSON, out.WriteJSON}} {
+		if e.path == "" {
+			continue
+		}
+		if err := WriteFileAtomic(e.path, e.write); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // DecodeConfig parses a wire-format recipe strictly: unknown fields are
@@ -185,26 +233,45 @@ func ParseUtilAxis(s string) (study.Axis, error) {
 	return study.NewAxis("load", levels...), nil
 }
 
-// WriteFileAtomic writes atomically (temp file + rename): a crash or
-// disk-full mid-write must never truncate an existing checkpoint or
-// export — losing completed work is the exact failure the resumable
-// ledger exists to survive.
+// WriteFileAtomic writes atomically and durably (temp file, fsync,
+// rename, fsync of the directory): a crash, power loss or disk-full
+// mid-write must never truncate an existing checkpoint or export —
+// losing completed work is the exact failure the resumable ledger
+// exists to survive.
 func WriteFileAtomic(path string, write func(w io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if err := write(f); err != nil {
-		f.Close()
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
+	return syncDir(filepath.Dir(path))
+}
+
+// syncDir fsyncs a directory, making a rename into it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // PrintOutcome renders the per-cell table, the per-axis marginals and

@@ -3,6 +3,10 @@ package studycli
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -149,5 +153,52 @@ func TestConfigFingerprintStable(t *testing.T) {
 	if _, err := (Config{Scenario: "no-such"}).Build(); err == nil ||
 		!strings.Contains(err.Error(), "unknown scenario") {
 		t.Errorf("unknown scenario error = %v", err)
+	}
+}
+
+// A successful write replaces the file's content; a failing writer
+// leaves the previous content in place and no temp file behind.
+func TestWriteFileAtomic(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "study.ckpt")
+	writeString := func(content string) func(io.Writer) error {
+		return func(w io.Writer) error {
+			_, err := io.WriteString(w, content)
+			return err
+		}
+	}
+	requireContent := func(want string) {
+		t.Helper()
+		got, err := os.ReadFile(path)
+		if err != nil || string(got) != want {
+			t.Fatalf("file holds %q (%v), want %q", got, err, want)
+		}
+	}
+	for _, content := range []string{"first", "second"} {
+		if err := WriteFileAtomic(path, writeString(content)); err != nil {
+			t.Fatal(err)
+		}
+		requireContent(content)
+	}
+
+	boom := errors.New("disk full")
+	err := WriteFileAtomic(path, func(w io.Writer) error {
+		io.WriteString(w, "partial")
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("failing writer returned %v, want %v", err, boom)
+	}
+	requireContent("second")
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "study.ckpt" {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		t.Fatalf("directory holds %v, want only study.ckpt", names)
 	}
 }

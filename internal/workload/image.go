@@ -26,18 +26,3 @@ func (im *Image) WritePPM(w io.Writer) error {
 	}
 	return bw.Flush()
 }
-
-// WritePGMLuma encodes a grayscale PGM (P5) of the luminance channel —
-// handy for quick terminal-side diffing of renders.
-func (im *Image) WritePGMLuma(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "P5\n%d %d\n255\n", im.Width, im.Height); err != nil {
-		return err
-	}
-	for _, p := range im.Pixels {
-		if err := bw.WriteByte(ToSRGB(0.2126*p.X + 0.7152*p.Y + 0.0722*p.Z)); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}

@@ -31,22 +31,6 @@ func TestWritePPM(t *testing.T) {
 	}
 }
 
-func TestWritePGMLuma(t *testing.T) {
-	img := tinyRender(t)
-	var buf bytes.Buffer
-	if err := img.WritePGMLuma(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.Bytes()
-	if !strings.HasPrefix(string(out), "P5\n8 6\n255\n") {
-		t.Fatalf("bad PGM header: %q", out[:16])
-	}
-	header := len("P5\n8 6\n255\n")
-	if len(out) != header+8*6 {
-		t.Errorf("PGM size %d, want %d", len(out), header+8*6)
-	}
-}
-
 func TestPPMDeterministic(t *testing.T) {
 	a := tinyRender(t)
 	b := tinyRender(t)

@@ -1,8 +1,7 @@
 // Package workload provides the benchmark workloads of the paper's
 // evaluation: a faithful Go port of the smallpt global-illumination path
 // tracer [12] (the CPU-saturating, embarrassingly parallel application the
-// authors ran on the ODROID-XU4), and synthetic utilisation profiles for
-// driving the simulated governors.
+// authors ran on the ODROID-XU4).
 //
 // The path tracer is a real renderer: examples and benchmarks execute it
 // on the host to produce images and FPS measurements, while the

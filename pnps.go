@@ -18,7 +18,7 @@
 //   - internal/monitor   — threshold-interrupt hardware model
 //   - internal/governor  — Linux cpufreq governor baselines
 //   - internal/sim       — the ODE/discrete-event co-simulation engine
-//   - internal/workload  — smallpt path tracer + load profiles
+//   - internal/workload  — smallpt path tracer
 //   - internal/scenario  — declarative run specs + named registry
 //   - internal/study     — cross-scenario matrices, Monte-Carlo runs, sharding
 //   - internal/experiments — regeneration of every paper table/figure

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # serve_smoke.sh — end-to-end smoke test of the simulation service on
-# the real binary. Starts pnserve with bearer auth, submits a study,
+# the real binary. Starts pnserve with bearer auth, requires a
+# submission body over 1 MiB to be refused with 413, submits a study,
 # waits for completion, then submits the identical study again and
 # requires the second answer to be a whole-study cache hit with zero
 # simulated runs and byte-identical outcome downloads in every format.
@@ -55,6 +56,17 @@ echo "serve_smoke: unauthenticated requests must be refused"
 code="$(curl -s -o /dev/null -w '%{http_code}' --max-time 2 "$url/v1/cache")"
 if [ "$code" != "401" ]; then
     echo "serve_smoke: unauthenticated request got HTTP $code, want 401" >&2
+    exit 1
+fi
+
+echo "serve_smoke: a submission body over 1 MiB must be refused whole"
+# A valid recipe padded with whitespace past the limit: cut at 1 MiB it
+# would still parse, so only a whole-body refusal answers 413.
+{ printf '%s' "$recipe"; head -c $((1 << 20)) /dev/zero | tr '\0' ' '; } >"$work/oversized.json"
+code="$(curl -s -o /dev/null -w '%{http_code}' --max-time 10 "${auth[@]}" \
+    --data-binary @"$work/oversized.json" "$url/v1/jobs")"
+if [ "$code" != "413" ]; then
+    echo "serve_smoke: FAIL — $(wc -c <"$work/oversized.json")-byte submission got HTTP $code, want 413" >&2
     exit 1
 fi
 
@@ -168,4 +180,4 @@ if ! grep -q "drained" "$work/serve.log"; then
     cat "$work/serve.log" >&2
     exit 1
 fi
-echo "serve_smoke: PASS — cold run, zero-work byte-identical cache hit, run-store hit, partial cell-cache hit, graceful drain"
+echo "serve_smoke: PASS — oversized body refused, cold run, zero-work byte-identical cache hit, run-store hit, partial cell-cache hit, graceful drain"
