@@ -40,12 +40,6 @@ type candHit struct {
 // NewIntegrator returns an empty reusable stepper.
 func NewIntegrator() *Integrator { return &Integrator{} }
 
-// Reset drops the retained buffers, returning the integrator to its zero
-// state. Calling it between runs is never required — Integrate re-sizes
-// buffers automatically — but it releases memory after integrating a
-// large system.
-func (in *Integrator) Reset() { *in = Integrator{} }
-
 // ensure sizes the stage buffers for an n-dimensional state with nev
 // events, reusing existing capacity.
 func (in *Integrator) ensure(n, nev int) {
@@ -98,8 +92,8 @@ func powNegThird(x float64) float64 {
 // aliased by the returned Result. Semantics are identical to the RK23
 // function (which delegates here); the integrator's buffers are reused
 // across calls. Result.Hits — including each hit's Y snapshot — aliases
-// reused storage and is only valid until the next Integrate or Reset on
-// this Integrator; copy it to retain it.
+// reused storage and is only valid until the next Integrate on this
+// Integrator; copy it to retain it.
 func (in *Integrator) Integrate(f RHS, t0, t1 float64, y []float64, opts Options) (Result, error) {
 	if err := validateSpan(t0, t1, y); err != nil {
 		return Result{}, err

@@ -164,22 +164,3 @@ func TestIntegratorDimensionGrowth(t *testing.T) {
 		t.Errorf("after growth, full period gave (%g, %g), want (1, 0)", y2[0], y2[1])
 	}
 }
-
-func TestIntegratorReset(t *testing.T) {
-	integ := NewIntegrator()
-	y := []float64{1}
-	if _, err := integ.Integrate(expDecay, 0, 1, y, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	integ.Reset()
-	if integ.k1 != nil {
-		t.Error("Reset did not drop buffers")
-	}
-	y2 := []float64{1}
-	if _, err := integ.Integrate(expDecay, 0, 1, y2, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if y2[0] != y[0] {
-		t.Errorf("post-Reset result %g differs from %g", y2[0], y[0])
-	}
-}

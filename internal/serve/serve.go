@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -15,7 +14,9 @@ import (
 
 	"pnps/internal/batch"
 	"pnps/internal/coord"
+	"pnps/internal/jsonw"
 	"pnps/internal/scenario"
+	"pnps/internal/stats"
 	"pnps/internal/study"
 	"pnps/internal/studycli"
 )
@@ -133,6 +134,99 @@ func (j *Job) status() JobStatus {
 		SimulatedRuns: j.simulatedRuns, CacheHit: j.cacheHit,
 		Marginals: append([]study.Marginal(nil), j.marginals...),
 	}
+}
+
+// appendJSON appends the status as a json.Encoder encodes it, newline
+// included: indented as writeJSON's encoder sets it or compact, and
+// Marginals under their Go field names. A non-finite marginal float
+// fails it, as it fails json.Marshal.
+func (js *JobStatus) appendJSON(dst []byte, indent bool) ([]byte, error) {
+	w := jsonw.NewWriter(dst, indent)
+	w.BeginObject()
+	w.Key("id")
+	w.String(js.ID)
+	w.Key("state")
+	w.String(js.State)
+	if js.Error != "" {
+		w.Key("error")
+		w.String(js.Error)
+	}
+	w.Key("digest")
+	w.String(js.Digest)
+	w.Key("total_tasks")
+	w.Int(js.TotalTasks)
+	w.Key("total_cells")
+	w.Int(js.TotalCells)
+	w.Key("folded_tasks")
+	w.Int(js.FoldedTasks)
+	w.Key("cached_cells")
+	w.Int(js.CachedCells)
+	w.Key("simulated_runs")
+	w.Int(js.SimulatedRuns)
+	w.Key("cache_hit")
+	w.Bool(js.CacheHit)
+	if len(js.Marginals) > 0 {
+		w.Key("marginals")
+		w.BeginArray()
+		for i := range js.Marginals {
+			m := &js.Marginals[i]
+			w.BeginObject()
+			w.Key("Axis")
+			w.String(m.Axis)
+			w.Key("Level")
+			w.String(m.Level)
+			w.Key("Summary")
+			appendSummary(&w, &m.Summary)
+			w.EndObject()
+		}
+		w.EndArray()
+	}
+	w.EndObject()
+	if err := w.Err(); err != nil {
+		return dst, err
+	}
+	return append(w.B, '\n'), nil
+}
+
+// appendSummary writes a study.Summary as an object under its Go field
+// names.
+func appendSummary(w *jsonw.Writer, s *study.Summary) {
+	w.BeginObject()
+	w.Key("Runs")
+	w.Int(s.Runs)
+	w.Key("SurvivalRate")
+	w.Float(s.SurvivalRate)
+	w.Key("TotalBrownouts")
+	w.Int(s.TotalBrownouts)
+	for _, f := range [...]struct {
+		name string
+		s    *stats.Summary
+	}{
+		{"Stability", &s.Stability},
+		{"Instructions", &s.Instructions},
+		{"LifetimeSeconds", &s.LifetimeSeconds},
+		{"FinalVC", &s.FinalVC},
+		{"MinVC", &s.MinVC},
+		{"StorageEnergyDeltaJ", &s.StorageEnergyDeltaJ},
+	} {
+		w.Key(f.name)
+		w.BeginObject()
+		w.Key("N")
+		w.Int(f.s.N)
+		for _, v := range [...]struct {
+			name string
+			x    float64
+		}{
+			{"Min", f.s.Min}, {"Max", f.s.Max}, {"Mean", f.s.Mean},
+			{"StdDev", f.s.StdDev}, {"Median", f.s.Median},
+			{"P5", f.s.P5}, {"P95", f.s.P95}, {"P25", f.s.P25}, {"P75", f.s.P75},
+		} {
+			w.Key(v.name)
+			w.Float(v.x)
+		}
+		w.EndObject()
+	}
+	w.EndObject()
 }
 
 func (j *Job) revision() int {
@@ -375,28 +469,20 @@ func studyKey(digest, format string) string { return "study:" + digest + ":" + f
 func cellKey(digest string) string          { return "cell:" + digest }
 
 // renderArtifacts produces every response format from a completed
-// outcome. Rendering is deterministic (fixed field order, sorted map
-// keys), which is what lets the byte-identity contract extend from the
-// outcome to the response body.
+// outcome, each appended straight into its artifact slice. Rendering
+// is deterministic (fixed field order, sorted map keys), which is what
+// lets the byte-identity contract extend from the outcome to the
+// response body.
 func renderArtifacts(out *study.StudyOutcome) (map[string][]byte, error) {
-	artifacts := make(map[string][]byte, len(artifactFormats))
-	for _, f := range artifactFormats {
-		var buf bytes.Buffer
-		var err error
-		switch f {
-		case FormatJSON:
-			err = out.WriteJSON(&buf)
-		case FormatCellsCSV:
-			err = out.WriteCellsCSV(&buf)
-		case FormatRunsCSV:
-			err = out.WriteRunsCSV(&buf)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("serve: rendering %s: %w", f, err)
-		}
-		artifacts[f] = buf.Bytes()
+	js, err := out.AppendJSON(nil)
+	if err != nil {
+		return nil, fmt.Errorf("serve: rendering %s: %w", FormatJSON, err)
 	}
-	return artifacts, nil
+	return map[string][]byte{
+		FormatJSON:     js,
+		FormatCellsCSV: out.AppendCellsCSV(nil),
+		FormatRunsCSV:  out.AppendRunsCSV(nil),
+	}, nil
 }
 
 // lookupArtifacts returns the stored whole-study artifact set, all
@@ -510,6 +596,18 @@ func (s *Server) Handler() http.Handler {
 	return coord.RequireBearer(s.cfg.Tokens, mux)
 }
 
+// writeStatus answers with a job status, written as writeJSON would
+// write it: on a status JSON cannot represent, the header goes out with
+// an empty body.
+func writeStatus(w http.ResponseWriter, code int, js JobStatus) {
+	b, err := js.appendJSON(nil, true)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	if err == nil {
+		w.Write(b)
+	}
+}
+
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -584,7 +682,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		prior := s.jobs[id]
 		if prior != nil && prior.digest == j.digest && prior.tenant == tenant && !prior.finished() {
 			s.mu.Unlock()
-			writeJSON(w, http.StatusOK, prior.status())
+			writeStatus(w, http.StatusOK, prior.status())
 			return
 		}
 	}
@@ -603,7 +701,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		close(j.done)
 		s.registerLocked(j)
 		s.mu.Unlock()
-		writeJSON(w, http.StatusOK, j.status())
+		writeStatus(w, http.StatusOK, j.status())
 		return
 	}
 	if s.draining {
@@ -621,7 +719,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.registerLocked(j)
 	s.mu.Unlock()
-	writeJSON(w, http.StatusAccepted, j.status())
+	writeStatus(w, http.StatusAccepted, j.status())
 }
 
 // registerLocked records a job and prunes the oldest finished jobs
@@ -663,7 +761,7 @@ func (s *Server) job(w http.ResponseWriter, r *http.Request) *Job {
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	if j := s.job(w, r); j != nil {
-		writeJSON(w, http.StatusOK, j.status())
+		writeStatus(w, http.StatusOK, j.status())
 	}
 }
 
@@ -677,9 +775,15 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
+	var line []byte
 	emit := func() bool {
-		if err := enc.Encode(j.status()); err != nil {
+		js := j.status()
+		b, err := js.appendJSON(line[:0], false)
+		if err != nil {
+			return false
+		}
+		line = b
+		if _, err := w.Write(b); err != nil {
 			return false
 		}
 		if flusher != nil {

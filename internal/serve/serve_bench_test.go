@@ -117,3 +117,32 @@ func BenchmarkServeCache(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkRenderArtifacts renders a 9-cell stress outcome (3 storage
+// nodes × 3 load levels, 4 repetitions, dwell histograms on) into the
+// three response formats a miss job stores: the render layer's cost
+// per job, without the simulation or HTTP around it.
+func BenchmarkRenderArtifacts(b *testing.B) {
+	st, err := studycli.Config{
+		Scenario: "stress-clouds", Duration: 2,
+		Storage: "ideal:0.047,supercap:0.047,hybrid:0.01:1", Util: "1,0.75,0.5",
+		Reps: 4, Seed: 1, Bins: 64, HistLo: 4, HistHi: 6,
+	}.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	out, err := st.Run(context.Background())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if len(out.Cells) != 9 {
+		b.Fatalf("%d cells, want 9", len(out.Cells))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := renderArtifacts(out); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

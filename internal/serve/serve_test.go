@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"pnps/internal/sim"
+	"pnps/internal/study"
 	"pnps/internal/studycli"
 )
 
@@ -663,5 +665,80 @@ func TestCacheEviction(t *testing.T) {
 	c.Put("huge", bytes.Repeat([]byte("y"), 200))
 	if _, ok := c.Get("huge"); ok {
 		t.Fatal("over-budget entry was admitted")
+	}
+}
+
+// TestJobStatusJSON pins the hand-written status encoder to
+// encoding/json: compact (the event stream) and indented (every other
+// status answer) bytes, and failure exactly where json.Encoder fails —
+// a NaN or infinity anywhere in a marginal.
+func TestJobStatusJSON(t *testing.T) {
+	recipe := testRecipe(5)
+	st, err := recipe.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := st.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := JobStatus{
+		ID: "job-7", State: JobDone, Digest: "0123abcd", TotalTasks: 8, TotalCells: 4,
+		FoldedTasks: 8, CachedCells: 1, SimulatedRuns: 6, Marginals: out.Marginals,
+	}
+	edge := func() JobStatus {
+		m := out.Marginals[0]
+		m.Axis, m.Level = "a<b>&c\"\\\u2028\u2029", "bad\xff\x00\x1f\b\f\t\r\n"
+		m.Summary.SurvivalRate = 1e-7
+		m.Summary.Stability.Min = math.Copysign(0, -1)
+		m.Summary.Stability.Max = 1e21
+		m.Summary.MinVC.P95 = 9.999999999999999e20
+		m.Summary.FinalVC.Median = 5e-324
+		return JobStatus{
+			ID: "job-\u00e9", State: JobFailed, Error: "boom <script>&\u2028", CacheHit: true,
+			Marginals: []study.Marginal{m},
+		}
+	}
+	cases := []struct {
+		name string
+		js   JobStatus
+	}{
+		{"zero", JobStatus{}},
+		{"live", live},
+		{"no marginals", JobStatus{ID: "job-1", State: JobQueued, Marginals: []study.Marginal{}}},
+		{"edge", edge()},
+	}
+	for _, f := range []func(*study.Marginal){
+		func(m *study.Marginal) { m.Summary.SurvivalRate = math.NaN() },
+		func(m *study.Marginal) { m.Summary.StorageEnergyDeltaJ.P75 = math.Inf(-1) },
+		func(m *study.Marginal) { m.Summary.Stability.Mean = math.Inf(1) },
+	} {
+		js := edge()
+		f(&js.Marginals[0])
+		cases = append(cases, struct {
+			name string
+			js   JobStatus
+		}{"non-finite", js})
+	}
+	for _, tc := range cases {
+		for _, indent := range []bool{false, true} {
+			var want bytes.Buffer
+			enc := json.NewEncoder(&want)
+			if indent {
+				enc.SetIndent("", "  ")
+			}
+			wantErr := enc.Encode(tc.js)
+			got, gotErr := tc.js.appendJSON(nil, indent)
+			switch {
+			case (wantErr == nil) != (gotErr == nil):
+				t.Fatalf("%s (indent %v): error %v, encoding/json error %v", tc.name, indent, gotErr, wantErr)
+			case wantErr != nil && gotErr.Error() != wantErr.Error():
+				t.Fatalf("%s (indent %v): error %q, encoding/json error %q", tc.name, indent, gotErr, wantErr)
+			case (wantErr != nil) != (tc.name == "non-finite"):
+				t.Fatalf("%s (indent %v): encoding/json error %v", tc.name, indent, wantErr)
+			case wantErr == nil && !bytes.Equal(got, want.Bytes()):
+				t.Fatalf("%s (indent %v):\n%s\nvs encoding/json\n%s", tc.name, indent, got, want.Bytes())
+			}
+		}
 	}
 }

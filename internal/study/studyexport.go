@@ -1,12 +1,13 @@
 package study
 
 import (
-	"encoding/csv"
-	"encoding/json"
 	"io"
-	"math"
+	"slices"
 	"strconv"
+	"unicode"
+	"unicode/utf8"
 
+	"pnps/internal/jsonw"
 	"pnps/internal/stats"
 )
 
@@ -14,211 +15,366 @@ import (
 // external plotting and post-hoc analysis) and the full aggregate —
 // cells, marginals, overall summary, dwell-time quantile bands — as
 // JSON. Everything works trace-free.
-
-func formatG(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }
+//
+// The appenders write each format by hand, without reflection, and
+// their bytes are exactly those encoding/json and encoding/csv wrote
+// for the same outcome when those packages rendered it (the reference
+// renderers and the differential fuzz target in the tests pin this).
 
 // WriteCellsCSV writes one row per matrix cell: the axis labels
-// followed by the cell's aggregate. Labels are user-supplied strings,
-// so rows go through encoding/csv.
+// followed by the cell's aggregate.
 func (o *StudyOutcome) WriteCellsCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	header := make([]string, 0, len(o.Axes)+12)
-	for _, ax := range o.Axes {
-		header = append(header, ax.Name)
-	}
-	header = append(header, "runs", "survival_rate", "brownouts",
-		"stability_mean", "stability_p5", "stability_median", "stability_p95",
-		"instructions_mean", "lifetime_s_mean", "min_vc_v_mean",
-		"storage_denergy_j_mean", "dwell_vc_median")
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	for _, c := range o.Cells {
-		row := append([]string(nil), c.Cell.Labels...)
-		s := c.Summary
-		row = append(row,
-			strconv.Itoa(s.Runs),
-			formatG(s.SurvivalRate),
-			strconv.Itoa(s.TotalBrownouts),
-			formatG(s.Stability.Mean), formatG(s.Stability.P5),
-			formatG(s.Stability.Median), formatG(s.Stability.P95),
-			formatG(s.Instructions.Mean),
-			formatG(s.LifetimeSeconds.Mean),
-			formatG(s.MinVC.Mean),
-			formatG(s.StorageEnergyDeltaJ.Mean),
-		)
-		if c.DwellVC != nil {
-			row = append(row, formatG(c.DwellVC.Median))
-		} else {
-			row = append(row, "")
-		}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	_, err := w.Write(o.AppendCellsCSV(nil))
+	return err
 }
 
 // WriteRunsCSV writes one row of scalar outcomes per ledger task: the
 // task identity (index, cell, repetition, seed), the cell's axis
 // labels, and the run metrics.
 func (o *StudyOutcome) WriteRunsCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	header := []string{"task", "cell", "rep", "seed"}
-	for _, ax := range o.Axes {
-		header = append(header, ax.Name)
-	}
-	header = append(header, "survived", "brownouts", "lifetime_s", "instructions",
-		"final_vc_v", "min_vc_v", "stability_pct5", "storage_denergy_j")
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	for i := range o.Results {
-		r := &o.Results[i]
-		row := []string{
-			strconv.Itoa(r.Task.Index),
-			strconv.Itoa(r.Task.Cell),
-			strconv.Itoa(r.Task.Rep),
-			strconv.FormatInt(r.Task.Seed, 10),
-		}
-		row = append(row, o.Cells[r.Task.Cell].Cell.Labels...)
-		m := r.Metrics
-		row = append(row,
-			strconv.FormatBool(m.Survived),
-			strconv.Itoa(m.Brownouts),
-			formatG(m.LifetimeSeconds),
-			formatG(m.Instructions),
-			formatG(m.FinalVC),
-			formatG(m.MinVC),
-			formatG(m.Stability),
-			formatG(m.StorageEnergyDeltaJ),
-		)
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// jsonSummary mirrors stats.Summary with JSON-safe values (JSON has no
-// NaN; missing measurements marshal as null).
-type jsonSummary struct {
-	N      int      `json:"n"`
-	Min    *float64 `json:"min"`
-	Max    *float64 `json:"max"`
-	Mean   *float64 `json:"mean"`
-	StdDev *float64 `json:"stddev"`
-	P5     *float64 `json:"p5"`
-	P25    *float64 `json:"p25"`
-	Median *float64 `json:"median"`
-	P75    *float64 `json:"p75"`
-	P95    *float64 `json:"p95"`
-}
-
-func jsonNum(x float64) *float64 {
-	if math.IsNaN(x) || math.IsInf(x, 0) {
-		return nil
-	}
-	return &x
-}
-
-func toJSONSummary(s stats.Summary) jsonSummary {
-	return jsonSummary{
-		N: s.N, Min: jsonNum(s.Min), Max: jsonNum(s.Max),
-		Mean: jsonNum(s.Mean), StdDev: jsonNum(s.StdDev),
-		P5: jsonNum(s.P5), P25: jsonNum(s.P25), Median: jsonNum(s.Median),
-		P75: jsonNum(s.P75), P95: jsonNum(s.P95),
-	}
-}
-
-type jsonAggregate struct {
-	Runs                int         `json:"runs"`
-	SurvivalRate        float64     `json:"survival_rate"`
-	TotalBrownouts      int         `json:"total_brownouts"`
-	Stability           jsonSummary `json:"stability_pct5"`
-	Instructions        jsonSummary `json:"instructions"`
-	LifetimeSeconds     jsonSummary `json:"lifetime_s"`
-	FinalVC             jsonSummary `json:"final_vc_v"`
-	MinVC               jsonSummary `json:"min_vc_v"`
-	StorageEnergyDeltaJ jsonSummary `json:"storage_denergy_j"`
-}
-
-func toJSONAggregate(s Summary) jsonAggregate {
-	return jsonAggregate{
-		Runs: s.Runs, SurvivalRate: s.SurvivalRate, TotalBrownouts: s.TotalBrownouts,
-		Stability:           toJSONSummary(s.Stability),
-		Instructions:        toJSONSummary(s.Instructions),
-		LifetimeSeconds:     toJSONSummary(s.LifetimeSeconds),
-		FinalVC:             toJSONSummary(s.FinalVC),
-		MinVC:               toJSONSummary(s.MinVC),
-		StorageEnergyDeltaJ: toJSONSummary(s.StorageEnergyDeltaJ),
-	}
-}
-
-type jsonBand struct {
-	P5     float64 `json:"p5"`
-	P25    float64 `json:"p25"`
-	Median float64 `json:"median"`
-	P75    float64 `json:"p75"`
-	P95    float64 `json:"p95"`
-}
-
-func toJSONBand(b *QuantileBand) *jsonBand {
-	if b == nil {
-		return nil
-	}
-	return &jsonBand{P5: b.P5, P25: b.P25, Median: b.Median, P75: b.P75, P95: b.P95}
-}
-
-type jsonCell struct {
-	Labels map[string]string `json:"labels"`
-	Key    string            `json:"key"`
-	jsonAggregate
-	DwellVC *jsonBand `json:"dwell_vc,omitempty"`
-}
-
-type jsonMarginal struct {
-	Axis  string `json:"axis"`
-	Level string `json:"level"`
-	jsonAggregate
-}
-
-type jsonStudy struct {
-	Axes      []AxisDigest   `json:"axes,omitempty"`
-	Summary   jsonAggregate  `json:"summary"`
-	DwellVC   *jsonBand      `json:"dwell_vc,omitempty"`
-	Cells     []jsonCell     `json:"cells"`
-	Marginals []jsonMarginal `json:"marginals,omitempty"`
+	_, err := w.Write(o.AppendRunsCSV(nil))
+	return err
 }
 
 // WriteJSON writes the study aggregate — overall summary, per-cell and
 // per-axis marginal summaries with quantile bands, and the dwell-time
-// voltage quantiles when histograms ran — as indented JSON.
+// voltage quantiles when histograms ran — as indented JSON. A NaN or
+// infinite survival rate or quantile band fails it and writes nothing;
+// a summary statistic that is not finite is written as null.
 func (o *StudyOutcome) WriteJSON(w io.Writer) error {
-	doc := jsonStudy{
-		Axes:    o.Axes,
-		Summary: toJSONAggregate(o.Summary),
-		DwellVC: toJSONBand(o.DwellVC),
+	b, err := o.AppendJSON(nil)
+	if err != nil {
+		return err
 	}
-	for _, c := range o.Cells {
-		labels := make(map[string]string, len(o.Axes))
-		for i, ax := range o.Axes {
-			labels[ax.Name] = c.Cell.Labels[i]
+	_, err = w.Write(b)
+	return err
+}
+
+const (
+	cellsCSVTail = "runs,survival_rate,brownouts," +
+		"stability_mean,stability_p5,stability_median,stability_p95," +
+		"instructions_mean,lifetime_s_mean,min_vc_v_mean," +
+		"storage_denergy_j_mean,dwell_vc_median\n"
+	runsCSVHead = "task,cell,rep,seed,"
+	runsCSVTail = "survived,brownouts,lifetime_s,instructions," +
+		"final_vc_v,min_vc_v,stability_pct5,storage_denergy_j\n"
+)
+
+// Size hints: typical bytes per element of each rendering, measured on
+// stress-matrix outcomes (about 2 350 per JSON aggregate, 150 per run
+// row and 200 per cell row before labels) and rounded up, so that a
+// rendering into a nil slice allocates once and rarely wastes more than
+// a tenth of it.
+const (
+	hintJSONAggregate = 2500
+	hintRunRow        = 160
+	hintCellRow       = 210
+)
+
+// AppendCellsCSV appends the WriteCellsCSV rendering to dst.
+func (o *StudyOutcome) AppendCellsCSV(dst []byte) []byte {
+	n := len(cellsCSVTail) + o.axisNamesLen()
+	for i := range o.Cells {
+		n += hintCellRow + len(o.Cells[i].Cell.Key)
+	}
+	dst = slices.Grow(dst, n)
+	dst = o.appendAxisNames(dst)
+	dst = append(dst, cellsCSVTail...)
+	for i := range o.Cells {
+		c := &o.Cells[i]
+		for _, l := range c.Cell.Labels {
+			dst = append(appendCSVField(dst, l), ',')
 		}
-		doc.Cells = append(doc.Cells, jsonCell{
-			Labels: labels, Key: c.Cell.Key,
-			jsonAggregate: toJSONAggregate(c.Summary),
-			DwellVC:       toJSONBand(c.DwellVC),
-		})
+		s := &c.Summary
+		dst = strconv.AppendInt(dst, int64(s.Runs), 10)
+		dst = appendCSVFloat(dst, s.SurvivalRate)
+		dst = append(dst, ',')
+		dst = strconv.AppendInt(dst, int64(s.TotalBrownouts), 10)
+		for _, x := range [...]float64{
+			s.Stability.Mean, s.Stability.P5, s.Stability.Median, s.Stability.P95,
+			s.Instructions.Mean, s.LifetimeSeconds.Mean, s.MinVC.Mean,
+			s.StorageEnergyDeltaJ.Mean,
+		} {
+			dst = appendCSVFloat(dst, x)
+		}
+		dst = append(dst, ',')
+		if c.DwellVC != nil {
+			dst = strconv.AppendFloat(dst, c.DwellVC.Median, 'g', -1, 64)
+		}
+		dst = append(dst, '\n')
 	}
-	for _, m := range o.Marginals {
-		doc.Marginals = append(doc.Marginals, jsonMarginal{
-			Axis: m.Axis, Level: m.Level, jsonAggregate: toJSONAggregate(m.Summary),
-		})
+	return dst
+}
+
+// AppendRunsCSV appends the WriteRunsCSV rendering to dst.
+func (o *StudyOutcome) AppendRunsCSV(dst []byte) []byte {
+	// A cell's key holds its labels, each with an axis name and a
+	// separator: an upper bound on a row's label fields.
+	n := len(runsCSVHead) + o.axisNamesLen() + len(runsCSVTail)
+	for i := range o.Results {
+		n += hintRunRow + len(o.Cells[o.Results[i].Task.Cell].Cell.Key)
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
+	dst = slices.Grow(dst, n)
+	dst = append(dst, runsCSVHead...)
+	dst = o.appendAxisNames(dst)
+	dst = append(dst, runsCSVTail...)
+	for i := range o.Results {
+		r := &o.Results[i]
+		dst = strconv.AppendInt(dst, int64(r.Task.Index), 10)
+		dst = append(dst, ',')
+		dst = strconv.AppendInt(dst, int64(r.Task.Cell), 10)
+		dst = append(dst, ',')
+		dst = strconv.AppendInt(dst, int64(r.Task.Rep), 10)
+		dst = append(dst, ',')
+		dst = strconv.AppendInt(dst, r.Task.Seed, 10)
+		dst = append(dst, ',')
+		for _, l := range o.Cells[r.Task.Cell].Cell.Labels {
+			dst = append(appendCSVField(dst, l), ',')
+		}
+		m := &r.Metrics
+		dst = strconv.AppendBool(dst, m.Survived)
+		dst = append(dst, ',')
+		dst = strconv.AppendInt(dst, int64(m.Brownouts), 10)
+		for _, x := range [...]float64{
+			m.LifetimeSeconds, m.Instructions, m.FinalVC, m.MinVC,
+			m.Stability, m.StorageEnergyDeltaJ,
+		} {
+			dst = appendCSVFloat(dst, x)
+		}
+		dst = append(dst, '\n')
+	}
+	return dst
+}
+
+// appendAxisNames appends each axis name as a CSV field followed by a
+// comma.
+func (o *StudyOutcome) appendAxisNames(dst []byte) []byte {
+	for _, ax := range o.Axes {
+		dst = append(appendCSVField(dst, ax.Name), ',')
+	}
+	return dst
+}
+
+func (o *StudyOutcome) axisNamesLen() int {
+	n := 0
+	for _, ax := range o.Axes {
+		n += len(ax.Name) + 1
+	}
+	return n
+}
+
+// appendCSVFloat appends a comma and x in strconv's shortest 'g' form.
+// A number never needs CSV quoting.
+func appendCSVFloat(dst []byte, x float64) []byte {
+	return strconv.AppendFloat(append(dst, ','), x, 'g', -1, 64)
+}
+
+// appendCSVField appends one field as encoding/csv's Writer writes it
+// with its defaults (comma separator, LF line ends): quoted, inner
+// quotes doubled, when it holds a quote, comma, CR or LF, is exactly
+// `\.`, or begins with a Unicode space; verbatim otherwise.
+func appendCSVField(dst []byte, field string) []byte {
+	if !csvNeedsQuotes(field) {
+		return append(dst, field...)
+	}
+	dst = append(dst, '"')
+	for i := 0; i < len(field); i++ {
+		if field[i] == '"' {
+			dst = append(dst, '"')
+		}
+		dst = append(dst, field[i])
+	}
+	return append(dst, '"')
+}
+
+func csvNeedsQuotes(field string) bool {
+	if field == "" {
+		return false
+	}
+	if field == `\.` {
+		return true
+	}
+	for i := 0; i < len(field); i++ {
+		switch field[i] {
+		case '\n', '\r', '"', ',':
+			return true
+		}
+	}
+	r, _ := utf8.DecodeRuneInString(field)
+	return unicode.IsSpace(r)
+}
+
+// AppendJSON appends the WriteJSON rendering to dst. On error it
+// returns dst unchanged.
+func (o *StudyOutcome) AppendJSON(dst []byte) ([]byte, error) {
+	n := hintJSONAggregate * (1 + len(o.Cells) + len(o.Marginals))
+	for _, ax := range o.Axes {
+		n += 32 + len(ax.Name)
+		for _, l := range ax.Levels {
+			n += 8 + len(l)
+		}
+	}
+	for i := range o.Cells {
+		// The key and the labels object both spell the labels out.
+		n += 2 * len(o.Cells[i].Cell.Key)
+	}
+	w := jsonw.NewWriter(slices.Grow(dst, n), true)
+	w.BeginObject()
+	if len(o.Axes) > 0 {
+		w.Key("axes")
+		w.BeginArray()
+		for _, ax := range o.Axes {
+			w.BeginObject()
+			w.Key("name")
+			w.String(ax.Name)
+			w.Key("levels")
+			if ax.Levels == nil {
+				w.Null()
+			} else {
+				w.BeginArray()
+				for _, l := range ax.Levels {
+					w.String(l)
+				}
+				w.EndArray()
+			}
+			w.EndObject()
+		}
+		w.EndArray()
+	}
+	w.Key("summary")
+	w.BeginObject()
+	appendAggregate(&w, &o.Summary)
+	w.EndObject()
+	appendBand(&w, o.DwellVC)
+	w.Key("cells")
+	if len(o.Cells) == 0 {
+		w.Null()
+	} else {
+		// Labels are an object keyed by axis name: names sorted, and a
+		// repeated name keeps the later axis's label.
+		var orderBuf [8]int
+		order := labelOrder(o.Axes, orderBuf[:0])
+		w.BeginArray()
+		for i := range o.Cells {
+			c := &o.Cells[i]
+			w.BeginObject()
+			w.Key("labels")
+			w.BeginObject()
+			for _, a := range order {
+				w.Key(o.Axes[a].Name)
+				w.String(c.Cell.Labels[a])
+			}
+			w.EndObject()
+			w.Key("key")
+			w.String(c.Cell.Key)
+			appendAggregate(&w, &c.Summary)
+			appendBand(&w, c.DwellVC)
+			w.EndObject()
+		}
+		w.EndArray()
+	}
+	if len(o.Marginals) > 0 {
+		w.Key("marginals")
+		w.BeginArray()
+		for i := range o.Marginals {
+			m := &o.Marginals[i]
+			w.BeginObject()
+			w.Key("axis")
+			w.String(m.Axis)
+			w.Key("level")
+			w.String(m.Level)
+			appendAggregate(&w, &m.Summary)
+			w.EndObject()
+		}
+		w.EndArray()
+	}
+	w.EndObject()
+	if err := w.Err(); err != nil {
+		return dst, err
+	}
+	return append(w.B, '\n'), nil
+}
+
+// labelOrder returns the indices of the axes whose names key a cell's
+// labels object, in key order: sorted by name, and of axes sharing a
+// name only the last.
+func labelOrder(axes []AxisDigest, order []int) []int {
+	for i := range axes {
+		j := 0
+		for j < len(order) && axes[order[j]].Name < axes[i].Name {
+			j++
+		}
+		if j < len(order) && axes[order[j]].Name == axes[i].Name {
+			order[j] = i
+			continue
+		}
+		order = append(order, 0)
+		copy(order[j+1:], order[j:])
+		order[j] = i
+	}
+	return order
+}
+
+// appendAggregate writes a Summary's members into the open object.
+func appendAggregate(w *jsonw.Writer, s *Summary) {
+	w.Key("runs")
+	w.Int(s.Runs)
+	w.Key("survival_rate")
+	w.Float(s.SurvivalRate)
+	w.Key("total_brownouts")
+	w.Int(s.TotalBrownouts)
+	appendSummary(w, "stability_pct5", &s.Stability)
+	appendSummary(w, "instructions", &s.Instructions)
+	appendSummary(w, "lifetime_s", &s.LifetimeSeconds)
+	appendSummary(w, "final_vc_v", &s.FinalVC)
+	appendSummary(w, "min_vc_v", &s.MinVC)
+	appendSummary(w, "storage_denergy_j", &s.StorageEnergyDeltaJ)
+}
+
+// appendSummary writes a stats.Summary member. JSON has no NaN: a
+// missing measurement is null.
+func appendSummary(w *jsonw.Writer, key string, s *stats.Summary) {
+	w.Key(key)
+	w.BeginObject()
+	w.Key("n")
+	w.Int(s.N)
+	w.Key("min")
+	w.FloatOrNull(s.Min)
+	w.Key("max")
+	w.FloatOrNull(s.Max)
+	w.Key("mean")
+	w.FloatOrNull(s.Mean)
+	w.Key("stddev")
+	w.FloatOrNull(s.StdDev)
+	w.Key("p5")
+	w.FloatOrNull(s.P5)
+	w.Key("p25")
+	w.FloatOrNull(s.P25)
+	w.Key("median")
+	w.FloatOrNull(s.Median)
+	w.Key("p75")
+	w.FloatOrNull(s.P75)
+	w.Key("p95")
+	w.FloatOrNull(s.P95)
+	w.EndObject()
+}
+
+// appendBand writes the dwell_vc member when the band is present.
+func appendBand(w *jsonw.Writer, b *QuantileBand) {
+	if b == nil {
+		return
+	}
+	w.Key("dwell_vc")
+	w.BeginObject()
+	w.Key("p5")
+	w.Float(b.P5)
+	w.Key("p25")
+	w.Float(b.P25)
+	w.Key("median")
+	w.Float(b.Median)
+	w.Key("p75")
+	w.Float(b.P75)
+	w.Key("p95")
+	w.Float(b.P95)
+	w.EndObject()
 }

@@ -115,54 +115,3 @@ func ASCIIPlot(s *Series, width, height int) string {
 	fmt.Fprintf(&b, " t: %.4g .. %.4g s\n", t0, t1)
 	return b.String()
 }
-
-// Sparkline renders the series as a single-line unicode sparkline with n
-// buckets (bucket value = mean of samples falling in the bucket).
-func Sparkline(s *Series, n int) string {
-	if s.Len() == 0 || n < 1 {
-		return ""
-	}
-	levels := []rune("▁▂▃▄▅▆▇█")
-	t0, _ := s.First()
-	t1, _ := s.Last()
-	if t1 == t0 {
-		t1 = t0 + 1
-	}
-	sums := make([]float64, n)
-	counts := make([]int, n)
-	for i := 0; i < s.Len(); i++ {
-		t, v := s.At(i)
-		b := int(float64(n) * (t - t0) / (t1 - t0))
-		if b >= n {
-			b = n - 1
-		}
-		sums[b] += v
-		counts[b]++
-	}
-	minV, maxV := 0.0, 0.0
-	first := true
-	vals := make([]float64, n)
-	last := 0.0
-	for i := range sums {
-		if counts[i] > 0 {
-			last = sums[i] / float64(counts[i])
-		}
-		vals[i] = last
-		if first || last < minV {
-			minV = last
-		}
-		if first || last > maxV {
-			maxV = last
-		}
-		first = false
-	}
-	if maxV == minV {
-		maxV = minV + 1
-	}
-	var b strings.Builder
-	for _, v := range vals {
-		idx := int(float64(len(levels)-1) * (v - minV) / (maxV - minV))
-		b.WriteRune(levels[idx])
-	}
-	return b.String()
-}

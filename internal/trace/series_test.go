@@ -275,7 +275,7 @@ func TestQuickBandFractionBounded(t *testing.T) {
 	}
 }
 
-func TestASCIIPlotAndSparkline(t *testing.T) {
+func TestASCIIPlot(t *testing.T) {
 	s := mkSeries([2]float64{0, 0}, [2]float64{1, 1}, [2]float64{2, 4}, [2]float64{3, 2})
 	plot := ASCIIPlot(s, 20, 5)
 	if !strings.Contains(plot, "*") {
@@ -283,13 +283,6 @@ func TestASCIIPlotAndSparkline(t *testing.T) {
 	}
 	if ASCIIPlot(NewSeries("e", ""), 20, 5) != "(empty)\n" {
 		t.Error("empty plot rendering wrong")
-	}
-	sp := Sparkline(s, 8)
-	if len([]rune(sp)) != 8 {
-		t.Errorf("sparkline length %d, want 8", len([]rune(sp)))
-	}
-	if Sparkline(NewSeries("e", ""), 8) != "" {
-		t.Error("empty sparkline should be empty")
 	}
 }
 
